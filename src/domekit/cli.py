@@ -22,7 +22,7 @@ from . import laminations as lam_mod
 from . import pleating as pleat_mod
 from . import qc as qc_mod
 from .crescents import AngleScaling, scaling_dilatation
-from .errors import DomekitError
+from .errors import DomekitError, NonpositiveInput
 from .mobius import INF, is_inf
 
 SCHEMA = "domekit/1"
@@ -70,12 +70,25 @@ def _parse_complex(text: str) -> complex:
     return complex(text.replace("i", "j"))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+
+
 def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
     env = os.environ.get("DOMEKIT_THREADS")
     if env:
-        return int(env)
+        try:
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise NonpositiveInput(f"DOMEKIT_THREADS: {exc}") from None
     return os.cpu_count() or 1
 
 
@@ -363,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=_positive_int, default=None)
 
     g_bounds = sub.add_parser("bounds").add_subparsers(dest="cmd", required=True)
     p = g_bounds.add_parser("eval")

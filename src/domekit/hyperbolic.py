@@ -121,11 +121,9 @@ def _mink_dot(u, v):
 def point_vec(z) -> np.ndarray:
     """Timelike unit vector of a disk point (vectorized over complex arrays)."""
     z = np.asarray(z, dtype=complex)
-    d = 1.0 - np.abs(z) ** 2
-    out = np.stack(
-        [2 * z.real / d, 2 * z.imag / d, (1 + np.abs(z) ** 2) / d], axis=-1
-    )
-    return out
+    r2 = np.abs(z) ** 2
+    d = 1.0 - r2
+    return np.stack([2 * z.real / d, 2 * z.imag / d, (1 + r2) / d], axis=-1)
 
 
 def light_vec(angle) -> np.ndarray:

@@ -262,6 +262,43 @@ class TestUsageErrors:
         assert code == 1
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_threads_must_be_positive(self, lam_file, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lamination", "roundness", "--input", lam_file,
+                  "--brute-arcs", "1000", "--threads", value])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_threads_env_is_an_error_line(self, lam_file, value,
+                                              monkeypatch, capsys):
+        monkeypatch.setenv("DOMEKIT_THREADS", value)
+        code, out, err = run_cli(
+            ["lamination", "roundness", "--input", lam_file,
+             "--brute-arcs", "1000"], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "DOMEKIT_THREADS" in err
+
+    def test_negative_brute_arcs_is_an_error_line(self, lam_file, capsys):
+        code, out, err = run_cli(
+            ["lamination", "roundness", "--input", lam_file,
+             "--brute-arcs", "-5"], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "NonpositiveInput" in err
+
+    def test_zero_brute_arcs_skips_the_sampler(self, lam_file, capsys):
+        code, out, _ = run_cli(
+            ["lamination", "roundness", "--input", lam_file,
+             "--brute-arcs", "0"], capsys
+        )
+        assert code == 0
+        assert "brute_force" not in json.loads(out)
+
+
 class TestThreadIndependence:
     def test_brute_force_identical_across_thread_counts(self, lam_file, capsys):
         outs = []

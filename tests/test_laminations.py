@@ -1,18 +1,21 @@
 import cmath
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from domekit.errors import (
     CrossingLeaves,
+    NonpositiveInput,
     NonpositiveScale,
     NonpositiveWeight,
     NotTransverse,
     TooManyLeaves,
 )
 from domekit.hyperbolic import GeodesicH2, PointH2, dist_h2, point_along
+from domekit import laminations
 from domekit.laminations import (
     FiniteLamination,
     GeodesicArc,
@@ -179,6 +182,93 @@ class TestRoundness:
         r = roundness(lam)
         brute = roundness_brute_force(lam, n_arcs=10**5, seed=3, targeted=False)
         assert brute <= r + 1e-9
+
+
+def cusp_lamination(n: int, width: float, seed: int) -> FiniteLamination:
+    """n nested leaves with endpoints in one boundary arc of the given width.
+
+    Few uniformly sampled arcs reach so far out, so which leaves the best
+    of them crosses, and hence the sampler's untargeted maximum, depends on
+    the exact sample drawn.
+    """
+    rng = np.random.default_rng(seed)
+    half = np.sort(rng.uniform(0.05, 1.0, n))[::-1] * width / 2
+    c = rng.uniform(0, 2 * math.pi)
+    return FiniteLamination([GeodesicH2.from_angles(c - h, c + h) for h in half],
+                            rng.uniform(0.5, 2.0, n).tolist())
+
+
+class TestSampler:
+    # cusp_lamination(n, width, seed), arc seed, then roundness_brute_force
+    # (n_arcs=300000) with and without targeted arcs, as returned before the
+    # sampler was chunked; the chunked kernel must reproduce them bit for bit
+    PINNED = [
+        (6, 0.01, 3, 8, "0x1.c102b09f91eebp+1", "0x1.163b4bc92d9dep+0"),
+        (8, 0.01, 4, 6, "0x1.26176bc18dc0ep+3", "0x1.d46f65b653f2fp+1"),
+        (8, 0.005, 5, 8, "0x1.2941f26fa7094p+3", "0x1.150fb2bda8a53p+2"),
+    ]
+
+    @pytest.mark.parametrize("n, width, lam_seed, arc_seed, targeted, untargeted",
+                             PINNED)
+    def test_pinned_and_identical_across_thread_counts(
+            self, n, width, lam_seed, arc_seed, targeted, untargeted):
+        lam = cusp_lamination(n, width, lam_seed)
+        assert 300_000 > 4 * laminations._CHUNK_ARCS
+        for threads in (None, 1, 2, 3):
+            for with_targets, expected in ((True, targeted), (False, untargeted)):
+                got = roundness_brute_force(lam, n_arcs=300_000, seed=arc_seed,
+                                            targeted=with_targets, threads=threads)
+                assert got.hex() == expected, (with_targets, threads)
+
+    @pytest.mark.parametrize("n_arcs", [0, -5])
+    def test_nonpositive_n_arcs_rejected(self, n_arcs):
+        lam = random_lamination(np.random.default_rng(1), 3)
+        for targeted in (True, False):
+            with pytest.raises(NonpositiveInput):
+                roundness_brute_force(lam, n_arcs=n_arcs, targeted=targeted)
+
+    def test_worker_count_clamp(self, monkeypatch):
+        wc = laminations._worker_count
+        if hasattr(os, "sched_getaffinity"):
+            assert wc(10**9, 10**9) == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        assert wc(10**9, 10**9) == 64
+        assert wc(10**9, 3) == 3
+        assert wc(5, 10**9) == 5
+        for requested in (None, 0, -3, 1):
+            assert wc(requested, 10) == 1
+        assert wc(8, 0) == 1
+
+    def test_executor_gets_clamped_workers(self, monkeypatch):
+        started = []
+
+        class SerialExecutor:
+            """Stands in for ThreadPoolExecutor without starting threads."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(laminations, "ThreadPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        lam = random_lamination(np.random.default_rng(2), 4)
+        n_arcs = 4 * laminations._CHUNK_ARCS + 1  # five chunks
+        got = roundness_brute_force(lam, n_arcs=n_arcs, seed=4, targeted=False,
+                                    threads=10**6)
+        assert started == [5]
+        assert got == roundness_brute_force(lam, n_arcs=n_arcs, seed=4,
+                                            targeted=False)
+        assert started == [5]
 
 
 class TestPushforward:
