@@ -70,14 +70,23 @@ def _parse_complex(text: str) -> complex:
     return complex(text.replace("i", "j"))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
-        if int(text) >= 1:
+        if int(text) >= low:
             return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    raise argparse.ArgumentTypeError(f"{text!r} is not a {kind} integer")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _threads(args) -> int:
@@ -375,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_nonnegative_int, default=0)
         p.add_argument("--threads", type=_positive_int, default=None)
 
     g_bounds = sub.add_parser("bounds").add_subparsers(dest="cmd", required=True)

@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import (
     DepthTooSmall,
@@ -34,6 +33,11 @@ from .mobius import INF, CircleOrLine, MobiusMap, chordal_distance, is_inf
 
 COPLANAR_TOL = 1e-10
 BASEPOINT = PointH3(0.0, 0.0, 1.0)
+COINCIDE_TOL = 1e-9
+#: Pairs of points closer than this on the sphere are screened in, and
+#: ``chordal_distance`` decides whether they are within ``COINCIDE_TOL``.
+_NEAR = 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -51,10 +55,19 @@ class IdealConfiguration:
         if len(self.points) < 3:
             raise TooFewPoints(f"need >= 3 points, got {len(self.points)}")
         self.points = [INF if is_inf(p) else complex(p) for p in self.points]
-        n = len(self.points)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if chordal_distance(self.points[i], self.points[j]) <= 1e-9:
+        # A Gram screen over blocks of rows: |u - v|^2 = 2 - 2 u.v to ~1e-15.
+        # The flagged pairs are decided by chordal_distance in the (i, j)
+        # order of a double loop, so the first coincident pair raises.
+        v = self.sphere_vectors()
+        n = len(v)
+        step = max(1, (1 << 16) // n)
+        for i0 in range(0, n, step):
+            rows = np.arange(i0, min(i0 + step, n))
+            near = ~(v[rows] @ v.T < 1.0 - 0.5 * _NEAR * _NEAR)
+            near &= np.arange(n) > rows[:, None]
+            for i, j in zip(*np.nonzero(near)):
+                i, j = int(rows[i]), int(j)
+                if chordal_distance(self.points[i], self.points[j]) <= COINCIDE_TOL:
                     raise NumericallyCoincident(
                         f"points {i} and {j} numerically coincide"
                     )
@@ -107,6 +120,26 @@ class HullPolyhedron:
     faces: list[Face]
     edges: list[Edge]
     degenerate: bool
+    # arrays that `retract` screens with, built once with the hull
+    finite: np.ndarray = field(init=False, repr=False, compare=False)  # (N,) not INF
+    ideal: np.ndarray = field(init=False, repr=False, compare=False)  # (N,) INF as 0
+    face_forms: np.ndarray = field(init=False, repr=False, compare=False)  # (F, 3) A, B, C
+    face_vertices: np.ndarray = field(init=False, repr=False, compare=False)  # (F, K)
+    edge_vertices: np.ndarray = field(init=False, repr=False, compare=False)  # (E, 2)
+
+    def __post_init__(self):
+        pts = self.config.points
+        self.finite = np.array([not is_inf(p) for p in pts])
+        self.ideal = np.array([p if f else 0j for p, f in zip(pts, self.finite)],
+                              dtype=complex)
+        self.face_forms = np.array(
+            [(f.circle.A, f.circle.B, f.circle.C) for f in self.faces],
+            dtype=complex)
+        k = max(len(f.vertices) for f in self.faces)  # cycles padded with their start
+        self.face_vertices = np.array(
+            [f.vertices + f.vertices[:1] * (k - len(f.vertices))
+             for f in self.faces])
+        self.edge_vertices = np.array([e.v for e in self.edges]).reshape(-1, 2)
 
     def edge_geodesic_endpoints(self, e: Edge):
         return self.config.points[e.v[0]], self.config.points[e.v[1]]
@@ -176,6 +209,10 @@ def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
     sphere = cfg.sphere_vectors()
     if cfg.is_concyclic():
         return _build_degenerate(cfg, sphere)
+    # Imported here, not at module level: it takes ~0.4 s and only the hull
+    # needs it, so the other CLI subcommands start without it.
+    from scipy.spatial import ConvexHull
+
     hull = ConvexHull(sphere)
     nsimp = len(hull.simplices)
     # union-find over coplanar neighboring simplices
@@ -313,6 +350,77 @@ class RetractionResult:
     z: complex | None = None
 
 
+def _retraction_survivors(hull: HullPolyhedron, z, z_inf: bool):
+    """Faces and edges that may carry the retraction of z, screened in numpy.
+
+    The screen maps the points by w -> 1/(w - z) (the identity for z = inf)
+    and each face circle's form H to H' = N* H N, N = [[z, 1], [1, 0]] the
+    inverse map.  It bounds how far each screened value can be from the one
+    the scalar expressions in `retract` compute: a few ulps of the terms
+    summed, over what is left after cancellation.  Every edge with finite
+    ends is a candidate, so the best edge height, less its bound, is a floor
+    the carrier reaches.  A face or edge is dropped only when, within the
+    bounds, it is surely no candidate or surely below that floor; a face
+    whose image form the scalar path might reject is always kept.
+    """
+    A, B, C = hull.face_forms.T
+    A, C = A.real, C.real
+    fv, ev = hull.face_vertices, hull.edge_vertices
+    eps = _EPS
+    with np.errstate(all="ignore"):
+        if z_inf:
+            w, ok = hull.ideal, hull.finite
+            Ap, Bp, Cp = A, B, C
+            tA, tB = np.abs(A), np.abs(B)
+        else:
+            zc = complex(z)
+            r2 = abs(zc) ** 2
+            w = np.where(hull.finite, 1.0 / (hull.ideal - zc), 0.0)
+            ok = np.ones(len(w), dtype=bool)
+            Ap = A * r2 + 2.0 * (B.conjugate() * zc).real + C
+            Bp = A * zc.conjugate() + B.conjugate()
+            Cp = A
+            tA = np.abs(A) * r2 + 2.0 * np.abs(B) * abs(zc) + np.abs(C)
+            tB = np.abs(A) * abs(zc) + np.abs(B)
+        aA, aB = np.abs(Ap), np.abs(Bp)
+
+        # edges: height |a - b| / 2
+        a, b = w[ev[:, 0]], w[ev[:, 1]]
+        he = np.abs(a - b) / 2.0
+        dhe = 16.0 * eps * (1.0 + (np.abs(a) + np.abs(b)) / (2.0 * he))
+        edge_ok = ok[ev].all(axis=1)
+        floor = np.where(edge_ok, he * (1.0 - dhe), -np.inf).max(initial=-np.inf)
+        keep_edges = np.flatnonzero(edge_ok & ~(he * (1.0 + dhe) < floor))
+
+        # faces: line test and height sqrt(D)/|A'|, D = |B'|^2 - A'C'
+        D = aB * aB - Ap * Cp
+        D_scale = aB * aB + np.abs(Ap * Cp) + tA * np.abs(Cp) + 2.0 * tB * aB
+        sure_disc = D > 16.0 * eps * D_scale
+        norm = np.sqrt(Ap * Ap + 2.0 * aB * aB + Cp * Cp)
+        sure_line = (aA + 32.0 * eps * tA) / norm < 1e-12
+        dh = 64.0 * eps * (1.0 + tA / aA + D_scale / D)
+        high = ~(np.sqrt(D) / aA * (1.0 + dh) < floor)
+        cand = np.flatnonzero(~sure_disc | (ok[fv].all(axis=1) & ~sure_line & high))
+
+        # the few faces left: is the centre -B'/A' surely outside the polygon?
+        c = -Bp[cand] / Ap[cand]
+        c_err = (32.0 * eps * (tB[cand] + np.abs(c) * tA[cand]) / aA[cand]
+                 + 8.0 * eps * np.abs(c))
+        fw = w[fv[cand]]
+        e = np.roll(fw, -1, axis=1) - fw
+        q = c[:, None] - fw
+        sgn = e.real * q.imag - e.imag * q.real
+        E, Q = np.abs(e).max(axis=1, initial=0.0), np.abs(q).max(axis=1, initial=0.0)
+        pos_err = c_err + 64.0 * eps * np.abs(fw).max(axis=1, initial=0.0)
+        s_err = (E + Q + pos_err) * pos_err + 8.0 * eps * E * Q
+        band = s_err + 1e-12 * np.maximum(np.abs(sgn).max(axis=1, initial=0.0) + s_err,
+                                          1e-12)
+        outside = ((sgn.max(axis=1, initial=0.0) > band)
+                   & (sgn.min(axis=1, initial=0.0) < -band))
+        keep_faces = cand[~sure_disc[cand] | ~outside]
+    return keep_faces.tolist(), keep_edges.tolist()
+
+
 def retract(hull: HullPolyhedron, z) -> RetractionResult:
     """Nearest-point retraction of z onto the dome.
 
@@ -321,15 +429,26 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
     hull: the top of a face hemisphere when that top lies over the face
     polygon, or the top of an edge semicircle.  Candidates are compared by
     height; ties prefer the face carrier.
+
+    A numpy screen (`_retraction_survivors`) keeps the few faces and edges
+    that can be highest; the scalar expressions below decide among them in
+    the order faces then edges, so the result is the one a loop over every
+    face and edge gives, bit for bit.
     """
-    for i, p in enumerate(hull.config.points):
-        if chordal_distance(z, p) <= 1e-9:
+    z_inf = is_inf(z)
+    d2 = ((hull.sphere - boundary_to_sphere(z)) ** 2).sum(axis=1)
+    for i in np.flatnonzero(~(d2 > _NEAR * _NEAR)):
+        if chordal_distance(z, hull.config.points[i]) <= COINCIDE_TOL:
             raise PointNotInDomain(f"z coincides with ideal point {i}")
-    m = MobiusMap.identity() if is_inf(z) else MobiusMap(0, 1, 1, -z)
-    pts_m = [m(p) for p in hull.config.points]
+    faces, edges = _retraction_survivors(hull, z, z_inf)
+    m = MobiusMap.identity() if z_inf else MobiusMap(0, 1, 1, -z)
+    used = set(hull.face_vertices[faces].ravel().tolist())
+    used.update(hull.edge_vertices[edges].ravel().tolist())
+    pts_m = {v: m(hull.config.points[v]) for v in used}
 
     best = None  # (height, priority, point, carrier)
-    for fi, f in enumerate(hull.faces):
+    for fi in faces:
+        f = hull.faces[fi]
         circ = f.circle.mobius_image(m)
         if circ.is_line:
             continue  # z on the face circle: contact cannot be interior
@@ -341,7 +460,8 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
             cand = (rho, 1, PointH3(c.real, c.imag, rho), ("face", fi))
             if best is None or cand[:2] > best[:2]:
                 best = cand
-    for ei, e in enumerate(hull.edges):
+    for ei in edges:
+        e = hull.edges[ei]
         a, b = pts_m[e.v[0]], pts_m[e.v[1]]
         if is_inf(a) or is_inf(b):
             continue

@@ -24,6 +24,10 @@ class NonpositiveWeight(DomekitError):
         super().__init__(message or f"weight {i} is not strictly positive")
 
 
+class MismatchedLengths(DomekitError, ValueError):
+    """Two sequences that must pair up element by element differ in length."""
+
+
 class TooManyLeaves(DomekitError):
     """Hard cap on lamination size exceeded."""
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     CrossingLeaves,
+    MismatchedLengths,
     NonpositiveInput,
     NonpositiveScale,
     NonpositiveWeight,
@@ -67,7 +68,9 @@ class FiniteLamination:
 
     def __post_init__(self):
         if len(self.leaves) != len(self.weights):
-            raise ValueError("leaves and weights must have equal length")
+            raise MismatchedLengths(
+                f"{len(self.leaves)} leaves but {len(self.weights)} weights"
+            )
         if len(self.leaves) > MAX_LEAVES:
             raise TooManyLeaves(f"{len(self.leaves)} leaves exceeds cap {MAX_LEAVES}")
         self.weights = [float(w) for w in self.weights]

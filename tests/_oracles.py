@@ -3,7 +3,8 @@
 Everything here evaluates geometry by a different route than the modules
 under test: tangent-space dihedral angles, brute-force minimization over
 sampled points, angle-interleaving predicates, and pointwise finite
-differences.
+differences.  `retract_oracle` is the exception: it is the plain scalar
+loop over every face and edge that `dome.retract` must equal bit for bit.
 """
 from __future__ import annotations
 
@@ -11,12 +12,20 @@ import math
 
 import numpy as np
 
+from domekit.dome import (
+    BASEPOINT,
+    RetractionResult,
+    _point_in_convex_polygon,
+)
+from domekit.errors import PointNotInDomain
 from domekit.hyperbolic import (
     PointH3,
     ideal_to_lightcone,
     mink4_dot,
+    poincare_extension,
     point_to_hyperboloid,
 )
+from domekit.mobius import MobiusMap, chordal_distance, is_inf
 
 
 def unit_tangent_toward_ideal(Xf: np.ndarray, xi) -> np.ndarray:
@@ -136,3 +145,46 @@ def numeric_wirtinger(f, z: complex, h: float = 1e-6):
     fx = (f(z + h) - f(z - h)) / (2 * h)
     fy = (f(z + 1j * h) - f(z - 1j * h)) / (2 * h)
     return (fx - 1j * fy) / 2.0, (fx + 1j * fy) / 2.0
+
+
+def retract_oracle(hull, z) -> RetractionResult:
+    """Nearest-point retraction by a scalar loop over every face and edge.
+
+    Sends z to infinity and takes the highest candidate: a face hemisphere
+    top lying over its polygon, or an edge semicircle top; ties prefer the
+    face carrier, then the lower index.
+    """
+    for i, p in enumerate(hull.config.points):
+        if chordal_distance(z, p) <= 1e-9:
+            raise PointNotInDomain(f"z coincides with ideal point {i}")
+    m = MobiusMap.identity() if is_inf(z) else MobiusMap(0, 1, 1, -z)
+    pts_m = [m(p) for p in hull.config.points]
+
+    best = None  # (height, priority, point, carrier)
+    for fi, f in enumerate(hull.faces):
+        circ = f.circle.mobius_image(m)
+        if circ.is_line:
+            continue  # z on the face circle: contact cannot be interior
+        c, rho = circ.center_radius()
+        verts = [pts_m[v] for v in f.vertices]
+        if any(is_inf(v) for v in verts):
+            continue
+        if _point_in_convex_polygon(c, verts):
+            cand = (rho, 1, PointH3(c.real, c.imag, rho), ("face", fi))
+            if best is None or cand[:2] > best[:2]:
+                best = cand
+    for ei, e in enumerate(hull.edges):
+        a, b = pts_m[e.v[0]], pts_m[e.v[1]]
+        if is_inf(a) or is_inf(b):
+            continue
+        mid = (a + b) / 2.0
+        rho = abs(a - b) / 2.0
+        cand = (rho, 0, PointH3(mid.real, mid.imag, rho), ("edge", ei))
+        if best is None or cand[:2] > best[:2]:
+            best = cand
+    if best is None:
+        raise PointNotInDomain("no retraction candidate (degenerate input)")
+    height, _, top, carrier = best
+    point = poincare_extension(m.inverse(), top)
+    b_val = math.log(poincare_extension(m, BASEPOINT).t / height)
+    return RetractionResult(point, carrier, b_val, None if is_inf(z) else complex(z))

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from domekit.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(argv, capsys):
@@ -164,6 +168,15 @@ class TestLamination:
         )
         assert code == 1 and "CrossingLeaves" in err
 
+    def test_validate_length_mismatch(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"leaves": [[0.3, 2.2]], "weights": [0.8, 1.1]}))
+        code, out, err = run_cli(
+            ["lamination", "validate", "--input", str(p)], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == "error: MismatchedLengths: 1 leaves but 2 weights\n"
+
     def test_roundness_with_brute_force(self, lam_file, capsys):
         code, out, _ = run_cli(
             ["lamination", "roundness", "--input", lam_file,
@@ -255,6 +268,19 @@ class TestUsageErrors:
         )
         assert proc.returncode == 2
 
+    def test_dome_only_import_is_lazy(self):
+        # scipy.spatial costs ~0.4 s of import; only the hull build needs it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, domekit.cli; print('scipy.spatial' in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(
             ["lamination", "validate", "--input", "/nonexistent.json"], capsys
@@ -281,6 +307,14 @@ class TestInputValidation:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and "DOMEKIT_THREADS" in err
+
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+    def test_seed_must_be_nonnegative(self, lam_file, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lamination", "roundness", "--input", lam_file,
+                  "--brute-arcs", "10", "--seed", value])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
 
     def test_negative_brute_arcs_is_an_error_line(self, lam_file, capsys):
         code, out, err = run_cli(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from domekit.bounds import arc_for_radius
 from domekit.dome import (
@@ -35,7 +37,7 @@ from domekit.hyperbolic import (
 )
 from domekit.mobius import INF, MobiusMap, chordal_distance
 
-from _oracles import dihedral_angle
+from _oracles import dihedral_angle, retract_oracle
 
 
 def face_point(hull, face_id) -> PointH3:
@@ -53,6 +55,48 @@ class TestConfiguration:
     def test_coincident(self):
         with pytest.raises(NumericallyCoincident):
             IdealConfiguration([0, 1e-12, 1.0])
+
+    @pytest.mark.parametrize("gap, raises", [(0.25e-9, True), (1e-9, False)])
+    def test_near_coincident_pair(self, gap, raises):
+        # near 0 the chordal distance is 2 * gap: 0.5e-9 and 2e-9
+        pts = [1.0, INF, 1j, 0.0, gap]
+        if raises:
+            with pytest.raises(NumericallyCoincident,
+                               match=r"^points 3 and 4 numerically coincide$"):
+                IdealConfiguration(pts)
+        else:
+            IdealConfiguration(pts)
+
+    @pytest.mark.parametrize("pts, pair", [
+        ([2.0, 0.0, 2.0 + 1e-10, 1e-10j, INF], (0, 2)),
+        ([INF, 0.0, 1.0, 4e9j, 1e-10], (0, 3)),
+    ])
+    def test_first_coincident_pair_is_reported(self, pts, pair):
+        with pytest.raises(NumericallyCoincident,
+                           match=rf"^points {pair[0]} and {pair[1]} numerically"):
+            IdealConfiguration(pts)
+
+    def test_coincidence_screen_matches_pairwise_loop(self, rng):
+        for _ in range(30):
+            v = rng.normal(size=(40, 3))
+            pts = [sphere_to_boundary(x / np.linalg.norm(x)) for x in v]
+            for _ in range(3):
+                i = int(rng.integers(len(pts)))
+                if not math.isinf(abs(pts[i])):
+                    step = 10.0 ** rng.uniform(-11, -8) * cmath.exp(1j * rng.uniform(0, 6.3))
+                    pts.insert(int(rng.integers(len(pts) + 1)), pts[i] + step)
+            want = next(
+                (f"points {i} and {j} numerically coincide"
+                 for i in range(len(pts)) for j in range(i + 1, len(pts))
+                 if chordal_distance(pts[i], pts[j]) <= 1e-9),
+                None,
+            )
+            try:
+                IdealConfiguration(pts)
+                got = None
+            except NumericallyCoincident as exc:
+                got = str(exc)
+            assert got == want
 
     def test_concyclic_detection(self):
         assert IdealConfiguration([0, 1, INF, -1]).is_concyclic()
@@ -223,6 +267,81 @@ class TestRetract:
             res = retract(hull, 1.5 * cmath.exp(1j * ang))
             kinds.add(res.carrier[0])
         assert "face" in kinds or "edge" in kinds
+
+
+def _unit_vectors(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _retract_config(kind, n, rng):
+    if kind == "sphere":
+        return [sphere_to_boundary(x) for x in _unit_vectors(rng, n)]
+    if kind == "sphere_inf":
+        pts = [sphere_to_boundary(x) for x in _unit_vectors(rng, n)]
+        pts[int(rng.integers(n))] = INF
+        return pts
+    k = 3 + n % 40
+    turn = rng.uniform(0, 2 * math.pi, 2)
+    base = 2 * math.pi * np.arange(k) / k
+    if kind == "concyclic":  # the doubled polygon: two faces on one circle
+        center, radius = complex(*rng.normal(0, 0.5, 2)), rng.uniform(0.5, 2.0)
+        return [center + radius * cmath.exp(1j * (t + turn[0])) for t in base]
+    # a thin annulus: two rings, radius ratio 1.5
+    return ([cmath.exp(1j * (t + turn[0])) for t in base]
+            + [1.5 * cmath.exp(1j * (t + turn[1])) for t in base])
+
+
+def _near_face_circle(face, rng, rel):
+    """A point off the face circle by a relative distance rel (either side)."""
+    circ = face.circle
+    side = rel * rng.choice([-1.0, 1.0])
+    if circ.is_line:  # 2 Re(conj(B) z) + C = 0
+        n = circ.B / abs(circ.B)
+        foot = -circ.C * circ.B / (2 * abs(circ.B) ** 2)
+        return foot + rng.normal() * 1j * n + side * n
+    c, r = circ.center_radius()
+    return c + r * (1 + side) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+
+def _outcome(fn, hull, z):
+    try:
+        return fn(hull, z)
+    except PointNotInDomain as exc:
+        return str(exc)
+
+
+class TestRetractMatchesOracle:
+    """The screened retraction equals the scalar loop over every face and
+    edge exactly: point, carrier and Busemann value, or the same error."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["sphere", "sphere_inf", "concyclic", "annulus"]),
+           n=st.integers(4, 512), seed=st.integers(0, 2**32 - 1),
+           near=st.lists(st.integers(2, 15), min_size=3, max_size=3))
+    @example(kind="sphere", n=512, seed=1, near=[4, 11, 13])
+    @example(kind="sphere_inf", n=64, seed=2, near=[3, 8, 12])
+    @example(kind="concyclic", n=24, seed=3, near=[2, 9, 14])
+    @example(kind="annulus", n=32, seed=4, near=[5, 10, 12])
+    def test_retract_equals_scalar_loop(self, kind, n, seed, near):
+        rng = np.random.default_rng(seed)
+        hull = build_hull(IdealConfiguration(_retract_config(kind, n, rng)))
+        queries = [INF] + [sphere_to_boundary(x) for x in _unit_vectors(rng, 6)]
+        for k in near:  # z near a face circle: the image is almost a line
+            face = hull.faces[int(rng.integers(len(hull.faces)))]
+            queries.append(_near_face_circle(face, rng, 10.0 ** -k))
+        vertex = hull.config.points[int(rng.integers(len(hull.config.points)))]
+        if not math.isinf(abs(vertex)):
+            queries += [vertex, vertex + 1e-6 * cmath.exp(1j * rng.uniform(0, 6.3))]
+        for z in queries:
+            assert _outcome(retract, hull, z) == _outcome(retract_oracle, hull, z)
+
+    def test_ideal_point_message(self):
+        hull = build_hull(IdealConfiguration([0, 1, INF, 0.8j]))
+        for i, z in enumerate(hull.config.points):
+            with pytest.raises(PointNotInDomain,
+                               match=rf"^z coincides with ideal point {i}$"):
+                retract(hull, z)
 
 
 class TestInjectivityRadius:
