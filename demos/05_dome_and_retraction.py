@@ -7,8 +7,6 @@ and estimates the injectivity radius of the surface by unfolding.
 """
 import math
 
-import numpy as np
-
 from domekit.dome import (
     IdealConfiguration,
     bending_lamination,

@@ -12,8 +12,6 @@ from .mobius import INF, CircleOrLine, MobiusMap
 from .hyperbolic import (
     BoundaryPointH2,
     GeodesicH2,
-    GeodesicH3,
-    PlaneH3,
     PointH2,
     PointH3,
     busemann,
@@ -40,8 +38,6 @@ __all__ = [
     "MobiusMap",
     "BoundaryPointH2",
     "GeodesicH2",
-    "GeodesicH3",
-    "PlaneH3",
     "PointH2",
     "PointH3",
     "busemann",

@@ -18,25 +18,8 @@ ARCCOSH_E_SQUARED = math.acosh(math.e**2)
 #: additive constant of the retraction Lipschitz bound, 4 + log(3 + 2*sqrt(2))
 LIPSCHITZ_OFFSET = 4.0 + math.log(3.0 + 2.0 * math.sqrt(2.0))
 
-#: roundness threshold below which a pleated plane embeds (default; the
-#: sharper alternative 0.948 is selectable where it matters)
-EMBED_ROUNDNESS_THRESHOLD = 0.73
-EMBED_ROUNDNESS_THRESHOLD_SHARP = 0.948
-
-#: the (dilatation, bending height) pair used to close the main chain: the
-#: base complex-earthquake parameter is i/3 with dilatation 2
-CHAIN_BASE_DILATATION = 2.0
-CHAIN_BASE_HEIGHT = 1.0 / 3.0
-
 #: upper end of the domain of `radius_for_arc`
 ARC_GAUGE_LIMIT = 2.0 * math.asinh(1.0)
-
-
-@dataclass(frozen=True)
-class Constants:
-    m: float = ARCCOSH_E_SQUARED
-    k: float = LIPSCHITZ_OFFSET
-    c2: float = EMBED_ROUNDNESS_THRESHOLD
 
 
 def _exp_or_inf(x: float) -> float:

@@ -258,9 +258,8 @@ def cmd_earthquake_trace(args) -> int:
     angles = np.linspace(0.0, 2 * math.pi, args.samples, endpoint=False)
     rows = []
     if t.imag == 0:
-        quake = pleat_mod._earthquake_signed(
-            lam, [t.real * w for w in lam.weights], None
-        )
+        quake = pleat_mod.EarthquakeMap(lam, *pleat_mod._gap_maps(
+            lam, [t.real * w for w in lam.weights], None, pleat_mod._shear))
         bm = quake.boundary_map()
         for a in angles:
             w = bm.apply_complex(float(a))
@@ -271,7 +270,7 @@ def cmd_earthquake_trace(args) -> int:
         for a in angles:
             w = ce.boundary(float(a))
             if is_inf(w):
-                rows.append([float(a), math.inf, math.inf])
+                rows.append([float(a), None, None])
             else:
                 rows.append([float(a), w.real, w.imag])
         faces = [

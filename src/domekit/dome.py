@@ -8,7 +8,6 @@ kernel; angles, retraction and the intrinsic development are hyperbolic.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -20,6 +19,9 @@ from .errors import (
     NumericallyCoincident,
     PointNotInDomain,
     TooFewPoints,
+    finite_float,
+    input_field,
+    read_json,
 )
 from .hyperbolic import (
     PointH3,
@@ -83,18 +85,20 @@ class IdealConfiguration:
 
     @staticmethod
     def from_json(data: dict) -> "IdealConfiguration":
-        pts = []
-        for item in data["points"]:
-            if item == "inf":
-                pts.append(INF)
-            else:
-                pts.append(complex(item[0], item[1]))
-        return IdealConfiguration(pts)
+        return IdealConfiguration(input_field(data, "points", lambda v: [
+            _point_from_json(item) for item in v]))
 
     @staticmethod
     def load(path) -> "IdealConfiguration":
-        with open(path) as fh:
-            return IdealConfiguration.from_json(json.load(fh))
+        return IdealConfiguration.from_json(read_json(path))
+
+
+def _point_from_json(item):
+    """``"inf"`` or a finite ``[re, im]`` pair."""
+    if item == "inf":
+        return INF
+    re_, im_ = item
+    return complex(finite_float(re_), finite_float(im_))
 
 
 @dataclass
@@ -440,8 +444,8 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
     for i in np.flatnonzero(~(d2 > _NEAR * _NEAR)):
         if chordal_distance(z, hull.config.points[i]) <= COINCIDE_TOL:
             raise PointNotInDomain(f"z coincides with ideal point {i}")
-    faces, edges = _retraction_survivors(hull, z, z_inf)
     m = MobiusMap.identity() if z_inf else MobiusMap(0, 1, 1, -z)
+    faces, edges = _retraction_survivors(hull, z, z_inf)
     used = set(hull.face_vertices[faces].ravel().tolist())
     used.update(hull.edge_vertices[edges].ravel().tolist())
     pts_m = {v: m(hull.config.points[v]) for v in used}

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all domekit modules."""
+"""Exception hierarchy shared by all domekit modules, and the input checks
+that turn a malformed input file into one of these errors."""
+import json
+import math
 
 
 class DomekitError(Exception):
@@ -26,6 +29,12 @@ class NonpositiveWeight(DomekitError):
 
 class MismatchedLengths(DomekitError, ValueError):
     """Two sequences that must pair up element by element differ in length."""
+
+
+class InvalidInput(DomekitError, ValueError):
+    """Input that describes no valid object: malformed JSON, a missing key, a
+    wrongly shaped entry, a non-finite number, coincident endpoints or
+    identical leaves."""
 
 
 class TooManyLeaves(DomekitError):
@@ -86,3 +95,40 @@ class NonpositiveModulusParameter(DomekitError):
 
 class EmptyField(DomekitError):
     """No unmasked, non-degenerate cells to take statistics over."""
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+def read_json(path):
+    """Parse a JSON input file; text that is not JSON raises InvalidInput."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
+
+
+def input_field(data, key: str, parse):
+    """``parse(data[key])``, a missing key or a malformed value raising InvalidInput.
+
+    ``parse`` signals a malformed value by TypeError or ValueError.
+    """
+    try:
+        value = data[key]
+    except (KeyError, TypeError):
+        raise InvalidInput(f"missing key {key!r}") from None
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{key}: {exc}") from None
+
+
+def finite_float(x) -> float:
+    """float(x), raising ValueError unless it is finite (JSON NaN included)."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x}")
+    return x

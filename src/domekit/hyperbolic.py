@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossingLeaves
-from .mobius import INF, CircleOrLine, MobiusMap, is_inf
+from .mobius import HUGE, INF, MobiusMap, is_inf
 
 #: points closer than this to the unit circle are rejected as interior points
 BOUNDARY_TOL = 1e-9
@@ -93,21 +93,6 @@ class GeodesicH2:
         return (self.a.angle, self.b.angle)
 
 
-@dataclass(frozen=True)
-class GeodesicH3:
-    """Complete geodesic of H^3 given by two ideal endpoints on the sphere."""
-
-    p: complex
-    q: complex
-
-
-@dataclass(frozen=True)
-class PlaneH3:
-    """Totally geodesic plane of H^3, identified by its boundary circle."""
-
-    circle: CircleOrLine
-
-
 # ---------------------------------------------------------------------------
 # Minkowski helpers for the disk model (internal)
 # ---------------------------------------------------------------------------
@@ -156,22 +141,30 @@ def boundary_side(angle, polar: np.ndarray):
     return _mink_dot(light_vec(angle), polar)
 
 
+def foot_on_geodesic(z: complex, polar: np.ndarray) -> complex:
+    """Foot of the perpendicular from a disk point to the geodesic with this polar.
+
+    A point on the geodesic (to ~1e-14) is its own foot.
+    """
+    v = np.cross(polar, point_vec(z))
+    v[2] = -v[2]
+    nv = math.sqrt(abs(_mink_dot(v, v)))
+    if nv < 1e-14:
+        return z
+    v = v / nv
+    f = np.cross(polar, v)
+    f[2] = -f[2]
+    f = f / math.sqrt(abs(-_mink_dot(f, f)))
+    if f[2] < 0:
+        f = -f
+    return complex(f[0], f[1]) / (1.0 + f[2])
+
+
 def _vec_to_disk(X: np.ndarray) -> complex:
     X = X / math.sqrt(abs(-_mink_dot(X, X)))
     if X[2] < 0:
         X = -X
     return complex(X[0], X[1]) / (1.0 + X[2])
-
-
-def classify_pair(g1: GeodesicH2, g2: GeodesicH2) -> tuple[str, float]:
-    """Classify two geodesics: ('cross'|'asymptotic'|'disjoint', |inner|)."""
-    c = float(_mink_dot(geodesic_polar(g1), geodesic_polar(g2)))
-    ac = abs(c)
-    if ac < 1.0 - 1e-12:
-        return "cross", ac
-    if ac < 1.0 + 1e-12:
-        return "asymptotic", ac
-    return "disjoint", ac
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +178,6 @@ def dist_h2(p: PointH2 | complex, q: PointH2 | complex) -> float:
     num = 2.0 * abs(zp - zq) ** 2
     den = (1.0 - abs(zp) ** 2) * (1.0 - abs(zq) ** 2)
     return math.acosh(1.0 + num / den)
-
-
-def dist_h2_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    num = 2.0 * np.abs(z - w) ** 2
-    den = (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2)
-    return np.arccosh(1.0 + num / den)
 
 
 def dist_h3(p: PointH3, q: PointH3) -> float:
@@ -241,11 +228,6 @@ def point_along(z: complex, direction: float, dist: float) -> complex:
     return (step + z) / (1.0 + z.conjugate() * step)
 
 
-def disk_translation(z: complex) -> MobiusMap:
-    """Disk-preserving map sending 0 to z."""
-    return MobiusMap(1, z, z.conjugate(), 1)
-
-
 # ---------------------------------------------------------------------------
 # Poincare extension and H^3 model conversions
 # ---------------------------------------------------------------------------
@@ -283,7 +265,10 @@ def boundary_to_sphere(z) -> np.ndarray:
     """Extended complex number to a unit vector (inverse stereographic)."""
     if is_inf(z):
         return np.array([0.0, 0.0, 1.0])
-    n = abs(z) ** 2
+    r = abs(z)
+    if r > HUGE:  # |z|^2 overflows; 1 + |z|^-2 rounds to 1
+        return np.array([2 * (z.real / r) / r, 2 * (z.imag / r) / r, 1.0])
+    n = r ** 2
     return np.array([2 * z.real, 2 * z.imag, n - 1.0]) / (n + 1.0)
 
 
@@ -337,10 +322,6 @@ def geodesic_ray_point(xi, start: PointH3, s: float) -> PointH3:
 # ---------------------------------------------------------------------------
 # planes and dihedral data in H^3
 # ---------------------------------------------------------------------------
-
-def plane_from_circle(circle: CircleOrLine) -> PlaneH3:
-    return PlaneH3(circle)
-
 
 def point_to_hyperboloid(p: PointH3) -> np.ndarray:
     """Upper half-space point to the hyperboloid model of H^3 (4-vector)."""

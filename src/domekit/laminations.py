@@ -9,7 +9,7 @@ chains of leaves, which this module computes exactly; a sampling estimator
 """
 from __future__ import annotations
 
-import json
+import cmath
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -20,28 +20,34 @@ import numpy as np
 
 from .errors import (
     CrossingLeaves,
+    InvalidInput,
     MismatchedLengths,
     NonpositiveInput,
     NonpositiveScale,
     NonpositiveWeight,
     NotTransverse,
     TooManyLeaves,
+    UnknownGap,
+    finite_float,
+    input_field,
+    read_json,
 )
 from .hyperbolic import (
     GeodesicH2,
     PointH2,
-    boundary_side,
     dist_h2,
+    foot_on_geodesic,
     geodesic_distance,
     geodesic_polar,
     point_along,
     point_vec,
-    side_of,
     _mink_dot,
 )
 
 MAX_LEAVES = 64
 ON_LEAF_TOL = 1e-9
+#: endpoint angles this close, also across angle 0, are one ideal point
+SHARED_TOL = 1e-12
 # arcs per sampler chunk; fastest per arc when measured at 1-8 leaves, where
 # 2**15 took twice as long per arc (its temporaries no longer stay in cache)
 _CHUNK_ARCS = 1 << 14
@@ -97,35 +103,87 @@ class FiniteLamination:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteLamination":
-        leaves = [GeodesicH2.from_angles(t1, t2) for t1, t2 in data["leaves"]]
-        lam = FiniteLamination(leaves, [float(w) for w in data["weights"]])
+        leaves = input_field(data, "leaves", lambda v: [
+            GeodesicH2.from_angles(finite_float(t1), finite_float(t2))
+            for t1, t2 in v])
+        weights = input_field(data, "weights", lambda v: [finite_float(w) for w in v])
+        lam = FiniteLamination(leaves, weights)
         validate(lam)
         return lam
 
     @staticmethod
     def load(path) -> "FiniteLamination":
-        with open(path) as fh:
-            return FiniteLamination.from_json(json.load(fh))
+        return FiniteLamination.from_json(read_json(path))
 
 
-def validate(lam: FiniteLamination) -> None:
-    """Check pairwise disjointness and weight positivity.
+def _deepest(depths: np.ndarray) -> int:
+    """Index of the largest entry, or -1 when every entry is -1 (none marked)."""
+    if not depths.size or depths.max() < 0:
+        return -1
+    return int(depths.argmax())
+
+
+class Nesting:
+    """How the leaves nest, from one sort of their endpoint angles.
+
+    Endpoints within SHARED_TOL around the circle share a rank; ranks count
+    from angle 0, a cluster straddling angle 0 being rank 0.  Leaf i spans
+    the ranks ``lo[i]..hi[i]``, and its *inside* is the side holding that
+    boundary arc; ``flipped[i]`` marks the leaves (second endpoint in the
+    rank-0 cluster) whose inside is not their arc from a to b.  Leaves cross
+    exactly when their spans interleave strictly, so asymptotic leaves
+    never do.  ``inside[m, k]``: leaf k lies inside leaf m (k != m);
+    ``depth[k]`` counts those m and ``parent[k]`` is the innermost, or -1.
+
+    Raises InvalidInput for a leaf whose endpoints share a rank, then, for
+    the first pair (i, j) in double-loop order that cross or are identical,
+    CrossingLeaves(i, j) or InvalidInput.
+    """
+
+    def __init__(self, leaves: list[GeodesicH2]):
+        n = len(leaves)
+        angles = np.array([g.angles() for g in leaves], dtype=float).reshape(2 * n)
+        order = np.argsort(angles, kind="stable")
+        ranks = np.zeros(2 * n, dtype=int)
+        if n:
+            sorted_ = angles[order]
+            ranks[order] = np.concatenate(
+                ([0], np.cumsum(np.diff(sorted_) > SHARED_TOL)))
+            if sorted_[0] + 2 * math.pi - sorted_[-1] <= SHARED_TOL:
+                ranks[ranks == ranks[order[-1]]] = 0
+        self.ranks = ranks.reshape(n, 2)
+        self.flipped = self.ranks[:, 0] > self.ranks[:, 1]
+        self.lo, self.hi = self.ranks.min(axis=1), self.ranks.max(axis=1)
+        if (self.lo == self.hi).any():
+            i = int(np.argmax(self.lo == self.hi))
+            raise InvalidInput(f"leaf {i} has coincident endpoints")
+        lo_m, hi_m = self.lo[:, None], self.hi[:, None]
+        lo_k, hi_k = self.lo[None, :], self.hi[None, :]
+        crossing = (lo_m < lo_k) & (lo_k < hi_m) & (hi_m < hi_k)
+        crossing |= crossing.T
+        identical = (lo_m == lo_k) & (hi_m == hi_k)
+        bad = np.argwhere(np.triu(crossing | identical, 1))
+        if len(bad):
+            i, j = (int(x) for x in bad[0])
+            if crossing[i, j]:
+                raise CrossingLeaves(i, j)
+            raise InvalidInput(f"leaves {i} and {j} are identical")
+        self.inside = (lo_m <= lo_k) & (hi_k <= hi_m) & ~identical
+        self.depth = self.inside.sum(axis=0)
+        deepest = np.where(self.inside, self.depth[:, None], -1).T
+        self.parent = np.array([_deepest(d) for d in deepest], dtype=int)
+
+
+def validate(lam: FiniteLamination) -> Nesting:
+    """Check weight positivity and pairwise disjointness; return the nesting.
 
     Shared endpoints are allowed; strictly interleaved endpoint pairs are
-    not.  Raises CrossingLeaves(i, j) or NonpositiveWeight(i).
+    not.  Raises NonpositiveWeight(i), then as `Nesting` does.
     """
     for i, w in enumerate(lam.weights):
         if not w > 0:
             raise NonpositiveWeight(i)
-    polars = lam.polars()
-    n = len(lam)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = abs(float(_mink_dot(polars[i], polars[j])))
-            if c < 1.0 - 1e-12:
-                raise CrossingLeaves(i, j)
-            if c < 1.0 + 1e-12 and lam.leaves[i].angles() == lam.leaves[j].angles():
-                raise ValueError(f"leaves {i} and {j} are identical")
+    return Nesting(lam.leaves)
 
 
 def transverse_measure(lam: FiniteLamination, arc: GeodesicArc) -> float:
@@ -147,50 +205,38 @@ def transverse_measure(lam: FiniteLamination, arc: GeodesicArc) -> float:
     return float(np.dot(crossed, lam.weights))
 
 
-def _separates(polars: np.ndarray, lam: FiniteLamination, m: int, i: int, j: int) -> bool:
-    """True when leaf m separates leaves i and j."""
-
-    def side_of_leaf(k: int) -> int:
-        t1, t2 = lam.leaves[k].angles()
-        s1 = float(boundary_side(t1, polars[m]))
-        s2 = float(boundary_side(t2, polars[m]))
-        for s in (s1, s2):
-            if abs(s) > 1e-12:
-                return 1 if s > 0 else -1
-        return 0
-
-    si, sj = side_of_leaf(i), side_of_leaf(j)
-    return si * sj == -1
-
-
 def roundness(lam: FiniteLamination) -> float:
     """Exact supremum of the transverse measure over open unit arcs.
 
     The crossed set of any geodesic segment is an interval in the
     separation order, so the supremum is the best interval [i..j] whose
     extreme leaves lie at perpendicular distance < 1 (asymptotic pairs
-    count as distance 0).  Single leaves are always crossable.
+    count as distance 0).  Single leaves are always crossable.  The leaves
+    strictly between i and j are those with exactly one of i, j inside:
+    the symmetric difference of their ancestor sets.  Their weights are
+    added in increasing index, one vectorised pass over all pairs per leaf.
     """
-    validate(lam)
+    nest = validate(lam)
     n = len(lam)
     if n == 0:
         return 0.0
     polars = lam.polars()
     weights = np.asarray(lam.weights)
     best = float(weights.max())
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = abs(float(_mink_dot(polars[i], polars[j])))
-            if c >= 1.0 + 1e-12:
-                d = math.acosh(c)
-                if d >= 1.0:
-                    continue
-            total = weights[i] + weights[j]
-            for m in range(n):
-                if m != i and m != j and _separates(polars, lam, m, i, j):
-                    total += weights[m]
-            best = max(best, float(total))
-    return best
+    i, j = np.triu_indices(n, 1)
+    cs = np.abs(_mink_dot(polars[i], polars[j])).tolist()
+    near = [c < 1.0 + 1e-12 or math.acosh(c) < 1.0 for c in cs]
+    i, j = i[near], j[near]
+    if len(i) == 0:
+        return best
+    between = nest.inside[:, i] ^ nest.inside[:, j]
+    pairs = np.arange(len(i))
+    between[i, pairs] = False
+    between[j, pairs] = False
+    total = weights[i] + weights[j]
+    for m in range(n):
+        np.add(total, weights[m], out=total, where=between[m])
+    return max(best, float(total.max()))
 
 
 def scale(lam: FiniteLamination, c: float) -> FiniteLamination:
@@ -216,6 +262,131 @@ def pushforward(circle_map, lam: FiniteLamination) -> FiniteLamination:
     out = FiniteLamination(leaves, list(lam.weights))
     validate(out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the tree of gaps
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Gap:
+    sample: complex
+    arcs: list  # boundary arcs (start, end) with end > start, possibly > 2pi
+
+
+class GapComplex:
+    """Complement components of a finite set of disjoint geodesics.
+
+    The gaps are the vertices of a tree whose edges are the leaves: the gap
+    just inside leaf k hangs from the gap just inside its parent leaf, or
+    from the outermost gap.  Gap ids are indices into ``gaps``, ordered by
+    each gap's first boundary arc; gaps with no boundary arc (ideal
+    polygons) come last, in leaf order.
+    """
+
+    def __init__(self, leaves: list[GeodesicH2], nesting: Nesting | None = None):
+        self.leaves = list(leaves)
+        self.polars = np.array([geodesic_polar(g) for g in leaves]).reshape(-1, 3)
+        nest = self.nesting = Nesting(self.leaves) if nesting is None else nesting
+        n = len(self.leaves)
+        # each boundary arc lies inside the leaves whose rank interval spans it
+        slots = np.arange(2 * n)[:, None]
+        covered = np.where((nest.lo <= slots) & (slots < nest.hi), nest.depth, -1)
+        owner = [_deepest(row) for row in covered]
+        rank = {t: r for g, rs in zip(self.leaves, nest.ranks.tolist())
+                for t, r in zip(g.angles(), rs)}
+        ends = sorted(rank) or [0.0]
+        self.gaps: list[Gap] = []
+        gap_id: dict[int, int] = {}  # innermost leaf (-1: none) -> gap id
+        for start, end in zip(ends, ends[1:] + [ends[0] + 2 * math.pi]):
+            key = owner[rank[start]] if n else -1
+            if key not in gap_id:
+                gap_id[key] = len(self.gaps)
+                self.gaps.append(Gap(self._sample(key, 0.5 * (start + end)), []))
+            self.gaps[gap_id[key]].arcs.append((start, end))
+        for k in range(n):
+            if k not in gap_id:
+                gap_id[k] = len(self.gaps)
+                self.gaps.append(Gap(self._polygon_sample(k), []))
+        self._gap_id = [gap_id[k] for k in range(-1, n)]
+        # the gaps on either side of each leaf
+        self.inner = self._gap_id[1:]
+        self.outer = [self._gap_id[p + 1] for p in nest.parent]
+
+    def _leaf_of(self, z: complex) -> int:
+        """Deepest leaf containing a disk point (-1 for none); on-leaf
+        points count as outside the leaf's arc from a to b."""
+        v = point_vec(z)
+        s = self.polars @ np.array([v[0], v[1], -v[2]])
+        within = (s < -ON_LEAF_TOL) != self.nesting.flipped
+        return _deepest(np.where(within, self.nesting.depth, -1))
+
+    def _sample(self, key: int, mid: float) -> complex:
+        """Interior point of the gap: walk inward from its boundary arc."""
+        for r in (0.9, 0.99, 0.999, 0.9999, 0.99999):
+            z = r * cmath.exp(1j * mid)
+            if self._leaf_of(z) == key:
+                return z
+        return 0.999999 * cmath.exp(1j * mid)
+
+    def _polygon_sample(self, k: int) -> complex:
+        """Centroid of an ideal polygon's vertices, taken in the Klein model."""
+        sides = [k] + list(np.flatnonzero(self.nesting.parent == k))
+        c = np.mean([p.z for i in sides for p in (self.leaves[i].a, self.leaves[i].b)])
+        return complex(c / (1.0 + math.sqrt(1.0 - abs(c) ** 2)))
+
+    def __len__(self):
+        return len(self.gaps)
+
+    def gap_of(self, z: complex | PointH2) -> int:
+        """Gap containing a disk point; on-leaf points go to the + side."""
+        if isinstance(z, PointH2):
+            z = z.z
+        return self._gap_id[self._leaf_of(z) + 1]
+
+    def resolve(self, base) -> int:
+        if base is None:
+            return self.gap_of(0j)
+        if isinstance(base, (PointH2, complex)):
+            return self.gap_of(base)
+        base = int(base)
+        if not 0 <= base < len(self.gaps):
+            raise UnknownGap(f"gap id {base} out of range")
+        return base
+
+    def arc_side(self, i: int) -> int:
+        """Gap on the side of leaf i that holds its boundary arc from a to b."""
+        return self.outer[i] if self.nesting.flipped[i] else self.inner[i]
+
+    def walk(self, base: int):
+        """Tree edges (leaf, near gap, far gap) breadth first from the base."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.gaps]
+        for i, (g, h) in enumerate(zip(self.outer, self.inner)):
+            adj[g].append((i, h))
+            adj[h].append((i, g))
+        seen, queue = {base}, [base]
+        for g in queue:
+            for i, h in adj[g]:
+                if h not in seen:
+                    seen.add(h)
+                    queue.append(h)
+                    yield i, g, h
+
+    def tree_paths(self, base: int) -> tuple[list[list[int]], dict[int, tuple[int, int]]]:
+        """Paths of leaf indices from the base gap to every gap.
+
+        Returns (paths, crossing) where paths[g] lists the separating leaf
+        indices ordered from the base outward, and crossing[i] = (parent
+        gap, child gap) for the tree edge of leaf i (child on the far side
+        of the base).
+        """
+        paths: list[list[int]] = [[] for _ in self.gaps]
+        crossing: dict[int, tuple[int, int]] = {}
+        for i, g, h in self.walk(base):
+            paths[h] = paths[g] + [i]
+            crossing[i] = (g, h)
+        return paths, crossing
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +456,7 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
             for j in range(i, n):
                 if i == j:
                     # arcs through the point of the leaf closest to the origin
-                    onleaf = _foot_from_origin(lam.polars()[i])
+                    onleaf = foot_on_geodesic(0j, lam.polars()[i])
                     centers_list.append(np.full(64, onleaf))
                     dirs_list.append(rng.uniform(0, 2 * math.pi, 64))
                     continue
@@ -354,26 +525,8 @@ def _shared_angle(g1: GeodesicH2, g2: GeodesicH2):
     return None
 
 
-def _foot_from_origin(u: np.ndarray) -> complex:
-    p0 = np.array([0.0, 0.0, 1.0])
-    v = np.cross(u, p0)
-    v[2] = -v[2]
-    nv = math.sqrt(abs(_mink_dot(v, v)))
-    if nv < 1e-14:
-        return 0j
-    v = v / nv
-    f = np.cross(u, v)
-    f[2] = -f[2]
-    f = f / math.sqrt(abs(-_mink_dot(f, f)))
-    if f[2] < 0:
-        f = -f
-    return complex(f[0], f[1]) / (1.0 + f[2])
-
-
 def _geodesic_midpoint(z1: complex, z2: complex) -> complex:
-    from .hyperbolic import dist_h2 as _d
-
-    d = _d(z1, z2)
+    d = dist_h2(z1, z2)
     if d < 1e-14:
         return z1
     # move half the distance from z1 toward z2

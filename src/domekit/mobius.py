@@ -17,6 +17,8 @@ from .errors import DegenerateMobius
 INF = complex(math.inf, 0.0)
 
 _DET_TOL = 1e-12
+#: beyond this modulus |z|^2 is near overflow, and formulas divide by |z| first
+HUGE = 1e150
 
 
 def is_inf(z) -> bool:
@@ -24,13 +26,19 @@ def is_inf(z) -> bool:
 
 
 def chordal_distance(z, w) -> float:
-    """Distance between two extended-complex points on the unit sphere."""
+    """Distance between two extended-complex points on the unit sphere.
+
+    Above HUGE, where |z|^2 overflows, sqrt(1 + |z|^2) is taken as a hypot.
+    """
     if is_inf(z) and is_inf(w):
         return 0.0
     if is_inf(z):
-        return 2.0 / math.sqrt(1.0 + abs(w) ** 2)
+        z, w = w, z
     if is_inf(w):
-        return 2.0 / math.sqrt(1.0 + abs(z) ** 2)
+        r = abs(z)
+        return 2.0 / (math.hypot(1.0, r) if r > HUGE else math.sqrt(1.0 + r ** 2))
+    if max(abs(z), abs(w)) > HUGE:
+        return 2.0 * (abs(z - w) / math.hypot(1.0, abs(z))) / math.hypot(1.0, abs(w))
     return 2.0 * abs(z - w) / math.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
 
 
@@ -41,8 +49,11 @@ class MobiusMap:
 
     def __init__(self, a, b, c, d):
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        size = max(abs(a), abs(b), abs(c), abs(d), 1.0)
+        if size > HUGE:  # rescale, so that neither det nor size**2 overflows
+            a, b, c, d, size = a / size, b / size, c / size, d / size, 1.0
         det = a * d - b * c
-        if abs(det) < _DET_TOL * max(abs(a), abs(b), abs(c), abs(d), 1.0) ** 2:
+        if abs(det) < _DET_TOL * size ** 2:
             raise DegenerateMobius(f"determinant {det} too small")
         s = cmath.sqrt(det)
         self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
@@ -57,9 +68,6 @@ class MobiusMap:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __matmul__(self, other: "MobiusMap") -> "MobiusMap":
-        return self.compose(other)
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)

@@ -24,150 +24,10 @@ from .hyperbolic import (
     dist_h3,
     disk_boundary_to_real,
     disk_to_halfspace,
-    geodesic_polar,
-    light_vec,
-    point_vec,
     poincare_extension,
-    _mink_dot,
 )
-from .laminations import FiniteLamination, validate, _initial_direction
+from .laminations import FiniteLamination, GapComplex, validate
 from .mobius import MobiusMap
-
-ON_LEAF_TOL = 1e-9
-
-# ---------------------------------------------------------------------------
-# gap structure of a finite lamination
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Gap:
-    signs: tuple
-    sample: complex
-    arcs: list  # boundary arcs (start, end) with end > start, possibly > 2pi
-
-
-class GapComplex:
-    """Complement components of a finite set of disjoint geodesics.
-
-    Gaps are enumerated from the boundary arcs between leaf endpoints, so
-    arbitrarily thin gaps are found.  Gap ids are indices into ``gaps``,
-    ordered by each gap's first boundary arc.
-    """
-
-    def __init__(self, leaves: list[GeodesicH2]):
-        self.leaves = list(leaves)
-        self.polars = (
-            np.stack([geodesic_polar(g) for g in leaves])
-            if leaves else np.zeros((0, 3))
-        )
-        self.gaps: list[Gap] = []
-        self._by_signs: dict[tuple, int] = {}
-        self._build()
-
-    def _boundary_sign_vector(self, angle: float) -> tuple:
-        v = light_vec(angle)
-        s = self.polars @ np.array([v[0], v[1], -v[2]])
-        return tuple(1 if x > 0 else -1 for x in s)
-
-    def _interior_sign_vector(self, z: complex) -> tuple:
-        v = point_vec(z)
-        s = self.polars @ np.array([v[0], v[1], -v[2]])
-        return tuple(1 if x > ON_LEAF_TOL else (-1 if x < -ON_LEAF_TOL else 1)
-                     for x in s)
-
-    def _build(self):
-        n = len(self.leaves)
-        if n == 0:
-            self.gaps = [Gap(signs=(), sample=0j, arcs=[(0.0, 2 * math.pi)])]
-            self._by_signs[()] = 0
-            return
-        ends = sorted({a for g in self.leaves for a in g.angles()})
-        arcs = []
-        for i, start in enumerate(ends):
-            end = ends[(i + 1) % len(ends)]
-            if end <= start:
-                end += 2 * math.pi
-            arcs.append((start, end))
-        by_signs: dict[tuple, Gap] = {}
-        for start, end in arcs:
-            mid = 0.5 * (start + end)
-            key = self._boundary_sign_vector(mid)
-            if key not in by_signs:
-                # interior sample: walk inward until the sign vector matches
-                sample = None
-                for r in (0.9, 0.99, 0.999, 0.9999, 0.99999):
-                    z = r * cmath.exp(1j * mid)
-                    if self._interior_sign_vector(z) == key:
-                        sample = z
-                        break
-                if sample is None:
-                    z = 0.999999 * cmath.exp(1j * mid)
-                    sample = z
-                by_signs[key] = Gap(signs=key, sample=sample, arcs=[])
-            by_signs[key].arcs.append((start, end))
-        self.gaps = list(by_signs.values())
-        self._by_signs = {g.signs: i for i, g in enumerate(self.gaps)}
-
-    def __len__(self):
-        return len(self.gaps)
-
-    def gap_of(self, z: complex | PointH2) -> int:
-        """Gap containing a disk point; on-leaf points go to the + side."""
-        if isinstance(z, PointH2):
-            z = z.z
-        key = self._interior_sign_vector(z)
-        if key not in self._by_signs:
-            raise UnknownGap(f"no gap with sign vector {key}")
-        return self._by_signs[key]
-
-    def gap_of_boundary(self, angle: float) -> int:
-        key = self._boundary_sign_vector(angle)
-        if key not in self._by_signs:
-            raise UnknownGap(f"no gap for boundary angle {angle}")
-        return self._by_signs[key]
-
-    def resolve(self, base) -> int:
-        if base is None:
-            return self.gap_of(0j)
-        if isinstance(base, (PointH2, complex)):
-            return self.gap_of(base)
-        base = int(base)
-        if not 0 <= base < len(self.gaps):
-            raise UnknownGap(f"gap id {base} out of range")
-        return base
-
-    def tree_paths(self, base: int) -> tuple[list[list[int]], dict[int, tuple[int, int]]]:
-        """BFS paths of leaf indices from the base gap to every gap.
-
-        Returns (paths, crossing) where paths[g] lists the separating leaf
-        indices ordered from the base outward, and crossing[i] = (parent
-        gap, child gap) for the tree edge of leaf i (child on the far side
-        of the base).
-        """
-        n_gaps = len(self.gaps)
-        adj: dict[int, list[tuple[int, int]]] = {g: [] for g in range(n_gaps)}
-        for g1 in range(n_gaps):
-            for g2 in range(g1 + 1, n_gaps):
-                s1, s2 = self.gaps[g1].signs, self.gaps[g2].signs
-                diff = [i for i in range(len(s1)) if s1[i] != s2[i]]
-                if len(diff) == 1:
-                    adj[g1].append((g2, diff[0]))
-                    adj[g2].append((g1, diff[0]))
-        paths: list[list[int] | None] = [None] * n_gaps
-        crossing: dict[int, tuple[int, int]] = {}
-        paths[base] = []
-        queue = [base]
-        while queue:
-            g = queue.pop(0)
-            for h, leaf in adj[g]:
-                if paths[h] is None:
-                    paths[h] = paths[g] + [leaf]
-                    crossing[leaf] = (g, h)
-                    queue.append(h)
-        if any(p is None for p in paths):
-            raise UnknownGap("gap adjacency graph is disconnected")
-        return paths, crossing
 
 
 # ---------------------------------------------------------------------------
@@ -235,68 +95,40 @@ class EarthquakeMap:
         return CircleMap.from_gap_maps(self.complex_, self.gap_maps)
 
 
-def _leaf_endpoints_disk(g: GeodesicH2) -> tuple[complex, complex]:
-    return g.a.z, g.b.z
+def _gap_maps(lam: FiniteLamination, amounts: list[float], base,
+              leaf_map) -> tuple[int, GapComplex, list[MobiusMap]]:
+    """Validate, then build one Mobius map per gap, the base gap fixed.
+
+    ``leaf_map(leaf, amount, inside)`` is the map across a leaf whose far
+    side (away from the base) is, or is not, the side holding its boundary
+    arc from ``leaf.a`` to ``leaf.b``.  Each gap's map is its base-ward
+    neighbour's map composed with the map of the leaf between them.
+    """
+    complex_ = GapComplex(lam.leaves, validate(lam))
+    base_id = complex_.resolve(base)
+    maps = [None] * len(complex_)
+    maps[base_id] = MobiusMap.identity()
+    for i, near, far in complex_.walk(base_id):
+        leaf = lam.leaves[i]
+        inside = far == complex_.arc_side(i)
+        maps[far] = maps[near].compose(leaf_map(leaf, amounts[i], inside))
+    return base_id, complex_, maps
 
 
-def _foot_on_leaf(z: complex, polar: np.ndarray) -> complex:
-    """Foot of the perpendicular from a disk point to the leaf."""
-    P = point_vec(z)
-    v = np.cross(polar, P)
-    v[2] = -v[2]
-    v = v / math.sqrt(abs(_mink_dot(v, v)))
-    f = np.cross(polar, v)
-    f[2] = -f[2]
-    f = f / math.sqrt(abs(-_mink_dot(f, f)))
-    if f[2] < 0:
-        f = -f
-    return complex(f[0], f[1]) / (1.0 + f[2])
-
-
-def _left_shear_translation(leaf: GeodesicH2, polar: np.ndarray,
-                            far_sample: complex, dist: float) -> MobiusMap:
+def _shear(leaf: GeodesicH2, dist: float, inside: bool) -> MobiusMap:
     """Translation along the leaf moving the far side to its left.
 
     Standing on the leaf facing the far gap, that gap slides to the left
-    (counterclockwise of the facing direction) for positive dist.
+    (counterclockwise of the facing direction) for positive dist: toward
+    ``leaf.b`` when the far side holds the arc from ``leaf.a`` to ``leaf.b``.
     """
-    pa, pb = _leaf_endpoints_disk(leaf)
-    m = _foot_on_leaf(far_sample, polar)
-    facing = _initial_direction(m, far_sample)
-    left = facing + math.pi / 2.0
-    to_b = _initial_direction(m, pb)
-    if math.cos(to_b - left) > 0:
-        p, q = pa, pb
-    else:
-        p, q = pb, pa
+    p, q = (leaf.a.z, leaf.b.z) if inside else (leaf.b.z, leaf.a.z)
     return MobiusMap.translation_along(p, q, dist)
-
-
-def _earthquake_signed(lam: FiniteLamination, shears: list[float],
-                       base) -> EarthquakeMap:
-    complex_ = GapComplex(lam.leaves)
-    base_id = complex_.resolve(base)
-    paths, crossing = complex_.tree_paths(base_id)
-    leaf_maps: dict[int, MobiusMap] = {}
-    for i, leaf in enumerate(lam.leaves):
-        _, child = crossing[i]
-        far_sample = complex_.gaps[child].sample
-        leaf_maps[i] = _left_shear_translation(
-            leaf, complex_.polars[i], far_sample, shears[i]
-        )
-    gap_maps = []
-    for g in range(len(complex_)):
-        m = MobiusMap.identity()
-        for leaf_idx in paths[g]:
-            m = m.compose(leaf_maps[leaf_idx])
-        gap_maps.append(m)
-    return EarthquakeMap(lam, base_id, complex_, gap_maps)
 
 
 def earthquake(lam: FiniteLamination, base=None) -> EarthquakeMap:
     """Left earthquake shearing by each leaf's weight, fixing the base gap."""
-    validate(lam)
-    return _earthquake_signed(lam, list(lam.weights), base)
+    return EarthquakeMap(lam, *_gap_maps(lam, lam.weights, base, _shear))
 
 
 # ---------------------------------------------------------------------------
@@ -349,38 +181,16 @@ class PleatedPlane:
         return out
 
 
-def _bend_rotation(leaf: GeodesicH2, far_sample: complex, angle: float) -> MobiusMap:
+def _bend(leaf: GeodesicH2, angle: float, inside: bool) -> MobiusMap:
     """Rotation about the flat image of the leaf tipping its far side to y > 0."""
     a = disk_boundary_to_real(leaf.a.angle)
     b = disk_boundary_to_real(leaf.b.angle)
-    probe = MobiusMap.rotation_about(a, b, 1e-3)
-    y = poincare_extension(probe, disk_to_halfspace(far_sample)).y
-    sign = 1.0 if y > 0 else -1.0
-    return MobiusMap.rotation_about(a, b, sign * angle)
-
-
-def _pleat_signed(lam: FiniteLamination, bends: list[float], base) -> PleatedPlane:
-    complex_ = GapComplex(lam.leaves)
-    base_id = complex_.resolve(base)
-    paths, crossing = complex_.tree_paths(base_id)
-    leaf_maps: dict[int, MobiusMap] = {}
-    for i, leaf in enumerate(lam.leaves):
-        _, child = crossing[i]
-        far_sample = complex_.gaps[child].sample
-        leaf_maps[i] = _bend_rotation(leaf, far_sample, bends[i])
-    gap_maps = []
-    for g in range(len(complex_)):
-        m = MobiusMap.identity()
-        for leaf_idx in paths[g]:
-            m = m.compose(leaf_maps[leaf_idx])
-        gap_maps.append(m)
-    return PleatedPlane(lam, base_id, complex_, gap_maps)
+    return MobiusMap.rotation_about(a, b, angle if inside else -angle)
 
 
 def pleat(lam: FiniteLamination, base=None) -> PleatedPlane:
     """Convex pleated plane bending by each leaf's weight across the base gap."""
-    validate(lam)
-    return _pleat_signed(lam, list(lam.weights), base)
+    return PleatedPlane(lam, *_gap_maps(lam, lam.weights, base, _bend))
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +220,16 @@ class ComplexEarthquake:
 
 
 def complex_earthquake(lam: FiniteLamination, z: complex, base=None) -> ComplexEarthquake:
-    validate(lam)
     x, y = z.real, z.imag
-    quake = _earthquake_signed(lam, [x * w for w in lam.weights], base)
+    quake = EarthquakeMap(lam, *_gap_maps(lam, [x * w for w in lam.weights], base, _shear))
     bm = quake.boundary_map()
     pushed_leaves = [
         GeodesicH2.from_angles(bm(g.a.angle), bm(g.b.angle)) for g in lam.leaves
     ]
     pushed = FiniteLamination(pushed_leaves, list(lam.weights))
     base_sample = quake.complex_.gaps[quake.base_gap].sample
-    plane = _pleat_signed(pushed, [y * w for w in lam.weights], base_sample)
+    plane = PleatedPlane(pushed, *_gap_maps(pushed, [y * w for w in lam.weights],
+                                            base_sample, _bend))
     return ComplexEarthquake(lam, complex(z), quake, plane)
 
 

@@ -3,8 +3,10 @@
 Everything here evaluates geometry by a different route than the modules
 under test: tangent-space dihedral angles, brute-force minimization over
 sampled points, angle-interleaving predicates, and pointwise finite
-differences.  `retract_oracle` is the exception: it is the plain scalar
-loop over every face and edge that `dome.retract` must equal bit for bit.
+differences.  `retract_oracle` and `roundness_oracle` are the exceptions:
+they are the plain scalar loops (over every face and edge, and over every
+leaf triple) that `dome.retract` and `laminations.roundness` must equal
+bit for bit.
 """
 from __future__ import annotations
 
@@ -20,11 +22,14 @@ from domekit.dome import (
 from domekit.errors import PointNotInDomain
 from domekit.hyperbolic import (
     PointH3,
+    _mink_dot,
+    boundary_side,
     ideal_to_lightcone,
     mink4_dot,
     poincare_extension,
     point_to_hyperboloid,
 )
+from domekit.laminations import FiniteLamination, validate
 from domekit.mobius import MobiusMap, chordal_distance, is_inf
 
 
@@ -188,3 +193,44 @@ def retract_oracle(hull, z) -> RetractionResult:
     point = poincare_extension(m.inverse(), top)
     b_val = math.log(poincare_extension(m, BASEPOINT).t / height)
     return RetractionResult(point, carrier, b_val, None if is_inf(z) else complex(z))
+
+
+def _separates(polars: np.ndarray, lam: FiniteLamination, m: int, i: int, j: int) -> bool:
+    """True when leaf m separates leaves i and j."""
+
+    def side_of_leaf(k: int) -> int:
+        t1, t2 = lam.leaves[k].angles()
+        s1 = float(boundary_side(t1, polars[m]))
+        s2 = float(boundary_side(t2, polars[m]))
+        for s in (s1, s2):
+            if abs(s) > 1e-12:
+                return 1 if s > 0 else -1
+        return 0
+
+    si, sj = side_of_leaf(i), side_of_leaf(j)
+    return si * sj == -1
+
+
+def roundness_oracle(lam: FiniteLamination) -> float:
+    """Exact roundness by the O(n^3) loop: for each crossable pair (i, j),
+    the weights of i, j and every leaf m whose side signs separate them."""
+    validate(lam)
+    n = len(lam)
+    if n == 0:
+        return 0.0
+    polars = lam.polars()
+    weights = np.asarray(lam.weights)
+    best = float(weights.max())
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = abs(float(_mink_dot(polars[i], polars[j])))
+            if c >= 1.0 + 1e-12:
+                d = math.acosh(c)
+                if d >= 1.0:
+                    continue
+            total = weights[i] + weights[j]
+            for m in range(n):
+                if m != i and m != j and _separates(polars, lam, m, i, j):
+                    total += weights[m]
+            best = max(best, float(total))
+    return best

@@ -15,13 +15,11 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from domekit.annulus import annulus_geometry, asymptotic_ratios, verify_bounds
 from domekit.bounds import (
     ARCCOSH_E_SQUARED,
     arc_for_radius,
-    dilatation_lower_bound,
     dome_dilatation_bound,
     domain_dilatation_bound,
     radius_for_arc,
@@ -29,7 +27,6 @@ from domekit.bounds import (
     roundness_bound_domain,
 )
 from domekit.dome import (
-    IdealConfiguration,
     bending_lamination,
     build_hull,
     regular_ideal_tetrahedron,

@@ -210,6 +210,24 @@ class TestEarthquake:
             _, re_, im_ = (float(v) for v in line.split(","))
             assert math.hypot(re_, im_) == pytest.approx(1.0, abs=1e-9)
 
+    def test_complex_trace_pole_is_null(self, tmp_path, capsys):
+        # angle 0 lies in the base gap and maps to infinity
+        p = tmp_path / "pole.json"
+        p.write_text(json.dumps({"leaves": [[1.0, 2.0]], "weights": [0.5]}))
+        args = ["earthquake", "trace", "--input", str(p), "--t", "0.4,0.3",
+                "--samples", "8"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        trace = json.loads(out, parse_constant=reject)["trace"]
+        assert trace[0] == {"angle": 0.0, "re": None, "im": None}
+        assert all(r["re"] is not None for r in trace[1:])
+        code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+        assert code == 0 and out.splitlines()[1] == "0,,"
+
     def test_complex_trace(self, lam_file, capsys):
         code, out, _ = run_cli(
             ["earthquake", "trace", "--input", lam_file, "--t", "0.4,0.3",
@@ -286,6 +304,57 @@ class TestUsageErrors:
             ["lamination", "validate", "--input", "/nonexistent.json"], capsys
         )
         assert code == 1
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("command, text, message", [
+        ("lamination", '{"leaves": [[0.3, 2.2]', "not valid JSON"),
+        ("lamination", '[[0.3, 2.2]]', "missing key 'leaves'"),
+        ("lamination", '{"weights": [1.0]}', "missing key 'leaves'"),
+        ("lamination", '{"leaves": [[0.3, 2.2]]}', "missing key 'weights'"),
+        ("lamination", '{"leaves": [[0.3, 2.2, 4.0]], "weights": [1]}', "leaves:"),
+        ("lamination", '{"leaves": [0.3], "weights": [1]}', "leaves:"),
+        ("lamination", '{"leaves": [[0.3, 2.2]], "weights": ["heavy"]}', "weights:"),
+        ("lamination", '{"leaves": [[0.3, 0.3]], "weights": [1]}', "coincide"),
+        ("lamination", '{"leaves": [[0.3, 2.2]], "weights": [NaN]}', "non-finite"),
+        ("lamination", '{"leaves": [[0.3, Infinity]], "weights": [1]}', "non-finite"),
+        ("lamination", '{"leaves": [[0.3, 1e400]], "weights": [1]}', "non-finite"),
+        ("lamination", '{"leaves": [[0.3, 2.2], [2.2, 0.3]], "weights": [1, 1]}',
+         "leaves 0 and 1 are identical"),
+        ("dome", '{"points": [[0, 0], [1, 0]', "not valid JSON"),
+        ("dome", '{"pts": [[0, 0], [1, 0], "inf"]}', "missing key 'points'"),
+        ("dome", '{"points": [[0, 0], [1], "inf"]}', "points:"),
+        ("dome", '{"points": [[0, 0], [1, 0], 7]}', "points:"),
+        ("dome", '{"points": [[0, 0], [1, 0], [NaN, 0], [0, 1]]}', "non-finite"),
+    ])
+    def test_error_line(self, tmp_path, capsys, command, text, message):
+        p = tmp_path / "in.json"
+        p.write_text(text)
+        argv = (["lamination", "validate"] if command == "lamination"
+                else ["dome", "build"]) + ["--input", str(p)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: InvalidInput: ") and message in err
+        assert err.count("\n") == 1
+
+
+class TestHugeQuery:
+    @pytest.mark.parametrize("points", [
+        [[0, 0], [1, 0], "inf", [0, -1]],
+        [[0, 0], [1, 0], [0, 1], [0, -1], [3, 2]],
+    ])
+    @pytest.mark.parametrize("z", ["1e160,0", "-3e200,1", "1e153,1e153"])
+    def test_result_or_error_line(self, tmp_path, capsys, points, z):
+        # |z|^2 overflows a float beyond ~1.3e154; any other exception
+        # would escape main() and fail the test
+        p = tmp_path / "pts.json"
+        p.write_text(json.dumps({"points": points}))
+        code, out, err = run_cli(["dome", "retract", "--input", str(p), f"--z={z}"],
+                                 capsys)
+        if code == 0:
+            assert json.loads(out)["point"]["t"] > 0
+        else:
+            assert code == 1 and err.startswith("error: ")
 
 
 class TestInputValidation:

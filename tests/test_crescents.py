@@ -1,7 +1,6 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 
 from domekit.crescents import (
@@ -15,7 +14,7 @@ from domekit.crescents import (
     scaling_dilatation,
 )
 from domekit.errors import DegenerateCrescent, NotInjective, OutsideWedge
-from domekit.mobius import INF, CircleOrLine, MobiusMap
+from domekit.mobius import INF, CircleOrLine
 
 from _oracles import numeric_wirtinger
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from domekit.bounds import arc_for_radius
 from domekit.dome import (
-    BendingData,
     IdealConfiguration,
     bending_lamination,
     build_hull,

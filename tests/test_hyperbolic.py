@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from domekit.errors import CrossingLeaves
 from domekit.hyperbolic import (
-    BoundaryPointH2,
     GeodesicH2,
     PointH2,
     PointH3,
@@ -154,6 +153,19 @@ class TestModelConversions:
                 assert w == INF
             else:
                 assert abs(w - z) < 1e-12
+
+    @pytest.mark.parametrize("z", [1e160 + 0j, -3e159 + 4e159j, 1e300 - 1e300j])
+    def test_sphere_beyond_float_squares(self, z):
+        # |z|^2 overflows a float beyond ~1.3e154: the point is 2/conj(z) from the pole
+        v = boundary_to_sphere(z)
+        assert v[2] == 1.0
+        assert abs(complex(v[0], v[1]) - 2 / z.conjugate()) <= 1e-15 * abs(2 / z)
+
+    def test_sphere_below_the_scaled_branch(self):
+        z = 1e150 * cmath.exp(0.3j)
+        n = abs(z) ** 2
+        want = np.array([2 * z.real, 2 * z.imag, n - 1.0]) / (n + 1.0)
+        assert boundary_to_sphere(z).tolist() == want.tolist()
 
     def test_disk_embedding(self):
         p = disk_to_halfspace(0j)

@@ -5,20 +5,23 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from domekit.errors import (
     CrossingLeaves,
+    InvalidInput,
     NonpositiveInput,
     NonpositiveScale,
     NonpositiveWeight,
     NotTransverse,
     TooManyLeaves,
 )
-from domekit.hyperbolic import GeodesicH2, PointH2, dist_h2, point_along
+from domekit.hyperbolic import GeodesicH2, PointH2
 from domekit import laminations
 from domekit.laminations import (
     FiniteLamination,
     GeodesicArc,
+    Nesting,
     pushforward,
     random_lamination,
     roundness,
@@ -27,10 +30,10 @@ from domekit.laminations import (
     transverse_measure,
     validate,
 )
-from domekit.mobius import MobiusMap, random_disk_mobius
+from domekit.mobius import random_disk_mobius
 from domekit.pleating import earthquake
 
-from _oracles import angles_interleave, arc_walk_crossing_count
+from _oracles import angles_interleave, arc_walk_crossing_count, roundness_oracle
 from test_hyperbolic import leaf_from_uhp
 
 
@@ -80,6 +83,57 @@ class TestValidate:
         leaves = [GeodesicH2.from_angles(i * 0.01, 6.0 + i * 0.001) for i in range(65)]
         with pytest.raises(TooManyLeaves):
             FiniteLamination(leaves, [1.0] * 65)
+
+    def test_first_crossing_pair_in_double_loop_order(self, rng):
+        for _ in range(20):
+            lam = FiniteLamination(
+                [GeodesicH2.from_angles(*rng.uniform(0, 2 * math.pi, 2))
+                 for _ in range(8)], [1.0] * 8)
+            pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)
+                     if angles_interleave(lam.leaves[i], lam.leaves[j])]
+            if not pairs:
+                continue
+            with pytest.raises(CrossingLeaves) as err:
+                validate(lam)
+            assert (err.value.i, err.value.j) == pairs[0]
+
+    def test_asymptotic_leaves_of_a_thin_cusp_do_not_cross(self):
+        # one endpoint shared exactly, the other ends 0.024 and 4.5 rad away
+        lam = FiniteLamination.from_json({
+            "leaves": [[0.09019287570422038, 0.11374093045640561],
+                       [0.09019287570422038, 4.604257452622092]],
+            "weights": [1, 1]})
+        assert validate(lam).parent.tolist() == [1, -1]
+
+    def test_identical_leaves(self):
+        lam = FiniteLamination(
+            [GeodesicH2.from_angles(0.0, 2.0), GeodesicH2.from_angles(1.0, 1.5),
+             GeodesicH2.from_angles(2.0, 0.0)], [1.0] * 3)
+        with pytest.raises(InvalidInput, match="leaves 0 and 2 are identical"):
+            validate(lam)
+        with pytest.raises(ValueError):
+            validate(lam)
+
+    def test_endpoints_shared_across_angle_zero(self):
+        # 2*pi - 1e-13 and 0 are one point: a fan from angle 0, not a crossing
+        lam = FiniteLamination(
+            [GeodesicH2.from_angles(0.0, 2.0),
+             GeodesicH2.from_angles(1.0, 2 * math.pi - 1e-13)], [1.0, 1.0])
+        nest = validate(lam)
+        assert nest.parent.tolist() == [-1, 0]
+        assert nest.flipped.tolist() == [False, True]
+        with pytest.raises(InvalidInput, match="leaf 0 has coincident endpoints"):
+            Nesting([GeodesicH2.from_angles(2 * math.pi - 1e-13, 1e-13)])
+
+    def test_nesting_parents(self):
+        # 0 holds 1 and 2, and 2 holds 3; 4 is outermost; 1 and 2 touch
+        lam = FiniteLamination(
+            [GeodesicH2.from_angles(a, b) for a, b in
+             [(0.5, 3.0), (0.6, 1.2), (1.2, 2.9), (1.5, 2.0), (4.0, 5.0)]],
+            [1.0] * 5)
+        nest = validate(lam)
+        assert nest.parent.tolist() == [-1, 0, 0, 2, -1]
+        assert nest.depth.tolist() == [0, 1, 1, 2, 0]
 
 
 class TestTransverseMeasure:
@@ -196,6 +250,76 @@ def cusp_lamination(n: int, width: float, seed: int) -> FiniteLamination:
     c = rng.uniform(0, 2 * math.pi)
     return FiniteLamination([GeodesicH2.from_angles(c - h, c + h) for h in half],
                             rng.uniform(0.5, 2.0, n).tolist())
+
+
+def matching_lamination(rng: np.random.Generator, n: int) -> FiniteLamination:
+    """Random non-crossing matching of 2n stratified boundary angles.
+
+    One angle in the middle 80% of each of 2n equal sectors, all turned by
+    one random angle; the sorted angles are paired as a random
+    balanced-parentheses word.  Weights are uniform in [0.1, 1).
+    """
+    sectors = np.arange(2 * n) + rng.uniform(0.1, 0.9, 2 * n)
+    turn = rng.uniform(0.0, 2.0 * math.pi)
+    angles = np.sort(np.mod(turn + math.pi * sectors / n, 2.0 * math.pi))
+    coins = rng.random(2 * n)
+    stack, pairs = [], []
+    for k in range(2 * n):
+        if not stack or (len(stack) + len(pairs) < n and coins[k] < 0.5):
+            stack.append(k)
+        else:
+            pairs.append((stack.pop(), k))
+    return FiniteLamination(
+        [GeodesicH2.from_angles(angles[a], angles[b]) for a, b in pairs],
+        rng.uniform(0.1, 1.0, n).tolist())
+
+
+def turned_to_zero(lam: FiniteLamination) -> FiniteLamination:
+    """The lamination turned so that its first endpoint lies at angle 0."""
+    t0 = lam.leaves[0].a.angle
+    return FiniteLamination(
+        [GeodesicH2.from_angles((g.a.angle - t0) % (2 * math.pi),
+                                (g.b.angle - t0) % (2 * math.pi)) for g in lam.leaves],
+        list(lam.weights))
+
+
+def fan_lamination(rng: np.random.Generator, spokes: int, rims: int) -> FiniteLamination:
+    """Leaves from one hub angle to stratified ends, plus leaves joining
+    consecutive ends (ideal triangles): every shared endpoint is exact."""
+    hub = rng.uniform(0.0, 2.0 * math.pi)
+    ends = hub + 2.0 * math.pi * (np.arange(1, spokes + 1)
+                                  + rng.uniform(-0.4, 0.4, spokes)) / (spokes + 1)
+    pairs = [(hub, e) for e in ends]
+    chosen = rng.permutation(spokes - 1)[:rims]
+    pairs += [(ends[i], ends[i + 1]) for i in sorted(chosen)]
+    return FiniteLamination([GeodesicH2.from_angles(a, b) for a, b in pairs],
+                            rng.uniform(0.1, 2.0, len(pairs)).tolist())
+
+
+@st.composite
+def oracle_laminations(draw):
+    kind = draw(st.sampled_from(["matching", "random", "cusp", "fan", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "matching":
+        return matching_lamination(rng, draw(st.integers(1, 32)))
+    if kind == "random":
+        return random_lamination(rng, draw(st.integers(1, 12)))
+    if kind == "cusp":
+        return cusp_lamination(draw(st.integers(1, 12)),
+                               draw(st.sampled_from([0.005, 0.01, 0.1, 1.0])),
+                               draw(st.integers(0, 2**32 - 1)))
+    spokes = draw(st.integers(1, 24))
+    fan = fan_lamination(rng, spokes, draw(st.integers(0, spokes - 1)))
+    return turned_to_zero(fan) if kind == "zero" else fan
+
+
+class TestRoundnessMatchesOracle:
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(lam=oracle_laminations())
+    @example(lam=matching_lamination(np.random.default_rng(64), 64))
+    @example(lam=turned_to_zero(fan_lamination(np.random.default_rng(5), 40, 24)))
+    def test_equals_triple_loop(self, lam):
+        assert roundness(lam).hex() == roundness_oracle(lam).hex()
 
 
 class TestSampler:

@@ -104,6 +104,33 @@ def test_chordal_distance():
     assert abs(chordal_distance(1.0, -1.0) - 2.0) < 1e-15
 
 
+@pytest.mark.parametrize("z, w", [
+    (1e160 + 0j, 0j), (1e160 + 0j, INF), (INF, -3e200 + 1j),
+    (1e160 + 0j, 1e160 * (1 + 1e-10) + 0j), (-1e155 + 2e155j, 3.0 + 0j),
+    (1e160 + 0j, -1e160 + 0j),
+])
+def test_chordal_distance_beyond_float_squares(z, w):
+    # |z|^2 overflows a float beyond ~1.3e154; mpmath evaluates the formula
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def sq(x):
+        return 1 + mpmath.mpf(abs(x)) ** 2
+
+    if z == INF or w == INF:
+        want = 2 / mpmath.sqrt(sq(w if z == INF else z))
+    else:
+        want = 2 * mpmath.mpf(abs(z - w)) / mpmath.sqrt(sq(z) * sq(w))
+    assert chordal_distance(z, w) == pytest.approx(float(want), rel=1e-14)
+
+
+def test_coefficients_beyond_float_squares():
+    assert MobiusMap(1e160, 0, 0, 1e160).is_identity(tol=1e-15)
+    assert MobiusMap(1e160, 2e160, 0, 1e160)(1.0) == 3.0
+    with pytest.raises(DegenerateMobius):
+        MobiusMap(0, 1, 1, -1e160)
+
+
 class TestCircleOrLine:
     def test_through_three_points_unit_circle(self):
         c = CircleOrLine.through_points(1.0, 1j, -1.0)

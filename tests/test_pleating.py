@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -11,16 +12,15 @@ from domekit.hyperbolic import (
     dist_h2,
     dist_h3,
     disk_to_halfspace,
+    foot_on_geodesic,
     geodesic_polar,
     poincare_extension,
 )
 from domekit.laminations import FiniteLamination, random_lamination, scale
 from domekit.mobius import MobiusMap
 from domekit.pleating import (
-    ComplexEarthquake,
     GapComplex,
     T0Region,
-    _foot_on_leaf,
     complex_earthquake,
     earthquake,
     embedding_check,
@@ -30,6 +30,7 @@ from domekit.pleating import (
 )
 
 from _oracles import dihedral_angle
+from test_laminations import matching_lamination, turned_to_zero
 
 
 def exterior_angle_at_leaf(plane, leaf_idx: int) -> float:
@@ -42,7 +43,7 @@ def exterior_angle_at_leaf(plane, leaf_idx: int) -> float:
     cay = MobiusMap.cayley_disk_to_uhp()
     edge_a = w_par.compose(cay)(g.a.z)
     edge_b = w_par.compose(cay)(g.b.z)
-    zf = _foot_on_leaf(plane.complex_.gaps[parent].sample, geodesic_polar(g))
+    zf = foot_on_geodesic(plane.complex_.gaps[parent].sample, geodesic_polar(g))
     foot3 = poincare_extension(w_par, disk_to_halfspace(zf))
     q1 = poincare_extension(
         w_par, disk_to_halfspace(plane.complex_.gaps[parent].sample)
@@ -81,6 +82,83 @@ class TestGapComplex:
                 assert leaf_idx in paths[chi]
 
 
+    def test_ideal_triangle_gap(self):
+        # the middle gap touches the circle only at three ideal points
+        lam = FiniteLamination([GeodesicH2.from_angles(a, b)
+                                for a, b in [(0.0, 2.0), (2.0, 4.0), (0.0, 4.0)]],
+                               [0.3, 0.4, 0.5])
+        gc = GapComplex(lam.leaves)
+        assert len(gc) == 4
+        tri = next(g for g, gap in enumerate(gc.gaps) if not gap.arcs)
+        assert gc.gap_of(gc.gaps[tri].sample) == tri == gc.gap_of(0j)
+        paths, _ = gc.tree_paths(tri)
+        assert sorted(len(p) for p in paths) == [0, 1, 1, 1]
+        assert len(pleat(lam).gap_maps) == 4
+
+
+    def test_endpoint_shared_across_angle_zero(self):
+        # 2*pi - 1e-13 and 0 are one ideal point, so leaf 1 bounds the arc
+        # (0, 1), not the arc from its first endpoint to its second
+        lam = FiniteLamination([GeodesicH2.from_angles(0.0, 2.0),
+                                GeodesicH2.from_angles(1.0, 2 * math.pi - 1e-13)],
+                               [0.5, 0.7])
+        gc = GapComplex(lam.leaves)
+        assert len(gc) == 3
+        for angle in (0.5, 1.5, 4.0):
+            arcs = gc.gaps[gc.gap_of(0.9 * cmath.exp(1j * angle))].arcs
+            assert any(a < angle < b for a, b in arcs)
+        assert len(earthquake(lam).gap_maps) == 3
+
+
+def gap_map_digest(lam: FiniteLamination, base) -> str:
+    """sha256 of every gap-map coefficient of pleat, earthquake and
+    complex_earthquake(0.4+0.3i), as float.hex."""
+    ce = complex_earthquake(lam, 0.4 + 0.3j, base=base)
+    h = hashlib.sha256()
+    for surface in (pleat(lam, base=base), earthquake(lam, base=base), ce.quake, ce.plane):
+        for m in surface.gap_maps:
+            for c in (m.a, m.b, m.c, m.d):
+                h.update(f"{c.real.hex()},{c.imag.hex()};".encode())
+    return h.hexdigest()
+
+
+class TestGapMapsPinned:
+    # digests of the gap maps as built before the gap tree was read from the
+    # leaf nesting; composing each map from its neighbour's must keep them
+    CASES = [
+        ("random", 1, 5, None,
+         "16d81a991e99a2d4cecb053cc16f130138c5931379bc4be072cd636fbac8f666"),
+        ("random", 2, 9, 4,
+         "5b6f7d93a4d892f74edc63f3bffef5dd0f3612a395cd67c74430c13f6857cb70"),
+        ("random", 3, 7, PointH2(0.3 - 0.4j),
+         "e6f646cd2464c66ad04f3fa2832acefbe5a7ffad5ab15b9a71fe8ca574399120"),
+        ("matching", 4, 16, None,
+         "fa8798fb71bdcad9145f84414b246f15ece3aab62f8d1f59dacbe58dbcd8c43f"),
+        ("matching", 5, 32, 7,
+         "3399c3975ae3ed60945958383a6af84dff06600bd2dbcf2f20dad8bdf10f5c32"),
+        ("matching", 6, 64, PointH2(-0.2 + 0.5j),
+         "c8b23fe996b3af13a4967b443bd5fe4bcd579286493c10640759e5019f97ecc7"),
+        ("zero", 7, 8, None,
+         "e82b7227774063b9853b0b4fb4727f60a3bc1b4dc2c8c700242e573a62f1f2f9"),
+        ("zero", 8, 12, 3,
+         "f8d4876c308b1b35baa2df6399849cbaa1c766af85dd32e35972722f7031402b"),
+        ("zero", 9, 6, PointH2(0.1j),
+         "795883715bddc372035e57ccce0aabb89664d4b3566b5ca16272b7d0478330a7"),
+    ]
+
+    @pytest.mark.parametrize("kind, seed, n, base, digest", CASES)
+    def test_bit_identical(self, kind, seed, n, base, digest):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            lam = random_lamination(rng, n)
+        else:
+            lam = matching_lamination(rng, n)
+            if kind == "zero":
+                lam = turned_to_zero(lam)
+                assert lam.leaves[0].a.angle == 0.0
+        assert gap_map_digest(lam, base) == digest
+
+
 class TestPleat:
     def test_empty_is_flat_embedding(self):
         plane = pleat(FiniteLamination([], []))
@@ -116,6 +194,29 @@ class TestPleat:
         assert abs(abs(rel_mid.trace()) - 2 * math.cos(0.8 / 2)) < 1e-12
         rel_far = plane.gap_maps[far].compose(plane.gap_maps[mid].inverse())
         assert abs(abs(rel_far.trace()) - 2 * math.cos(0.5 / 2)) < 1e-12
+
+    def test_short_leaf(self):
+        # a leaf 5.4e-6 rad long, its inner gap too thin for the sample walk
+        lam = FiniteLamination.from_json({
+            "leaves": [[0.2615783073418358, 3.9115665392460244],
+                       [5.77457104549709, 5.774576430010188]],
+            "weights": [0.5, 0.5]})
+        cay = MobiusMap.cayley_disk_to_uhp()
+        for surface, trace, to_plane in ((pleat(lam), 2 * math.cos(0.25), cay),
+                                         (earthquake(lam), 2 * math.cosh(0.25),
+                                          MobiusMap.identity())):
+            _, crossing = surface.complex_.tree_paths(surface.base_gap)
+            for i, g in enumerate(lam.leaves):
+                par, chi = crossing[i]
+                w_par, w_chi = surface.gap_maps[par], surface.gap_maps[chi]
+                rel = w_par.inverse().compose(w_chi)
+                # the short leaf's map has coefficients ~1e5, and its trace
+                # cancels them: allow a few ulps of their square
+                size = max(abs(c) for m in (w_par, w_chi) for c in m.matrix().ravel())
+                tol = 1e-15 * size * size
+                assert abs(abs(rel.trace()) - trace) < tol
+                for p in (to_plane(g.a.z), to_plane(g.b.z)):
+                    assert abs(rel(p) - p) < tol * max(1.0, abs(p)) ** 2
 
     def test_gap_relative_rotation_angle(self, rng):
         lam = random_lamination(rng, 5)

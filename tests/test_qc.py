@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from domekit.errors import EmptyField, NotInjective
-from domekit.mobius import MobiusMap
 from domekit.qc import (
-    AnnulusExtremalCheck,
     GridSample,
     affine_sample,
     annulus_extremal_check,
