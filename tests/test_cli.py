@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -428,3 +429,137 @@ class TestFieldDump:
         assert lines[0] == "x,y,K"
         assert len(lines) == 1 + 30 * 30
         assert all(abs(float(l.split(",")[2]) - 2.0) < 1e-9 for l in lines[1:])
+
+
+GOLDEN_FILES = {
+    "lam.json": {"leaves": [[0.3, 2.2], [3.0, 5.5]], "weights": [0.8, 1.1]},
+    "pole.json": {"leaves": [[1.0, 2.0]], "weights": [0.5]},
+    "cross.json": {"leaves": [[0, 2], [1, 3]], "weights": [1, 1]},
+    "short.json": {"leaves": [[0.3, 2.2]], "weights": [0.8, 1.1]},
+    "tetra.json": {"points": [[0, 0], [1, 0], "inf", [0, -1]]},
+    "square.json": {"points": [[0, 0], [1, 0], "inf", [-1, 0]]},
+    "five.json": {"points": [[0, 0], [1, 0], [0, 1], [0, -1], [3, 2]]},
+}
+
+#: Every subcommand and flag; each entry runs once per output format.
+GOLDEN_CASES = [
+    ["bounds", "eval", "--nu", "0.3"],
+    ["bounds", "eval", "--nu", "0.5"],
+    ["bounds", "eval", "--nu", "0.7", "--nu-hat", "0.4"],
+    ["bounds", "eval", "--nu-hat", "1.2"],
+    ["bounds", "eval"],
+    ["bounds", "eval", "--nu", "-2"],
+    ["bounds", "table", "--nu-min", "0.1", "--nu-max", "1.0", "--points", "5"],
+    ["bounds", "table", "--nu-min", "0.2", "--nu-max", "0.9"],
+    ["bounds", "table", "--nu-min", "0.2", "--nu-max", "0.9", "--points", "0"],
+    ["annulus", "table", "--s-min", "1", "--s-max", "10", "--points", "4"],
+    ["annulus", "table", "--s-min", "0.5", "--s-max", "30"],
+    ["annulus", "table", "--s-min", "-1", "--s-max", "2", "--points", "3"],
+    ["dome", "build", "--input", "{tetra.json}"],
+    ["dome", "build", "--input", "{square.json}"],
+    ["dome", "build", "--input", "{five.json}", "--mesh", "{mesh.obj}"],
+    ["dome", "build", "--input", "{missing.json}"],
+    ["dome", "retract", "--input", "{tetra.json}", "--z", "0.4,0.8"],
+    ["dome", "retract", "--input", "{tetra.json}", "--z", "0.3+0.2i"],
+    ["dome", "retract", "--input", "{tetra.json}", "--z", "inf"],
+    ["dome", "retract", "--input", "{tetra.json}", "--z", "1,0"],
+    ["dome", "retract", "--input", "{five.json}", "--z=-0.5,0.25"],
+    ["dome", "retract", "--input", "{five.json}", "--z", "inf"],
+    ["dome", "inj-radius", "--input", "{tetra.json}", "--z", "0.4,0.8"],
+    ["dome", "inj-radius", "--input", "{five.json}", "--z", "0.5,0.5",
+     "--depth", "6"],
+    ["lamination", "validate", "--input", "{lam.json}"],
+    ["lamination", "validate", "--input", "{cross.json}"],
+    ["lamination", "validate", "--input", "{short.json}"],
+    ["lamination", "roundness", "--input", "{lam.json}"],
+    ["lamination", "roundness", "--input", "{lam.json}", "--brute-arcs", "0"],
+    ["lamination", "roundness", "--input", "{lam.json}", "--brute-arcs", "2000",
+     "--seed", "3", "--threads", "2"],
+    ["lamination", "roundness", "--input", "{lam.json}", "--brute-arcs", "-5"],
+    ["earthquake", "trace", "--input", "{lam.json}", "--t", "0.5",
+     "--samples", "6"],
+    ["earthquake", "trace", "--input", "{lam.json}", "--t", "1"],
+    ["earthquake", "trace", "--input", "{lam.json}", "--t", "0.4,0.3",
+     "--samples", "5"],
+    ["earthquake", "trace", "--input", "{pole.json}", "--t", "0.4+0.3i",
+     "--samples", "4"],
+    ["crescent", "dilatation", "--w", "0,2", "--theta", "1.0"],
+    ["crescent", "dilatation", "--w", "0.5,1.5", "--theta", "0.8",
+     "--grid", "48"],
+    ["crescent", "dilatation", "--w", "0,3", "--theta", "3.14159"],
+    ["qc", "estimate", "--fixture", "identity", "--grid", "24"],
+    ["qc", "estimate", "--fixture", "affine", "--grid", "16",
+     "--dump-field", "{field.csv}"],
+    ["qc", "estimate", "--fixture", "power", "--alpha", "3", "--grid", "32"],
+    ["qc", "estimate", "--fixture", "mobius-far", "--grid", "24"],
+    ["qc", "estimate", "--fixture", "mobius-near", "--grid", "24"],
+    ["qc", "estimate", "--fixture", "scaling", "--grid", "32"],
+    ["qc", "estimate", "--fixture", "scaling", "--w", "0,1", "--theta", "0.8",
+     "--grid", "32"],
+    ["qc", "estimate", "--fixture", "power", "--alpha", "-1", "--grid", "16"],
+]
+
+#: Usage errors, run once each.
+GOLDEN_USAGE = [
+    [],
+    ["bounds"],
+    ["bounds", "nope"],
+    ["bounds", "eval", "--bogus"],
+    ["bounds", "eval", "--nu", "abc"],
+    ["bounds", "eval", "--format", "xml"],
+    ["bounds", "table", "--nu-min", "0.1"],
+    ["dome", "retract", "--input", "{tetra.json}"],
+    ["qc", "estimate", "--fixture", "nope"],
+    ["lamination", "roundness", "--input", "{lam.json}", "--threads", "0"],
+    ["lamination", "roundness", "--input", "{lam.json}", "--seed", "-1"],
+]
+
+GOLDEN_GROUPS = {
+    "bounds": ["eval", "table"], "annulus": ["table"],
+    "dome": ["build", "retract", "inj-radius"],
+    "lamination": ["roundness", "validate"], "earthquake": ["trace"],
+    "crescent": ["dilatation"], "qc": ["estimate"],
+}
+GOLDEN_HELP = [["--help"]] + [[g, "--help"] for g in GOLDEN_GROUPS] + [
+    [g, c, "--help"] for g, cmds in GOLDEN_GROUPS.items() for c in cmds]
+
+#: sha256 of the matrix below under CPython 3.11 and numpy 2.4; argparse
+#: wraps and words its help and usage texts differently in other versions.
+GOLDEN_SHA256 = "9783dce70318be4eed04ac022edda3c571b62aeaca0d5cac6aa891334c4ae693"
+
+
+class TestGolden:
+    """One hash over (argv, exit code, stdout, stderr, written files) for every
+    case of the matrix, with file paths replaced by placeholders."""
+
+    def _transcript(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        monkeypatch.delenv("DOMEKIT_THREADS", raising=False)
+        for name, doc in GOLDEN_FILES.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        runs = [case + ["--format", fmt]
+                for case in GOLDEN_CASES for fmt in ("json", "csv")]
+        runs += GOLDEN_USAGE + GOLDEN_HELP
+        lines = []
+        for template in runs:
+            argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a
+                    for a in template]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            written = {}
+            for name in ("mesh.obj", "field.csv"):
+                if (tmp_path / name).exists():
+                    written[name] = (tmp_path / name).read_text()
+                    (tmp_path / name).unlink()
+            record = [template, code, out, err, written]
+            lines.append(json.dumps(record).replace(str(tmp_path), "<tmp>"))
+        return lines
+
+    def test_transcript_hash(self, tmp_path, capsys, monkeypatch):
+        lines = self._transcript(tmp_path, capsys, monkeypatch)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == GOLDEN_SHA256
+
