@@ -15,7 +15,7 @@ from .bounds import (
     dome_dilatation_bound,
     domain_dilatation_bound,
 )
-from .errors import NonpositiveModulusParameter
+from .errors import NonpositiveModulusParameter, OutOfDomain
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,13 @@ class AnnulusGeometry:
 def annulus_geometry(s: float) -> AnnulusGeometry:
     if not s > 0:
         raise NonpositiveModulusParameter(f"s = {s} must be positive")
-    sh = math.sinh(s / 2.0)
+    try:
+        sh = math.sinh(s / 2.0)
+    except OverflowError:
+        sh = math.inf
+    K = math.pi * sh / s
+    if math.isinf(K):
+        raise OutOfDomain(f"s = {s}: K = pi sinh(s/2) / s overflows a float")
     return AnnulusGeometry(
         s=s,
         modulus=s / (2.0 * math.pi),
@@ -44,7 +50,7 @@ def annulus_geometry(s: float) -> AnnulusGeometry:
         dome_modulus=sh / 2.0,
         dome_core_length=2.0 * math.pi / sh,
         nu_hat=math.pi / sh,
-        K=math.pi * sh / s,
+        K=K,
     )
 
 

@@ -251,17 +251,16 @@ class BoundReport:
             else:
                 v["lower_bound"] = None
                 v["lower_bound_reason"] = "nu outside (0, 0.5)"
-            rep.verdicts["M_is_6x_tight_roundness"] = (
-                abs(v["M"] - 6.0 * tight) <= 1e-12 * v["M"]
-            )
+            # isclose also holds when both sides overflow to inf
+            rep.verdicts["M_is_6x_tight_roundness"] = math.isclose(
+                v["M"], 6.0 * tight, rel_tol=1e-12)
             rep.verdicts["tight_le_relaxed"] = tight <= relaxed
         if nu_hat is not None:
             exact, relaxed = roundness_bound_dome(nu_hat)
             v["N"] = dome_dilatation_bound(nu_hat)
             v["dome_roundness_exact"] = exact
             v["dome_roundness_relaxed"] = relaxed
-            rep.verdicts["N_is_6x_relaxed_roundness"] = (
-                abs(v["N"] - 6.0 * relaxed) <= 1e-12 * v["N"]
-            )
+            rep.verdicts["N_is_6x_relaxed_roundness"] = math.isclose(
+                v["N"], 6.0 * relaxed, rel_tol=1e-12)
             rep.verdicts["exact_le_relaxed"] = exact <= relaxed
         return rep

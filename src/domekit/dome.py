@@ -8,6 +8,7 @@ kernel; angles, retraction and the intrinsic development are hyperbolic.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -16,6 +17,8 @@ import numpy as np
 
 from .errors import (
     DepthTooSmall,
+    DevelopmentFailed,
+    InvalidInput,
     NumericallyCoincident,
     PointNotInDomain,
     TooFewPoints,
@@ -56,7 +59,10 @@ class IdealConfiguration:
     def __post_init__(self):
         if len(self.points) < 3:
             raise TooFewPoints(f"need >= 3 points, got {len(self.points)}")
-        self.points = [INF if is_inf(p) else complex(p) for p in self.points]
+        self.points = [complex(p) for p in self.points]
+        if any(cmath.isnan(p) for p in self.points):
+            raise InvalidInput("points: a coordinate is NaN")
+        self.points = [INF if is_inf(p) else p for p in self.points]
         # A Gram screen over blocks of rows: |u - v|^2 = 2 - 2 u.v to ~1e-15.
         # The flagged pairs are decided by chordal_distance in the (i, j)
         # order of a double loop, so the first coincident pair raises.
@@ -528,8 +534,10 @@ class Dev2D:
         mat = m.matrix()
         lead = mat.flat[int(np.argmax(np.abs(mat.flatten())))]
         mat = mat * (lead.conjugate() / abs(lead))
-        if np.abs(mat.imag).max() > 1e-7:
-            raise ValueError(f"matrix not realifiable: {mat}")
+        imag = np.abs(mat.imag).max()
+        if imag > 1e-7:
+            raise DevelopmentFailed(
+                f"gluing matrix not realifiable (imaginary part {imag:.3g})")
         real = mat.real
         det = real[0, 0] * real[1, 1] - real[0, 1] * real[1, 0]
         return Dev2D(real, det < 0)
@@ -590,7 +598,7 @@ class SurfaceAtlas:
     def chart_point(self, face: int, p: PointH3) -> complex:
         q = poincare_extension(self.charts[face], p)
         if abs(q.y) > 1e-6:
-            raise ValueError(f"point is not on face {face} (y = {q.y})")
+            raise DevelopmentFailed(f"point is not on face {face} (y = {q.y})")
         return complex(q.x, q.t)
 
     def chart_edge(self, face: int, edge: int):
@@ -609,7 +617,8 @@ class SurfaceAtlas:
             rot = MobiusMap.rotation_about(pa, pb, sign * e.angle)
             if source.mobius_image(rot).close_to(target, tol=1e-7):
                 return rot
-        raise ValueError(f"no unbending rotation aligns faces across edge {edge}")
+        raise DevelopmentFailed(
+            f"no unbending rotation aligns faces across edge {edge}")
 
     def gluing(self, face: int, edge: int) -> tuple[Dev2D, int]:
         """Development step crossing ``edge`` out of ``face``.

@@ -37,6 +37,12 @@ class InvalidInput(DomekitError, ValueError):
     identical leaves."""
 
 
+class DevelopmentFailed(DomekitError, ValueError):
+    """The dome surface could not be developed across an edge: no unbending
+    rotation aligns the two faces, the gluing map is not real, or a point
+    lies off its face."""
+
+
 class TooManyLeaves(DomekitError):
     """Hard cap on lamination size exceeded."""
 

@@ -13,10 +13,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crescents import AngleScaling, scaling_dilatation
-from .errors import EmptyField, NonpositiveInput
+from .errors import EmptyField, NonpositiveInput, TooFewPoints
 from .mobius import MobiusMap
 
 DEGENERATE_REL_TOL = 1e-10
+
+
+def _grid_step(span: float, n: int) -> float:
+    """Spacing of ``n`` grid columns across ``span``; a grid needs two."""
+    if n < 2:
+        raise TooFewPoints(f"a grid needs at least 2 columns, got {n}")
+    return span / (n - 1)
 
 
 @dataclass
@@ -48,7 +55,7 @@ class GridSample:
     def from_function(f, x0: float, x1: float, y0: float, y1: float,
                       n: int, mask_fn=None) -> "GridSample":
         """Sample f on an n-column grid with square cells."""
-        h = (x1 - x0) / (n - 1)
+        h = _grid_step(x1 - x0, n)
         ny = int(round((y1 - y0) / h)) + 1
         xs = x0 + h * np.arange(n)
         ys = y0 + h * np.arange(ny)
@@ -219,7 +226,7 @@ def verify_scaling_dilatation(w: complex, theta: float, n: int = 512,
     from .crescents import angle_scale_array
 
     x_lo = min(0.0, r1 * math.cos(min(theta, math.pi)))
-    h = (r1 - x_lo) / (n - 1)
+    h = _grid_step(r1 - x_lo, n)
 
     def mask(z):
         r = np.abs(z)
@@ -276,7 +283,7 @@ def annulus_extremal_check(s: float, alpha: float, n: int = 512) -> AnnulusExtre
     if s <= 0 or alpha <= 0:
         raise NonpositiveInput("s and alpha must be positive")
     analytic = max(alpha, 1.0 / alpha)
-    h = s / (n - 1)
+    h = _grid_step(s, n)
 
     def g(zeta):
         return np.exp(alpha * zeta.real + 1j * zeta.imag)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from domekit.annulus import annulus_geometry, asymptotic_ratios, verify_bounds
-from domekit.errors import NonpositiveModulusParameter
+from domekit.errors import NonpositiveModulusParameter, OutOfDomain
 
 
 class TestClosedForms:
@@ -34,6 +34,12 @@ class TestClosedForms:
     def test_nonpositive_rejected(self):
         with pytest.raises(NonpositiveModulusParameter):
             annulus_geometry(0.0)
+
+    def test_overflow_is_out_of_domain(self):
+        assert math.isfinite(annulus_geometry(1418.0).K)
+        for s in (1420.0, 1422.0, 1e5):
+            with pytest.raises(OutOfDomain):
+                annulus_geometry(s)
 
     def test_small_s_limit(self):
         g = annulus_geometry(1e-8)

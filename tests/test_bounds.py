@@ -269,6 +269,11 @@ class TestBoundReport:
         assert rep.values["M"] > 0 and rep.values["N"] > 0
         assert all(rep.verdicts.values())
 
+    def test_identities_hold_when_both_sides_overflow(self):
+        rep = BoundReport.evaluate(nu=1e-300, nu_hat=1e-310)
+        assert math.isinf(rep.values["M"]) and math.isinf(rep.values["N"])
+        assert all(rep.verdicts.values())
+
     def test_lower_bound_excluded_at_half(self):
         rep = BoundReport.evaluate(nu=0.5)
         assert rep.values["lower_bound"] is None

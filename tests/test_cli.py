@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from domekit.cli import main
+from domekit.cli import COMMANDS, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -17,6 +17,10 @@ def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.fixture
@@ -219,11 +223,7 @@ class TestEarthquake:
                 "--samples", "8"]
         code, out, _ = run_cli(args, capsys)
         assert code == 0
-
-        def reject(name):
-            raise ValueError(f"{name} is not JSON")
-
-        trace = json.loads(out, parse_constant=reject)["trace"]
+        trace = json.loads(out, parse_constant=_reject_constant)["trace"]
         assert trace[0] == {"angle": 0.0, "re": None, "im": None}
         assert all(r["re"] is not None for r in trace[1:])
         code, out, _ = run_cli(args + ["--format", "csv"], capsys)
@@ -441,6 +441,15 @@ GOLDEN_FILES = {
     "five.json": {"points": [[0, 0], [1, 0], [0, 1], [0, -1], [3, 2]]},
 }
 
+def _exit_code(template, root):
+    """Run the CLI on ``template``, where ``{name}`` is the file ``root/name``."""
+    argv = [str(root / a[1:-1]) if a.startswith("{") else a for a in template]
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 #: Every subcommand and flag; each entry runs once per output format.
 GOLDEN_CASES = [
     ["bounds", "eval", "--nu", "0.3"],
@@ -514,16 +523,11 @@ GOLDEN_USAGE = [
     ["lamination", "roundness", "--input", "{lam.json}", "--seed", "-1"],
 ]
 
-GOLDEN_GROUPS = {
-    "bounds": ["eval", "table"], "annulus": ["table"],
-    "dome": ["build", "retract", "inj-radius"],
-    "lamination": ["roundness", "validate"], "earthquake": ["trace"],
-    "crescent": ["dilatation"], "qc": ["estimate"],
-}
-GOLDEN_HELP = [["--help"]] + [[g, "--help"] for g in GOLDEN_GROUPS] + [
-    [g, c, "--help"] for g, cmds in GOLDEN_GROUPS.items() for c in cmds]
+#: Every help text, in table order.
+GOLDEN_HELP = [["--help"]] + [[g, "--help"] for g in COMMANDS] + [
+    [g, c, "--help"] for g, cmds in COMMANDS.items() for c in cmds]
 
-#: sha256 of the matrix below under CPython 3.11 and numpy 2.4; argparse
+#: sha256 of the matrix above under CPython 3.11 and numpy 2.4; argparse
 #: wraps and words its help and usage texts differently in other versions.
 GOLDEN_SHA256 = "9783dce70318be4eed04ac022edda3c571b62aeaca0d5cac6aa891334c4ae693"
 
@@ -542,12 +546,7 @@ class TestGolden:
         runs += GOLDEN_USAGE + GOLDEN_HELP
         lines = []
         for template in runs:
-            argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a
-                    for a in template]
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = _exit_code(template, tmp_path)
             out, err = capsys.readouterr()
             written = {}
             for name in ("mesh.obj", "field.csv"):
@@ -563,3 +562,64 @@ class TestGolden:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == GOLDEN_SHA256
 
+    def test_matrix_covers_every_command(self):
+        covered = {tuple(case[:2]) for case in GOLDEN_CASES}
+        assert covered == {(g, c) for g, cmds in COMMANDS.items() for c in cmds}
+        for g, cmds in COMMANDS.items():
+            for c, (_, flags) in cmds.items():
+                used = {a.split("=")[0] for case in GOLDEN_CASES
+                        if case[:2] == [g, c] for a in case}
+                assert set(flags) <= used, (g, c)
+
+
+# Nearly cocircular first four points: the hull has an edge of exterior angle
+# 1.7e-7, across which the gluing map of the development is not real.
+FLAT_EDGE = [[-1.5773882307765996, 0.17922113048169758],
+             [-1.1554544164922362, 0.07676559845439478],
+             [-1.34548183335034, -0.10563059977012569],
+             [-1.1922140724590327, 0.23572157895352278],
+             [3, 1], [-4, 2], [0.5, -5], [6, -3], [-0.5, 0.2]]
+
+
+class TestMalformedInput:
+    """Bad flags end in a usage error (exit 2), domain trouble in one
+    ``error:`` line (exit 1), and output is strict JSON or finite CSV."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["dome", "retract", "--input", "{tetra.json}", "--z", "abc"], 2),
+        (["dome", "retract", "--input", "{tetra.json}", "--z", "1,2,3"], 2),
+        (["dome", "retract", "--input", "{tetra.json}", "--z", "nan,0"], 2),
+        (["qc", "estimate", "--fixture", "scaling", "--w", "nan,1",
+          "--grid", "16"], 2),
+        (["bounds", "table", "--nu-min", "0.1", "--nu-max", "1",
+          "--points", "-3"], 2),
+        (["annulus", "table", "--s-min", "1", "--s-max", "2", "--points", "-1"], 2),
+        (["earthquake", "trace", "--input", "{lam.json}", "--t", "0.5",
+          "--samples", "-2"], 2),
+        (["qc", "estimate", "--fixture", "identity", "--grid", "1"], 1),
+        (["qc", "estimate", "--fixture", "scaling", "--grid", "1"], 1),
+        (["crescent", "dilatation", "--w", "0,2", "--theta", "1", "--grid", "1"], 1),
+        (["bounds", "eval", "--nu", "1e-300"], 0),
+        (["bounds", "eval", "--nu", "1e-300", "--format", "csv"], 0),
+        (["annulus", "table", "--s-min", "1", "--s-max", "1e5"], 1),
+        (["dome", "inj-radius", "--input", "{flat.json}", "--z=-1.35,0.1",
+          "--depth", "12"], 1),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_ends_cleanly(self, tmp_path, capsys, argv, expected):
+        for name in ("tetra.json", "lam.json"):
+            (tmp_path / name).write_text(json.dumps(GOLDEN_FILES[name]))
+        (tmp_path / "flat.json").write_text(json.dumps({"points": FLAT_EDGE}))
+        code = _exit_code(argv, tmp_path)
+        out, err = capsys.readouterr()
+        assert code == expected, err
+        if code == 2:
+            assert out == "" and err.startswith("usage: domekit ")
+            assert "error: argument" in err.splitlines()[-1]
+        elif code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        elif "csv" in argv:
+            cells = out.replace("\n", ",").split(",")
+            assert err == "" and not {"inf", "-inf", "nan"} & set(cells)
+        else:
+            assert err == ""
+            json.loads(out, parse_constant=_reject_constant)

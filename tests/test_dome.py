@@ -21,6 +21,7 @@ from domekit.dome import (
 )
 from domekit.errors import (
     DepthTooSmall,
+    InvalidInput,
     NumericallyCoincident,
     PointNotInDomain,
     TooFewPoints,
@@ -54,6 +55,16 @@ class TestConfiguration:
     def test_coincident(self):
         with pytest.raises(NumericallyCoincident):
             IdealConfiguration([0, 1e-12, 1.0])
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(1.0, math.nan),
+                                     complex(math.inf, math.nan)])
+    def test_nan_point_rejected(self, bad):
+        with pytest.raises(InvalidInput, match="NaN"):
+            IdealConfiguration([0, 1, bad, 1j])
+
+    def test_infinite_point_is_inf(self):
+        cfg = IdealConfiguration([0, 1, complex(-math.inf, 2.0), 1j])
+        assert cfg.points[2] == INF
 
     @pytest.mark.parametrize("gap, raises", [(0.25e-9, True), (1e-9, False)])
     def test_near_coincident_pair(self, gap, raises):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from domekit.errors import EmptyField, NotInjective
+from domekit.errors import EmptyField, NotInjective, TooFewPoints
 from domekit.qc import (
     GridSample,
     affine_sample,
@@ -155,6 +155,16 @@ class TestGridSample:
         g = GridSample.from_function(lambda z: z, 0.0, 1.0, 2.0, 3.0, 11)
         assert g.cell_location(0, 0) == complex(0.0, 2.0)
         assert g.cell_location(10, 10) == pytest.approx(complex(1.0, 3.0))
+
+    @pytest.mark.parametrize("sample", [
+        lambda n: GridSample.from_function(lambda z: z, 0.0, 1.0, 0.0, 1.0, n),
+        lambda n: verify_scaling_dilatation(2j, 1.0, n=n),
+        lambda n: annulus_extremal_check(2.0, 1.5, n=n),
+    ])
+    @pytest.mark.parametrize("n", [1, 0, -4])
+    def test_needs_two_columns(self, sample, n):
+        with pytest.raises(TooFewPoints):
+            sample(n)
 
     def test_square_cells(self):
         g = GridSample.from_function(lambda z: z, 0.0, 2.0, 0.0, 1.0, 21)
