@@ -24,7 +24,7 @@ from . import laminations as lam_mod
 from . import pleating as pleat_mod
 from . import qc as qc_mod
 from .crescents import AngleScaling, scaling_dilatation
-from .errors import DomekitError, NonpositiveInput
+from .errors import DomekitError, NonpositiveInput, OutOfDomain
 from .mobius import INF, is_inf
 
 SCHEMA = "domekit/1"
@@ -92,6 +92,25 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
+def _finite_complex(text: str) -> complex:
+    """argparse type: a complex number as `_parse_complex` reads it, but finite."""
+    z = _parse_complex(text)
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite complex number")
+    return z
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite real number."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
 def _int_at_least(low: int, kind: str):
     """argparse type: an integer >= ``low``."""
     def parse(text: str) -> int:
@@ -134,6 +153,9 @@ def cmd_bounds_eval(args):
 def cmd_bounds_table(args):
     header = ["nu", "M", "M_relaxed", "roundness_tight", "roundness_relaxed",
               "lipschitz", "g", "lower_bound"]
+    for name, nu in (("nu_min", args.nu_min), ("nu_max", args.nu_max)):
+        if not 0 < nu < math.inf:
+            raise OutOfDomain(f"{name} = {nu} outside (0, inf)")
     rows = []
     for nu in np.geomspace(args.nu_min, args.nu_max, args.points):
         nu = float(nu)
@@ -292,6 +314,7 @@ def cmd_qc_estimate(args):
 _INPUT = {"required": True}
 _REQUIRED_FLOAT = {"type": float, "required": True}
 _REQUIRED_COMPLEX = {"type": _parse_complex, "required": True}
+_REQUIRED_FINITE_COMPLEX = {"type": _finite_complex, "required": True}
 _POINTS = {"type": _nonnegative_int, "default": 50}
 
 #: group -> command -> (handler, {flag: add_argument keywords}), in help order
@@ -323,22 +346,23 @@ COMMANDS = {
     "earthquake": {
         "trace": (cmd_earthquake_trace, {
             "--input": _INPUT,
-            "--t": {**_REQUIRED_COMPLEX, "help": "complex parameter RE[,IM]"},
+            "--t": {**_REQUIRED_FINITE_COMPLEX, "help": "complex parameter RE[,IM]"},
             "--samples": {"type": _nonnegative_int, "default": 64}}),
     },
     "crescent": {
         "dilatation": (cmd_crescent_dilatation, {
-            "--w": {**_REQUIRED_COMPLEX, "help": "complex scaling parameter RE[,IM]"},
-            "--theta": _REQUIRED_FLOAT,
+            "--w": {**_REQUIRED_FINITE_COMPLEX,
+                    "help": "complex scaling parameter RE[,IM]"},
+            "--theta": {"type": _finite_float, "required": True},
             "--grid": {"type": int, "default": 0}}),
     },
     "qc": {
         "estimate": (cmd_qc_estimate, {
             "--fixture": {"required": True, "choices": (*_QC_FIXTURES, "scaling")},
             "--grid": {"type": int, "default": 512},
-            "--alpha": {"type": float, "default": 2.0},
-            "--w": {"type": _parse_complex, "default": "0,1"},
-            "--theta": {"type": float, "default": math.pi / 2},
+            "--alpha": {"type": _finite_float, "default": 2.0},
+            "--w": {"type": _finite_complex, "default": "0,1"},
+            "--theta": {"type": _finite_float, "default": math.pi / 2},
             "--dump-field": {"help": "write the per-cell K field to this CSV path"}}),
     },
 }

@@ -119,16 +119,21 @@ def light_vec(angle) -> np.ndarray:
     )
 
 
-def geodesic_polar(g: GeodesicH2) -> np.ndarray:
-    """Spacelike unit vector Minkowski-orthogonal to the geodesic.
+def geodesic_polars(angles) -> np.ndarray:
+    """(n, 3) spacelike unit vectors Minkowski-orthogonal to the geodesics
+    with endpoint angles ``angles[k] = (t1, t2)``.
 
-    The sign is fixed by the canonical endpoint order of ``g``.
+    The sign is fixed by the order of the two angles.
     """
-    t1, t2 = g.angles()
-    u = np.cross(light_vec(t1), light_vec(t2))
-    u[2] = -u[2]
-    norm = math.sqrt(abs(_mink_dot(u, u)))
-    return u / norm
+    angles = np.asarray(angles, dtype=float).reshape(-1, 2)
+    u = np.cross(light_vec(angles[:, 0]), light_vec(angles[:, 1]))
+    u[:, 2] = -u[:, 2]
+    return u / np.sqrt(np.abs(_mink_dot(u, u)))[:, None]
+
+
+def geodesic_polar(g: GeodesicH2) -> np.ndarray:
+    """`geodesic_polars` of one geodesic, in its canonical endpoint order."""
+    return geodesic_polars(g.angles())[0]
 
 
 def side_of(z, polar: np.ndarray):
@@ -180,10 +185,24 @@ def dist_h2(p: PointH2 | complex, q: PointH2 | complex) -> float:
     return math.acosh(1.0 + num / den)
 
 
+def dist_h2_array(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """`dist_h2` over complex arrays of disk points."""
+    num = 2.0 * np.abs(z1 - z2) ** 2
+    den = (1.0 - np.abs(z1) ** 2) * (1.0 - np.abs(z2) ** 2)
+    return np.arccosh(1.0 + num / den)
+
+
 def dist_h3(p: PointH3, q: PointH3) -> float:
     """Hyperbolic distance in upper half-space."""
     num = (p.x - q.x) ** 2 + (p.y - q.y) ** 2 + (p.t - q.t) ** 2
     return math.acosh(1.0 + num / (2.0 * p.t * q.t))
+
+
+def dist_h3_array(z1: np.ndarray, t1: np.ndarray, z2: np.ndarray,
+                  t2: np.ndarray) -> np.ndarray:
+    """`dist_h3` over arrays of points (z, t) of upper half-space."""
+    num = (z1.real - z2.real) ** 2 + (z1.imag - z2.imag) ** 2 + (t1 - t2) ** 2
+    return np.arccosh(1.0 + num / (2.0 * t1 * t2))
 
 
 def dist_point_geodesic_h2(z, g: GeodesicH2) -> float:
@@ -245,6 +264,18 @@ def poincare_extension(m: MobiusMap, p: PointH3) -> PointH3:
     w = ((m.a * z + m.b) * (m.c * z + m.d).conjugate()
          + m.a * m.c.conjugate() * t * t) / den
     return PointH3(w.real, w.imag, t / den)
+
+
+def poincare_extension_array(coeffs: np.ndarray, z: np.ndarray,
+                             t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`poincare_extension` over arrays: the determinant-1 coefficients
+    (a, b, c, d) in the last axis of ``coeffs`` act on the points (z, t);
+    returns the images as arrays (z, t)."""
+    a, b, c, d = np.moveaxis(coeffs, -1, 0)
+    cz_d = c * z + d
+    den = np.abs(cz_d) ** 2 + np.abs(c) ** 2 * t * t
+    w = ((a * z + b) * np.conj(cz_d) + a * np.conj(c) * t * t) / den
+    return w, t / den
 
 
 def halfspace_to_ball(p: PointH3) -> np.ndarray:

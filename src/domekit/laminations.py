@@ -39,6 +39,7 @@ from .hyperbolic import (
     foot_on_geodesic,
     geodesic_distance,
     geodesic_polar,
+    geodesic_polars,
     point_along,
     point_vec,
     _mink_dot,
@@ -87,10 +88,7 @@ class FiniteLamination:
     def polars(self) -> np.ndarray:
         """(n, 3) array of unit polar vectors, cached."""
         if self._polars is None:
-            if self.leaves:
-                self._polars = np.stack([geodesic_polar(g) for g in self.leaves])
-            else:
-                self._polars = np.zeros((0, 3))
+            self._polars = geodesic_polars([g.angles() for g in self.leaves])
         return self._polars
 
     # -- serialization -----------------------------------------------------
@@ -116,11 +114,12 @@ class FiniteLamination:
         return FiniteLamination.from_json(read_json(path))
 
 
-def _deepest(depths: np.ndarray) -> int:
-    """Index of the largest entry, or -1 when every entry is -1 (none marked)."""
-    if not depths.size or depths.max() < 0:
-        return -1
-    return int(depths.argmax())
+def _deepest(depths: np.ndarray) -> np.ndarray:
+    """Per row, the index of the largest entry, or -1 where the row is empty
+    or every entry is -1 (none marked)."""
+    if not depths.shape[-1]:
+        return np.full(depths.shape[:-1], -1)
+    return np.where(depths.max(axis=-1) >= 0, depths.argmax(axis=-1), -1)
 
 
 class Nesting:
@@ -171,7 +170,7 @@ class Nesting:
         self.inside = (lo_m <= lo_k) & (hi_k <= hi_m) & ~identical
         self.depth = self.inside.sum(axis=0)
         deepest = np.where(self.inside, self.depth[:, None], -1).T
-        self.parent = np.array([_deepest(d) for d in deepest], dtype=int)
+        self.parent = _deepest(deepest)
 
 
 def validate(lam: FiniteLamination) -> Nesting:
@@ -287,48 +286,66 @@ class GapComplex:
 
     def __init__(self, leaves: list[GeodesicH2], nesting: Nesting | None = None):
         self.leaves = list(leaves)
-        self.polars = np.array([geodesic_polar(g) for g in leaves]).reshape(-1, 3)
+        self.polars = geodesic_polars([g.angles() for g in self.leaves])
         nest = self.nesting = Nesting(self.leaves) if nesting is None else nesting
         n = len(self.leaves)
         # each boundary arc lies inside the leaves whose rank interval spans it
         slots = np.arange(2 * n)[:, None]
         covered = np.where((nest.lo <= slots) & (slots < nest.hi), nest.depth, -1)
-        owner = [_deepest(row) for row in covered]
+        owner = _deepest(covered).tolist()
         rank = {t: r for g, rs in zip(self.leaves, nest.ranks.tolist())
                 for t, r in zip(g.angles(), rs)}
         ends = sorted(rank) or [0.0]
-        self.gaps: list[Gap] = []
-        gap_id: dict[int, int] = {}  # innermost leaf (-1: none) -> gap id
+        arcs: dict[int, list] = {}  # innermost leaf (-1: none) -> gap arcs
+        mids = []  # middle of each gap's first arc
         for start, end in zip(ends, ends[1:] + [ends[0] + 2 * math.pi]):
             key = owner[rank[start]] if n else -1
-            if key not in gap_id:
-                gap_id[key] = len(self.gaps)
-                self.gaps.append(Gap(self._sample(key, 0.5 * (start + end)), []))
-            self.gaps[gap_id[key]].arcs.append((start, end))
+            if key not in arcs:
+                arcs[key] = []
+                mids.append(0.5 * (start + end))
+            arcs[key].append((start, end))
+        samples = self._samples(list(arcs), mids)
+        self.gaps = [Gap(z, a) for z, a in zip(samples, arcs.values())]
+        gap_id = {key: i for i, key in enumerate(arcs)}
         for k in range(n):
             if k not in gap_id:
                 gap_id[k] = len(self.gaps)
                 self.gaps.append(Gap(self._polygon_sample(k), []))
-        self._gap_id = [gap_id[k] for k in range(-1, n)]
+        ids = [gap_id[k] for k in range(-1, n)]
+        self._gap_id = np.array(ids)
         # the gaps on either side of each leaf
-        self.inner = self._gap_id[1:]
-        self.outer = [self._gap_id[p + 1] for p in nest.parent]
+        self.inner = ids[1:]
+        self.outer = [ids[p + 1] for p in nest.parent]
 
-    def _leaf_of(self, z: complex) -> int:
-        """Deepest leaf containing a disk point (-1 for none); on-leaf
-        points count as outside the leaf's arc from a to b."""
-        v = point_vec(z)
-        s = self.polars @ np.array([v[0], v[1], -v[2]])
-        within = (s < -ON_LEAF_TOL) != self.nesting.flipped
-        return _deepest(np.where(within, self.nesting.depth, -1))
+    def _leaves_of(self, zs) -> np.ndarray:
+        """Deepest leaf containing each disk point (-1 for none); on-leaf
+        points count as outside the leaf's arc from a to b.
 
-    def _sample(self, key: int, mid: float) -> complex:
-        """Interior point of the gap: walk inward from its boundary arc."""
-        for r in (0.9, 0.99, 0.999, 0.9999, 0.99999):
-            z = r * cmath.exp(1j * mid)
-            if self._leaf_of(z) == key:
-                return z
-        return 0.999999 * cmath.exp(1j * mid)
+        One sign product against the polars, taken over blocks of about
+        2^16 (point, leaf) entries so that its temporaries stay small.
+        """
+        zs = np.asarray(zs, dtype=complex).ravel()
+        out = np.full(len(zs), -1)
+        n = len(self.leaves)
+        if not n:
+            return out
+        step = max(1, (1 << 16) // n)
+        for i0 in range(0, len(zs), step):
+            s = _mink_dot(point_vec(zs[i0:i0 + step])[:, None, :], self.polars)
+            within = (s < -ON_LEAF_TOL) != self.nesting.flipped
+            out[i0:i0 + step] = _deepest(np.where(within, self.nesting.depth, -1))
+        return out
+
+    def _samples(self, keys: list[int], mids: list[float]) -> list[complex]:
+        """Interior points of the gaps inside leaves ``keys``: the first of a
+        walk inward from the boundary angle ``mids[i]`` that lands there."""
+        radii = (0.9, 0.99, 0.999, 0.9999, 0.99999)
+        edges = [cmath.exp(1j * mid) for mid in mids]
+        walks = [[r * e for r in radii] for e in edges]
+        leaves = self._leaves_of(walks).reshape(-1, len(radii))
+        found = leaves == np.array(keys)[:, None]
+        return [walk[row.argmax()] if row.any() else 0.999999 * e
+                for walk, row, e in zip(walks, found, edges)]
 
     def _polygon_sample(self, k: int) -> complex:
         """Centroid of an ideal polygon's vertices, taken in the Klein model."""
@@ -339,11 +356,16 @@ class GapComplex:
     def __len__(self):
         return len(self.gaps)
 
+    def gaps_of(self, zs) -> np.ndarray:
+        """Gap containing each disk point of a complex array; on-leaf points
+        go to the + side."""
+        return self._gap_id[self._leaves_of(zs) + 1]
+
     def gap_of(self, z: complex | PointH2) -> int:
-        """Gap containing a disk point; on-leaf points go to the + side."""
+        """Gap containing a disk point: `gaps_of` at one point."""
         if isinstance(z, PointH2):
             z = z.z
-        return self._gap_id[self._leaf_of(z) + 1]
+        return int(self.gaps_of(z)[0])
 
     def resolve(self, base) -> int:
         if base is None:

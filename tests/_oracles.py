@@ -6,7 +6,8 @@ sampled points, angle-interleaving predicates, and pointwise finite
 differences.  `retract_oracle` and `roundness_oracle` are the exceptions:
 they are the plain scalar loops (over every face and edge, and over every
 leaf triple) that `dome.retract` and `laminations.roundness` must equal
-bit for bit.
+bit for bit.  So is `embedding_check_oracle`, the pair-by-pair loop that
+`pleating.embedding_check` must match to its stated tolerance.
 """
 from __future__ import annotations
 
@@ -21,9 +22,12 @@ from domekit.dome import (
 )
 from domekit.errors import PointNotInDomain
 from domekit.hyperbolic import (
+    PointH2,
     PointH3,
     _mink_dot,
     boundary_side,
+    dist_h2,
+    dist_h3,
     ideal_to_lightcone,
     mink4_dot,
     poincare_extension,
@@ -31,6 +35,7 @@ from domekit.hyperbolic import (
 )
 from domekit.laminations import FiniteLamination, validate
 from domekit.mobius import MobiusMap, chordal_distance, is_inf
+from domekit.pleating import EmbeddingReport
 
 
 def unit_tangent_toward_ideal(Xf: np.ndarray, xi) -> np.ndarray:
@@ -234,3 +239,36 @@ def roundness_oracle(lam: FiniteLamination) -> float:
                     total += weights[m]
             best = max(best, float(total))
     return best
+
+
+def embedding_check_oracle(plane, samples: int = 10**4, seed: int = 0,
+                           radius: float = 3.0) -> tuple[EmbeddingReport, float]:
+    """`pleating.embedding_check` as a loop over the pairs: the same draws,
+    each pair's gap looked up and mapped one point at a time.
+
+    Returns the report and the least source distance of a compared pair
+    (inf when every pair is skipped).
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, size=(2, samples))
+    r = np.arccosh(1.0 + u * (math.cosh(radius) - 1.0))
+    phi = rng.uniform(0.0, 2 * math.pi, size=(2, samples))
+    zs = np.tanh(r / 2.0) * np.exp(1j * phi)
+    min_ratio, max_ratio = math.inf, 0.0
+    collisions = skipped = 0
+    least = math.inf
+    for z1, z2 in zip(zs[0], zs[1]):
+        d2 = dist_h2(z1, z2)
+        if d2 < 1e-6:
+            skipped += 1
+            continue
+        least = min(least, d2)
+        p1 = PointH2(z1)
+        p2 = PointH2(z2)
+        d3 = dist_h3(plane.apply(p1), plane.apply(p2))
+        ratio = d3 / d2
+        min_ratio = min(min_ratio, ratio)
+        max_ratio = max(max_ratio, ratio)
+        if d3 < 1e-8 and d2 > 1e-3:
+            collisions += 1
+    return EmbeddingReport(samples, min_ratio, max_ratio, collisions, skipped), least

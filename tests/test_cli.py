@@ -604,6 +604,23 @@ class TestMalformedInput:
         (["annulus", "table", "--s-min", "1", "--s-max", "1e5"], 1),
         (["dome", "inj-radius", "--input", "{flat.json}", "--z=-1.35,0.1",
           "--depth", "12"], 1),
+        (["bounds", "table", "--nu-min", "0", "--nu-max", "1", "--points", "3"], 1),
+        (["bounds", "table", "--nu-min=-1", "--nu-max", "1", "--points", "3"], 1),
+        (["bounds", "table", "--nu-min", "0.1", "--nu-max=-2", "--points", "3"], 1),
+        (["bounds", "table", "--nu-min", "0.1", "--nu-max", "inf", "--points", "3"], 1),
+        (["bounds", "table", "--nu-min", "nan", "--nu-max", "1", "--points", "3"], 1),
+        (["earthquake", "trace", "--input", "{lam.json}", "--t", "inf",
+          "--samples", "3"], 2),
+        (["earthquake", "trace", "--input", "{lam.json}", "--t", "0.4,inf",
+          "--samples", "3"], 2),
+        (["earthquake", "trace", "--input", "{lam.json}", "--t", "1e400",
+          "--samples", "3"], 2),
+        (["crescent", "dilatation", "--w", "inf", "--theta", "1"], 2),
+        (["crescent", "dilatation", "--w", "0,2", "--theta", "inf"], 2),
+        (["qc", "estimate", "--fixture", "power", "--alpha", "inf", "--grid", "16"], 2),
+        (["qc", "estimate", "--fixture", "scaling", "--w=-inf,1", "--grid", "16"], 2),
+        (["qc", "estimate", "--fixture", "scaling", "--theta", "nan", "--grid", "16"], 2),
+        (["dome", "retract", "--input", "{flat.json}", "--z", "inf"], 0),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_ends_cleanly(self, tmp_path, capsys, argv, expected):
         for name in ("tetra.json", "lam.json"):

@@ -1,11 +1,13 @@
 import cmath
 import hashlib
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from domekit.errors import UnknownGap
+from domekit.errors import NonpositiveInput, OutOfDomain, UnknownGap
 from domekit.hyperbolic import (
     GeodesicH2,
     PointH2,
@@ -15,10 +17,17 @@ from domekit.hyperbolic import (
     foot_on_geodesic,
     geodesic_polar,
     poincare_extension,
+    side_of,
 )
-from domekit.laminations import FiniteLamination, random_lamination, scale
+from domekit.laminations import (
+    ON_LEAF_TOL,
+    FiniteLamination,
+    random_lamination,
+    scale,
+)
 from domekit.mobius import MobiusMap
 from domekit.pleating import (
+    CircleMap,
     GapComplex,
     T0Region,
     complex_earthquake,
@@ -29,8 +38,71 @@ from domekit.pleating import (
     shear_reach,
 )
 
-from _oracles import dihedral_angle
-from test_laminations import matching_lamination, turned_to_zero
+from _oracles import dihedral_angle, embedding_check_oracle
+from test_laminations import (
+    cusp_lamination,
+    fan_lamination,
+    matching_lamination,
+    turned_to_zero,
+)
+
+
+def ratio_tolerance(plane, radius: float, least: float) -> float:
+    """Relative distance allowed between `embedding_check`'s ratios and the
+    pair-by-pair oracle's: 1e-14 (S^2 e^radius / least + least^-2).
+
+    numpy's complex products, quotients, abs and arccosh round differently
+    from Python's complex arithmetic and math in the last bits.  That moves
+    an image point by about 1e-16 S^2 e^radius, S the largest gap-map
+    coefficient, and acosh(1 + u) turns a last-bit change of u into a
+    1e-16 / d^2 relative change of a short distance d; ``least`` is the
+    least source distance of a compared pair.
+    """
+    size = max(abs(c) for m in plane.gap_maps for c in (m.a, m.b, m.c, m.d))
+    return 1e-14 * (size ** 2 * math.exp(radius) / least + least ** -2)
+
+
+def disk_points(rng: np.random.Generator, n: int, rmax: float) -> np.ndarray:
+    """n points uniform by Euclidean area in the disk |z| < rmax."""
+    r = rmax * np.sqrt(rng.uniform(size=n))
+    return r * np.exp(2j * math.pi * rng.uniform(size=n))
+
+
+@st.composite
+def laminations_upto_64(draw):
+    """Empty, nested (matching, cusp), ideal-polygon (fan) and
+    turned-to-angle-0 laminations of up to 64 leaves."""
+    kind = draw(st.sampled_from(["empty", "matching", "random", "cusp", "fan", "zero"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "empty":
+        return FiniteLamination([], [])
+    if kind == "matching":
+        return matching_lamination(rng, draw(st.integers(1, 64)))
+    if kind == "random":
+        return random_lamination(rng, draw(st.integers(1, 12)))
+    if kind == "cusp":
+        return cusp_lamination(draw(st.integers(1, 16)),
+                               draw(st.sampled_from([0.01, 0.1, 1.0])), seed)
+    spokes = draw(st.integers(1, 32))
+    fan = fan_lamination(rng, spokes, draw(st.integers(0, spokes - 1)))
+    return turned_to_zero(fan) if kind == "zero" else fan
+
+
+@st.composite
+def pleated_planes(draw):
+    """`pleat` or a complex earthquake's plane, from the default or a drawn
+    base gap."""
+    lam = draw(laminations_upto_64())
+    base = draw(st.one_of(st.none(), st.integers(0, len(lam))))
+    # complex_earthquake can raise DegenerateMobius on leaves ending at
+    # angle 0, a separate defect: the earthquake pushes that endpoint to
+    # ~6e-17 rad, and the bend about its Cayley image ~3e16 fails
+    # MobiusMap's determinant test
+    if draw(st.booleans()) or any(g.a.angle == 0.0 for g in lam.leaves):
+        return pleat(lam, base=base)
+    t = complex(draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6)))
+    return complex_earthquake(lam, t, base=base).plane
 
 
 def exterior_angle_at_leaf(plane, leaf_idx: int) -> float:
@@ -95,6 +167,44 @@ class TestGapComplex:
         assert sorted(len(p) for p in paths) == [0, 1, 1, 1]
         assert len(pleat(lam).gap_maps) == 4
 
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(lam=laminations_upto_64(), seed=st.integers(0, 2**32 - 1))
+    @example(lam=matching_lamination(np.random.default_rng(64), 64), seed=1)
+    def test_batched_lookup_equals_scalar(self, lam, seed):
+        # every gap's sample, points on both sides of each leaf within a few
+        # ON_LEAF_TOL of it, and random points: more than one block of 2^16
+        # (point, leaf) entries when there are many leaves
+        rng = np.random.default_rng(seed)
+        gc = GapComplex(lam.leaves)
+        zs = [gap.sample for gap in gc.gaps]
+        near = []  # (leaf, point) within a few ON_LEAF_TOL of the leaf
+        for k, pol in enumerate(gc.polars):
+            for c in disk_points(rng, 3, 0.9):
+                foot = foot_on_geodesic(complex(c), pol)
+                # side-value gradient at the foot, numerically
+                h = 1e-7
+                grad = complex(side_of(foot + h, pol) - side_of(foot - h, pol),
+                               side_of(foot + 1j * h, pol)
+                               - side_of(foot - 1j * h, pol)) / (2 * h)
+                for s in (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0):
+                    near.append((k, foot + s * ON_LEAF_TOL * grad / abs(grad) ** 2))
+        zs += [z for _, z in near]
+        zs += list(disk_points(rng, 1200, 0.99))
+        batched = gc.gaps_of(np.array(zs))
+        assert batched.tolist() == [gc.gap_of(z) for z in zs]
+        # a point is on the side of leaf k holding its arc from a to b when
+        # its side value is below -ON_LEAF_TOL, and on the other side else;
+        # side values carry rounding errors that grow toward the circle
+        # (2e-13 at |z| = 0.97), so points that close to -ON_LEAF_TOL may
+        # go either way
+        for (k, z), got in zip(near, batched[len(gc.gaps):]):
+            s = float(side_of(z, gc.polars[k]))
+            assert abs(s) < 1e-7
+            if abs(abs(s) - ON_LEAF_TOL) > 0.1 * ON_LEAF_TOL:
+                arc = gc.arc_side(k)
+                other = gc.inner[k] + gc.outer[k] - arc
+                assert got == (arc if s < -ON_LEAF_TOL else other)
 
     def test_endpoint_shared_across_angle_zero(self):
         # 2*pi - 1e-13 and 0 are one ideal point, so leaf 1 bounds the arc
@@ -361,6 +471,42 @@ class TestComplexEarthquake:
                 assert chordal_distance(a, b) < 1e-9
 
 
+class TestCircleMapBuiltOnce:
+    def test_boundary_trace_equals_fresh_circle_map(self):
+        # the old path: a CircleMap built afresh on every call
+        cay = MobiusMap.cayley_disk_to_uhp()
+
+        def fresh_plane(plane, angle):
+            maps = [m.compose(cay) for m in plane.gap_maps]
+            return CircleMap.from_gap_maps(plane.complex_, maps).apply_complex(angle)
+
+        def fresh_quake(quake, angle):
+            return CircleMap.from_gap_maps(quake.complex_, quake.gap_maps)(angle)
+
+        def bits(z):
+            return (z.real.hex(), z.imag.hex())
+
+        lam = matching_lamination(np.random.default_rng(11), 16)
+        plane = pleat(lam, base=3)
+        ce = complex_earthquake(lam, 0.4 + 0.3j)
+        angles = np.linspace(0.0, 2 * math.pi, 256, endpoint=False).tolist()
+        for a in angles:
+            assert bits(plane.boundary(a)) == bits(fresh_plane(plane, a))
+            want = fresh_plane(ce.plane, fresh_quake(ce.quake, a))
+            assert bits(ce.boundary(a)) == bits(want)
+        assert plane.boundary_map() is plane.boundary_map()
+        assert ce.quake.boundary_map() is ce.quake.boundary_map()
+
+    def test_maps_are_frozen(self):
+        lam = random_lamination(np.random.default_rng(2), 3)
+        ce = complex_earthquake(lam, 0.2 + 0.1j)
+        for surface in (pleat(lam), earthquake(lam), ce.quake, ce.plane):
+            with pytest.raises(FrozenInstanceError):
+                surface.gap_maps = []
+        with pytest.raises(FrozenInstanceError):
+            ce.z = 1j
+
+
 class TestT0:
     def test_origin_inside(self):
         assert in_T0(0)
@@ -407,6 +553,59 @@ class TestEmbeddingCheck:
         rep = embedding_check(pleat(lam), samples=10**4, seed=3)
         assert rep.near_collisions == 0
         assert rep.min_ratio > 0.05
+
+
+class TestEmbeddingMatchesOracle:
+    def _check(self, plane, samples, seed, radius):
+        got = embedding_check(plane, samples=samples, seed=seed, radius=radius)
+        want, least = embedding_check_oracle(plane, samples=samples, seed=seed,
+                                             radius=radius)
+        assert (got.samples, got.near_collisions, got.skipped) == (
+            want.samples, want.near_collisions, want.skipped)
+        if math.isinf(want.min_ratio):
+            assert (got.min_ratio, got.max_ratio) == (math.inf, 0.0)
+            return got
+        tol = ratio_tolerance(plane, radius, least)
+        for g, w in ((got.min_ratio, want.min_ratio), (got.max_ratio, want.max_ratio)):
+            assert abs(g - w) <= tol * w, (g, w, least)
+        return got
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(plane=pleated_planes(), seed=st.integers(0, 2**32 - 1),
+           radius=st.sampled_from([1e-6, 1e-3, 0.5, 3.0, 8.0]))
+    @example(plane=complex_earthquake(
+        matching_lamination(np.random.default_rng(64), 64), 0.4 + 0.3j).plane,
+        seed=7, radius=3.0)
+    def test_equals_pair_loop(self, plane, seed, radius):
+        self._check(plane, 200, seed, radius)
+
+    def test_skipped_pairs_counted_alike(self):
+        # at radius 1e-6 some pairs fall under the 1e-6 cut and some not
+        rep = self._check(pleat(FiniteLamination([], [])), 500, 4, 1e-6)
+        assert 0 < rep.skipped < 500
+
+    def test_full_fold(self):
+        lam = FiniteLamination([GeodesicH2.from_angles(0.5, 2.5)], [math.pi])
+        assert self._check(pleat(lam), 2000, 5, 3.0).min_ratio < 0.05
+
+
+class TestEmbeddingInputs:
+    plane = pleat(FiniteLamination([GeodesicH2.from_angles(0.5, 2.5)], [1.0]))
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_needs_a_sample(self, samples):
+        with pytest.raises(NonpositiveInput, match="samples"):
+            embedding_check(self.plane, samples=samples)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, 40.0, 22.0, 1e3])
+    def test_radius_in_the_disk(self, radius):
+        # tanh(22 / 2) is already within BOUNDARY_TOL of 1
+        with pytest.raises(OutOfDomain, match=f"radius = {radius}"):
+            embedding_check(self.plane, samples=10, radius=radius)
+
+    def test_largest_radius_accepted(self):
+        rep = embedding_check(self.plane, samples=10, radius=21.0)
+        assert 0 < rep.min_ratio <= rep.max_ratio
 
 
 class TestGlobalConvexity:
