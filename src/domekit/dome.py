@@ -12,6 +12,7 @@ import cmath
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,23 +51,23 @@ _EPS = float(np.finfo(float).eps)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdealConfiguration:
-    """>= 3 pairwise-distinct points on the Riemann sphere."""
+    """>= 3 pairwise-distinct points on the Riemann sphere; frozen."""
 
-    points: list
+    points: tuple
 
     def __post_init__(self):
         if len(self.points) < 3:
             raise TooFewPoints(f"need >= 3 points, got {len(self.points)}")
-        self.points = [complex(p) for p in self.points]
-        if any(cmath.isnan(p) for p in self.points):
+        points = [complex(p) for p in self.points]
+        if any(cmath.isnan(p) for p in points):
             raise InvalidInput("points: a coordinate is NaN")
-        self.points = [INF if is_inf(p) else p for p in self.points]
+        object.__setattr__(self, "points", tuple(INF if is_inf(p) else p for p in points))
         # A Gram screen over blocks of rows: |u - v|^2 = 2 - 2 u.v to ~1e-15.
         # The flagged pairs are decided by chordal_distance in the (i, j)
         # order of a double loop, so the first coincident pair raises.
-        v = self.sphere_vectors()
+        v = self.sphere_vectors
         n = len(v)
         step = max(1, (1 << 16) // n)
         for i0 in range(0, n, step):
@@ -80,11 +81,15 @@ class IdealConfiguration:
                         f"points {i} and {j} numerically coincide"
                     )
 
+    @cached_property
     def sphere_vectors(self) -> np.ndarray:
-        return np.stack([boundary_to_sphere(p) for p in self.points])
+        """(N, 3) read-only array of the points' unit vectors on the sphere."""
+        v = np.stack([boundary_to_sphere(p) for p in self.points])
+        v.flags.writeable = False
+        return v
 
     def is_concyclic(self, tol: float = 1e-9) -> bool:
-        v = self.sphere_vectors()
+        v = self.sphere_vectors
         c = v.mean(axis=0)
         sv = np.linalg.svd(v - c, compute_uv=False)
         return sv[-1] < tol
@@ -216,7 +221,7 @@ def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
     Concyclic configurations produce the doubled ideal polygon (two
     coincident faces, fold edges of exterior angle pi) flagged degenerate.
     """
-    sphere = cfg.sphere_vectors()
+    sphere = cfg.sphere_vectors
     if cfg.is_concyclic():
         return _build_degenerate(cfg, sphere)
     # Imported here, not at module level: it takes ~0.4 s and only the hull
@@ -268,16 +273,6 @@ def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
         for a in range(3):
             key = tuple(sorted((tri[a], tri[(a + 1) % 3])))
             edge_map.setdefault(key, set()).add(group_of_simplex[si])
-    for si in range(nsimp):
-        for sj in hull.neighbors[si]:
-            if sj < 0:
-                continue
-            shared = sorted(set(map(int, hull.simplices[si]))
-                            & set(map(int, hull.simplices[sj])))
-            if len(shared) == 2:
-                edge_map.setdefault(tuple(shared), set()).update(
-                    {group_of_simplex[si], group_of_simplex[int(sj)]}
-                )
 
     edges = []
     for (va, vb), fset in sorted(edge_map.items()):

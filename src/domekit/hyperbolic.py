@@ -106,7 +106,8 @@ def _mink_dot(u, v):
 def point_vec(z) -> np.ndarray:
     """Timelike unit vector of a disk point (vectorized over complex arrays)."""
     z = np.asarray(z, dtype=complex)
-    r2 = np.abs(z) ** 2
+    # not ** 2, which rounds differently for a numpy scalar (pow) and an array
+    r2 = np.square(np.abs(z))
     d = 1.0 - r2
     return np.stack([2 * z.real / d, 2 * z.imag / d, (1 + r2) / d], axis=-1)
 

@@ -13,8 +13,8 @@ import cmath
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .hyperbolic import (
     geodesic_polars,
     point_along,
     point_vec,
+    side_of,
     _mink_dot,
 )
 
@@ -65,13 +66,12 @@ class GeodesicArc:
         return dist_h2(self.p, self.q)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteLamination:
-    """Pairwise-disjoint geodesics with positive weights."""
+    """Pairwise-disjoint geodesics with positive weights; frozen."""
 
-    leaves: list[GeodesicH2]
-    weights: list[float]
-    _polars: np.ndarray | None = field(default=None, repr=False, compare=False)
+    leaves: tuple[GeodesicH2, ...]
+    weights: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.leaves) != len(self.weights):
@@ -80,16 +80,26 @@ class FiniteLamination:
             )
         if len(self.leaves) > MAX_LEAVES:
             raise TooManyLeaves(f"{len(self.leaves)} leaves exceeds cap {MAX_LEAVES}")
-        self.weights = [float(w) for w in self.weights]
+        object.__setattr__(self, "leaves", tuple(self.leaves))
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     def __len__(self):
         return len(self.leaves)
 
+    @cached_property
     def polars(self) -> np.ndarray:
-        """(n, 3) array of unit polar vectors, cached."""
-        if self._polars is None:
-            self._polars = geodesic_polars([g.angles() for g in self.leaves])
-        return self._polars
+        """(n, 3) read-only array of unit polar vectors."""
+        polars = geodesic_polars([g.angles() for g in self.leaves])
+        polars.flags.writeable = False
+        return polars
+
+    @cached_property
+    def nesting(self) -> "Nesting":
+        return Nesting(self.leaves)
+
+    @cached_property
+    def gaps(self) -> "GapComplex":
+        return GapComplex(self)
 
     # -- serialization -----------------------------------------------------
 
@@ -139,7 +149,7 @@ class Nesting:
     CrossingLeaves(i, j) or InvalidInput.
     """
 
-    def __init__(self, leaves: list[GeodesicH2]):
+    def __init__(self, leaves: tuple[GeodesicH2, ...]):
         n = len(leaves)
         angles = np.array([g.angles() for g in leaves], dtype=float).reshape(2 * n)
         order = np.argsort(angles, kind="stable")
@@ -182,7 +192,7 @@ def validate(lam: FiniteLamination) -> Nesting:
     for i, w in enumerate(lam.weights):
         if not w > 0:
             raise NonpositiveWeight(i)
-    return Nesting(lam.leaves)
+    return lam.nesting
 
 
 def transverse_measure(lam: FiniteLamination, arc: GeodesicArc) -> float:
@@ -190,14 +200,11 @@ def transverse_measure(lam: FiniteLamination, arc: GeodesicArc) -> float:
 
     Open-arc semantics: a leaf through an arc endpoint is not counted, and
     an endpoint lying on a leaf (within tolerance) raises NotTransverse.
+    The side values are those `GapComplex.gaps_of` reads, bit for bit.
     """
     if not lam.leaves:
         return 0.0
-    polars = lam.polars()
-    vp = point_vec(arc.p.z)
-    vq = point_vec(arc.q.z)
-    sp = polars @ np.array([vp[0], vp[1], -vp[2]])
-    sq = polars @ np.array([vq[0], vq[1], -vq[2]])
+    sp, sq = side_of(np.array([[arc.p.z], [arc.q.z]]), lam.polars)
     if np.any(np.abs(sp) < ON_LEAF_TOL) or np.any(np.abs(sq) < ON_LEAF_TOL):
         raise NotTransverse("arc endpoint lies on a leaf")
     crossed = (sp * sq) < 0
@@ -219,11 +226,10 @@ def roundness(lam: FiniteLamination) -> float:
     n = len(lam)
     if n == 0:
         return 0.0
-    polars = lam.polars()
     weights = np.asarray(lam.weights)
     best = float(weights.max())
     i, j = np.triu_indices(n, 1)
-    cs = np.abs(_mink_dot(polars[i], polars[j])).tolist()
+    cs = np.abs(_mink_dot(lam.polars[i], lam.polars[j])).tolist()
     near = [c < 1.0 + 1e-12 or math.acosh(c) < 1.0 for c in cs]
     i, j = i[near], j[near]
     if len(i) == 0:
@@ -242,7 +248,7 @@ def scale(lam: FiniteLamination, c: float) -> FiniteLamination:
     """Same leaves, weights multiplied by c > 0."""
     if not c > 0:
         raise NonpositiveScale(f"scale factor {c} must be positive")
-    return FiniteLamination(list(lam.leaves), [w * c for w in lam.weights])
+    return FiniteLamination(lam.leaves, [w * c for w in lam.weights])
 
 
 def pushforward(circle_map, lam: FiniteLamination) -> FiniteLamination:
@@ -253,12 +259,9 @@ def pushforward(circle_map, lam: FiniteLamination) -> FiniteLamination:
     the result is re-validated, so a numerically broken image surfaces as
     CrossingLeaves.
     """
-    leaves = []
-    for g in lam.leaves:
-        t1 = float(circle_map(g.a.angle))
-        t2 = float(circle_map(g.b.angle))
-        leaves.append(GeodesicH2.from_angles(t1, t2))
-    out = FiniteLamination(leaves, list(lam.weights))
+    out = FiniteLamination([GeodesicH2.from_angles(float(circle_map(g.a.angle)),
+                                                   float(circle_map(g.b.angle)))
+                            for g in lam.leaves], lam.weights)
     validate(out)
     return out
 
@@ -275,7 +278,7 @@ class Gap:
 
 
 class GapComplex:
-    """Complement components of a finite set of disjoint geodesics.
+    """Complement components of a lamination's leaves.
 
     The gaps are the vertices of a tree whose edges are the leaves: the gap
     just inside leaf k hangs from the gap just inside its parent leaf, or
@@ -284,10 +287,10 @@ class GapComplex:
     polygons) come last, in leaf order.
     """
 
-    def __init__(self, leaves: list[GeodesicH2], nesting: Nesting | None = None):
-        self.leaves = list(leaves)
-        self.polars = geodesic_polars([g.angles() for g in self.leaves])
-        nest = self.nesting = Nesting(self.leaves) if nesting is None else nesting
+    def __init__(self, lam: FiniteLamination):
+        self.leaves = lam.leaves
+        self.polars = lam.polars
+        nest = self.nesting = lam.nesting
         n = len(self.leaves)
         # each boundary arc lies inside the leaves whose rank interval spans it
         slots = np.arange(2 * n)[:, None]
@@ -331,7 +334,7 @@ class GapComplex:
             return out
         step = max(1, (1 << 16) // n)
         for i0 in range(0, len(zs), step):
-            s = _mink_dot(point_vec(zs[i0:i0 + step])[:, None, :], self.polars)
+            s = side_of(zs[i0:i0 + step, None], self.polars)
             within = (s < -ON_LEAF_TOL) != self.nesting.flipped
             out[i0:i0 + step] = _deepest(np.where(within, self.nesting.depth, -1))
         return out
@@ -428,6 +431,11 @@ def _max_measure(pu: np.ndarray, weights: np.ndarray, centers: np.ndarray,
                  dirs: np.ndarray) -> float:
     """Largest transverse measure over the unit arcs with these centres."""
     vp, vq = _arc_endpoint_vectors(centers, dirs, 0.5)
+    # Not `side_of`, which `transverse_measure` and `GapComplex.gaps_of` share:
+    # through it the sampler took 20-40% longer at 6-8 leaves.  This product
+    # against the polars with t negated (``pu``) is not batch-invariant (under
+    # `gaps_of` a point near a leaf fell in one gap in a batch and in the next
+    # alone); the sampler reads only signs, so its rounding need not match.
     sp = vp @ pu.T
     sq = vq @ pu.T
     return float((((sp * sq) < 0) @ weights).max())
@@ -478,7 +486,7 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
             for j in range(i, n):
                 if i == j:
                     # arcs through the point of the leaf closest to the origin
-                    onleaf = foot_on_geodesic(0j, lam.polars()[i])
+                    onleaf = foot_on_geodesic(0j, lam.polars[i])
                     centers_list.append(np.full(64, onleaf))
                     dirs_list.append(rng.uniform(0, 2 * math.pi, 64))
                     continue
@@ -509,7 +517,7 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
                 centers_list.append(jz)
                 dirs_list.append(direction + rng.normal(0, 0.05, jn))
 
-    pu = lam.polars() @ np.diag([1.0, 1.0, -1.0])
+    pu = lam.polars @ np.diag([1.0, 1.0, -1.0])
     weights = np.asarray(lam.weights)
     jobs = []
     if centers_list:

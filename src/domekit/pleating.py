@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonpositiveInput, OutOfDomain, UnknownGap
+from .errors import NonpositiveInput, OutOfDomain
 from .hyperbolic import (
     BOUNDARY_TOL,
     GeodesicH2,
@@ -29,7 +29,7 @@ from .hyperbolic import (
     poincare_extension,
     poincare_extension_array,
 )
-from .laminations import FiniteLamination, GapComplex, validate
+from .laminations import FiniteLamination, GapComplex, pushforward, validate
 from .mobius import MobiusMap
 
 
@@ -81,13 +81,11 @@ class _GapMaps:
 
     lamination: FiniteLamination
     base_gap: int
-    complex_: GapComplex = field(repr=False)
     gap_maps: list[MobiusMap] = field(repr=False)
 
-    def gap_map(self, gap_id: int) -> MobiusMap:
-        if not 0 <= gap_id < len(self.gap_maps):
-            raise UnknownGap(f"gap id {gap_id} out of range")
-        return self.gap_maps[gap_id]
+    @property
+    def complex_(self) -> GapComplex:
+        return self.lamination.gaps
 
     def boundary_map(self) -> CircleMap:
         """The gap maps on the circle, built on first use."""
@@ -116,15 +114,16 @@ class EarthquakeMap(_GapMaps):
 
 
 def _gap_maps(lam: FiniteLamination, amounts: list[float], base,
-              leaf_map) -> tuple[int, GapComplex, list[MobiusMap]]:
-    """Validate, then build one Mobius map per gap, the base gap fixed.
+              leaf_map) -> tuple[int, list[MobiusMap]]:
+    """Validate; return the base gap and one Mobius map per gap, the base's the identity.
 
     ``leaf_map(leaf, amount, inside)`` is the map across a leaf whose far
     side (away from the base) is, or is not, the side holding its boundary
     arc from ``leaf.a`` to ``leaf.b``.  Each gap's map is its base-ward
     neighbour's map composed with the map of the leaf between them.
     """
-    complex_ = GapComplex(lam.leaves, validate(lam))
+    validate(lam)
+    complex_ = lam.gaps
     base_id = complex_.resolve(base)
     maps = [None] * len(complex_)
     maps[base_id] = MobiusMap.identity()
@@ -132,7 +131,7 @@ def _gap_maps(lam: FiniteLamination, amounts: list[float], base,
         leaf = lam.leaves[i]
         inside = far == complex_.arc_side(i)
         maps[far] = maps[near].compose(leaf_map(leaf, amounts[i], inside))
-    return base_id, complex_, maps
+    return base_id, maps
 
 
 def _shear(leaf: GeodesicH2, dist: float, inside: bool) -> MobiusMap:
@@ -230,12 +229,8 @@ class ComplexEarthquake:
 def complex_earthquake(lam: FiniteLamination, z: complex, base=None) -> ComplexEarthquake:
     x, y = z.real, z.imag
     quake = EarthquakeMap(lam, *_gap_maps(lam, [x * w for w in lam.weights], base, _shear))
-    bm = quake.boundary_map()
-    pushed_leaves = [
-        GeodesicH2.from_angles(bm(g.a.angle), bm(g.b.angle)) for g in lam.leaves
-    ]
-    pushed = FiniteLamination(pushed_leaves, list(lam.weights))
-    base_sample = quake.complex_.gaps[quake.base_gap].sample
+    pushed = pushforward(quake.boundary_map(), lam)
+    base_sample = lam.gaps.gaps[quake.base_gap].sample
     plane = PleatedPlane(pushed, *_gap_maps(pushed, [y * w for w in lam.weights],
                                             base_sample, _bend))
     return ComplexEarthquake(lam, complex(z), quake, plane)

@@ -223,7 +223,7 @@ def roundness_oracle(lam: FiniteLamination) -> float:
     n = len(lam)
     if n == 0:
         return 0.0
-    polars = lam.polars()
+    polars = lam.polars
     weights = np.asarray(lam.weights)
     best = float(weights.max())
     for i in range(n):

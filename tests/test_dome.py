@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ class TestConfiguration:
             except NumericallyCoincident as exc:
                 got = str(exc)
             assert got == want
+
+    def test_frozen_with_sphere_vectors_computed_once(self):
+        cfg = IdealConfiguration([0, 1, INF, 1j])
+        with pytest.raises(FrozenInstanceError):
+            cfg.points = (0, 1, 2)
+        assert cfg.points == (0j, 1 + 0j, INF, 1j)
+        v = cfg.sphere_vectors
+        assert v is cfg.sphere_vectors is build_hull(cfg).sphere
+        assert not v.flags.writeable
 
     def test_concyclic_detection(self):
         assert IdealConfiguration([0, 1, INF, -1]).is_concyclic()

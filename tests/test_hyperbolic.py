@@ -21,6 +21,7 @@ from domekit.hyperbolic import (
     geodesic_ray_point,
     halfspace_to_ball,
     poincare_extension,
+    point_vec,
     sphere_to_boundary,
 )
 from domekit.mobius import INF, MobiusMap, random_disk_mobius, random_mobius
@@ -166,6 +167,18 @@ class TestModelConversions:
         n = abs(z) ** 2
         want = np.array([2 * z.real, 2 * z.imag, n - 1.0]) / (n + 1.0)
         assert boundary_to_sphere(z).tolist() == want.tolist()
+
+    def test_point_vec_same_bits_for_scalars_and_arrays(self, rng):
+        # a numpy scalar's ** 2 goes through pow and an array's through x * x;
+        # at the first point the two put a side value on either side of
+        # -ON_LEAF_TOL
+        r = np.sqrt(rng.uniform(0.0, 0.999**2, 20000))
+        zs = np.concatenate(([-0.24573449136332562 + 0.940889132896685j],
+                             r * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 20000))))
+        batched = point_vec(zs)
+        for z, row in zip(zs.tolist(), batched):
+            assert [x.hex() for x in point_vec(z).tolist()] == [
+                x.hex() for x in row.tolist()]
 
     def test_disk_embedding(self):
         p = disk_to_halfspace(0j)

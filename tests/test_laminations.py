@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def two_leaves_at_distance(d: float, w1: float, w2: float) -> FiniteLamination:
 
 
 class TestValidate:
+    def test_frozen_with_derived_structures_computed_once(self, rng):
+        lam = random_lamination(rng, 5)
+        for name, value in (("leaves", ()), ("weights", ()), ("polars", None)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(lam, name, value)
+        assert isinstance(lam.leaves, tuple) and isinstance(lam.weights, tuple)
+        assert validate(lam) is lam.nesting is lam.gaps.nesting
+        assert lam.polars is lam.gaps.polars and not lam.polars.flags.writeable
+
     def test_empty_ok(self):
         validate(FiniteLamination([], []))
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from domekit.errors import NonpositiveInput, OutOfDomain, UnknownGap
+from domekit import laminations
+from domekit.errors import NonpositiveInput, NotTransverse, OutOfDomain, UnknownGap
 from domekit.hyperbolic import (
     GeodesicH2,
     PointH2,
@@ -22,8 +23,10 @@ from domekit.hyperbolic import (
 from domekit.laminations import (
     ON_LEAF_TOL,
     FiniteLamination,
+    GeodesicArc,
     random_lamination,
     scale,
+    transverse_measure,
 )
 from domekit.mobius import MobiusMap
 from domekit.pleating import (
@@ -127,24 +130,45 @@ def exterior_angle_at_leaf(plane, leaf_idx: int) -> float:
 
 
 class TestGapComplex:
+    def test_one_nesting_and_gap_tree_per_lamination(self, monkeypatch):
+        # the loader, roundness, pleat, earthquake and complex_earthquake
+        # share the nesting and the gap tree of each lamination they meet
+        built = {laminations.Nesting: [], GapComplex: []}
+        for cls, log in built.items():
+            def counted(self, source, _init=cls.__init__, _log=log):
+                _log.append(source)
+                _init(self, source)
+            monkeypatch.setattr(cls, "__init__", counted)
+        doc = random_lamination(np.random.default_rng(8), 6).to_json()
+        lam = FiniteLamination.from_json(doc)
+        laminations.roundness(lam)
+        plane, quake = pleat(lam), earthquake(lam)
+        ce = complex_earthquake(lam, 0.4 + 0.3j)
+        pushed = ce.plane.lamination
+        assert pushed is not lam
+        assert [id(x) for x in built[laminations.Nesting]] == [id(lam.leaves),
+                                                               id(pushed.leaves)]
+        assert [id(x) for x in built[GapComplex]] == [id(lam), id(pushed)]
+        assert plane.complex_ is quake.complex_ is ce.quake.complex_ is lam.gaps
+
     def test_empty(self):
-        gc = GapComplex([])
+        gc = FiniteLamination([], []).gaps
         assert len(gc) == 1 and gc.gap_of(0.3 + 0.1j) == 0
 
     def test_counts(self, rng):
         for n in (1, 2, 5, 9):
             lam = random_lamination(rng, n)
-            assert len(GapComplex(lam.leaves)) == n + 1
+            assert len(lam.gaps) == n + 1
 
     def test_unknown_gap(self, rng):
         lam = random_lamination(rng, 2)
-        gc = GapComplex(lam.leaves)
+        gc = lam.gaps
         with pytest.raises(UnknownGap):
             gc.resolve(99)
 
     def test_tree_paths_cross_separating_leaves(self, rng):
         lam = random_lamination(rng, 6)
-        gc = GapComplex(lam.leaves)
+        gc = lam.gaps
         base = gc.gap_of(0j)
         paths, crossing = gc.tree_paths(base)
         for g, path in enumerate(paths):
@@ -159,7 +183,7 @@ class TestGapComplex:
         lam = FiniteLamination([GeodesicH2.from_angles(a, b)
                                 for a, b in [(0.0, 2.0), (2.0, 4.0), (0.0, 4.0)]],
                                [0.3, 0.4, 0.5])
-        gc = GapComplex(lam.leaves)
+        gc = lam.gaps
         assert len(gc) == 4
         tri = next(g for g, gap in enumerate(gc.gaps) if not gap.arcs)
         assert gc.gap_of(gc.gaps[tri].sample) == tri == gc.gap_of(0j)
@@ -176,7 +200,7 @@ class TestGapComplex:
         # ON_LEAF_TOL of it, and random points: more than one block of 2^16
         # (point, leaf) entries when there are many leaves
         rng = np.random.default_rng(seed)
-        gc = GapComplex(lam.leaves)
+        gc = lam.gaps
         zs = [gap.sample for gap in gc.gaps]
         near = []  # (leaf, point) within a few ON_LEAF_TOL of the leaf
         for k, pol in enumerate(gc.polars):
@@ -205,6 +229,17 @@ class TestGapComplex:
                 arc = gc.arc_side(k)
                 other = gc.inner[k] + gc.outer[k] - arc
                 assert got == (arc if s < -ON_LEAF_TOL else other)
+        # transverse_measure reads the lookup's side values, bit for bit: the
+        # zero-length arc at a near point is refused exactly when one of them
+        # is within ON_LEAF_TOL of zero
+        sides = side_of(np.array([z for _, z in near])[:, None], gc.polars)
+        for (_, z), row in zip(near, sides):
+            try:
+                transverse_measure(lam, GeodesicArc(PointH2(z), PointH2(z)))
+                refused = False
+            except NotTransverse:
+                refused = True
+            assert refused == bool((np.abs(row) < ON_LEAF_TOL).any())
 
     def test_endpoint_shared_across_angle_zero(self):
         # 2*pi - 1e-13 and 0 are one ideal point, so leaf 1 bounds the arc
@@ -212,7 +247,7 @@ class TestGapComplex:
         lam = FiniteLamination([GeodesicH2.from_angles(0.0, 2.0),
                                 GeodesicH2.from_angles(1.0, 2 * math.pi - 1e-13)],
                                [0.5, 0.7])
-        gc = GapComplex(lam.leaves)
+        gc = lam.gaps
         assert len(gc) == 3
         for angle in (0.5, 1.5, 4.0):
             arcs = gc.gaps[gc.gap_of(0.9 * cmath.exp(1j * angle))].arcs
