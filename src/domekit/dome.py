@@ -44,6 +44,9 @@ COINCIDE_TOL = 1e-9
 #: ``chordal_distance`` decides whether they are within ``COINCIDE_TOL``.
 _NEAR = 1e-6
 _EPS = float(np.finfo(float).eps)
+#: Angles (rad) this close to the +-pi cut or to each other send a triangle
+#: from `_order_triangles` back to `_order_cycle`.
+_ANGLE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +159,11 @@ class HullPolyhedron:
              for f in self.faces])
         self.edge_vertices = np.array([e.v for e in self.edges]).reshape(-1, 2)
 
+    @cached_property
+    def atlas(self) -> "SurfaceAtlas":
+        """The dome's development (charts and gluing maps), built on first use."""
+        return SurfaceAtlas(self.config.points, self.faces, self.edges)
+
     def edge_geodesic_endpoints(self, e: Edge):
         return self.config.points[e.v[0]], self.config.points[e.v[1]]
 
@@ -175,14 +183,14 @@ def _face_circle(normal: np.ndarray, offset: float) -> CircleOrLine:
     return CircleOrLine(n3 - offset, complex(n1, n2), -(n3 + offset))
 
 
-def _klein_polar(normal: np.ndarray, offset: float) -> np.ndarray:
-    s = math.sqrt(1.0 - offset * offset)
-    return np.array([normal[0], normal[1], normal[2], offset]) / s
+def _klein_polars(normals: np.ndarray, offsets: np.ndarray) -> list[list[float]]:
+    """Each face plane's unit polar (normal, offset) / sqrt(1 - offset^2)."""
+    s = np.sqrt(1.0 - offsets * offsets)
+    return (np.column_stack([normals, offsets]) / s[:, None]).tolist()
 
 
-def _exterior_angle(f1: Face, f2: Face) -> float:
-    u1 = _klein_polar(f1.normal, f1.offset)
-    u2 = _klein_polar(f2.normal, f2.offset)
+def _exterior_angle(u1: list[float], u2: list[float]) -> float:
+    """Exterior dihedral angle between two faces, from their polars."""
     c = u1[0] * u2[0] + u1[1] * u2[1] + u1[2] * u2[2] - u1[3] * u2[3]
     return math.acos(max(-1.0, min(1.0, c)))
 
@@ -196,6 +204,33 @@ def _order_cycle(vertex_ids: list[int], pts: np.ndarray, normal: np.ndarray) -> 
     e2 = np.cross(normal, e1)
     ang = np.arctan2((pts - c) @ e2, (pts - c) @ e1)
     return [vertex_ids[i] for i in np.argsort(ang)]
+
+
+def _order_triangles(tris: np.ndarray, sphere: np.ndarray,
+                     normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_order_cycle` of T triangles at once: (T, 3) cycles and an unsure mask.
+
+    The centroids, frames and angles are `_order_cycle`'s, in arrays; the
+    frames have its bits (`vecdot` is the `dot` that `np.linalg.norm`
+    takes), while the angles' dot products and `arctan2` may round
+    differently, by ~1e-15 rad.  A triangle with an angle within
+    _ANGLE_TOL of the +-pi cut, or two angles within _ANGLE_TOL of each
+    other, is marked unsure, and the caller orders it with `_order_cycle`;
+    every other order is the one `_order_cycle` gives.
+    """
+    pts = sphere[tris]
+    c = pts.mean(axis=1)
+    ref = np.eye(3)[np.argmin(np.abs(normals), axis=1)]
+    e1 = np.cross(normals, ref)
+    e1 /= np.sqrt(np.vecdot(e1, e1))[:, None]
+    e2 = np.cross(normals, e1)
+    q = pts - c[:, None, :]
+    ang = np.arctan2(np.einsum("tij,tj->ti", q, e2), np.einsum("tij,tj->ti", q, e1))
+    order = np.argsort(ang, axis=1)
+    ang = np.take_along_axis(ang, order, axis=1)
+    unsure = ((np.abs(ang).max(axis=1) > math.pi - _ANGLE_TOL)
+              | (np.diff(ang, axis=1).min(axis=1) < _ANGLE_TOL))
+    return np.take_along_axis(tris, order, axis=1), unsure
 
 
 def _build_degenerate(cfg: IdealConfiguration, sphere: np.ndarray) -> HullPolyhedron:
@@ -229,7 +264,8 @@ def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(sphere)
-    nsimp = len(hull.simplices)
+    simplices = hull.simplices.tolist()
+    nsimp = len(simplices)
     # union-find over coplanar neighboring simplices
     parent = list(range(nsimp))
 
@@ -240,36 +276,47 @@ def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
         return i
 
     eqs = hull.equations  # n . x + b <= 0 inside, n outward
-    for si in range(nsimp):
-        for sj in hull.neighbors[si]:
-            if sj < 0 or sj <= si:
-                continue
-            if (
-                abs(eqs[si, :3] @ eqs[sj, :3] - 1.0) < COPLANAR_TOL
-                and abs(eqs[si, 3] - eqs[sj, 3]) < COPLANAR_TOL
-            ):
-                parent[find(int(sj))] = find(si)
+    # neighbour pairs lo < hi in loop order; `vecdot` rounds as 1-D `@` does
+    lo = np.repeat(np.arange(nsimp), 3)
+    hi = hull.neighbors.ravel()
+    lo, hi = lo[hi > lo], hi[hi > lo]
+    flat = ((np.abs(np.vecdot(eqs[lo, :3], eqs[hi, :3]) - 1.0) < COPLANAR_TOL)
+            & (np.abs(eqs[lo, 3] - eqs[hi, 3]) < COPLANAR_TOL))
+    for a, b in zip(lo[flat].tolist(), hi[flat].tolist()):
+        parent[find(b)] = find(a)
 
     groups: dict[int, list[int]] = {}
     for si in range(nsimp):
         groups.setdefault(find(si), []).append(si)
 
+    group_members = [groups[root] for root in sorted(groups)]
+    first = np.array([members[0] for members in group_members])
+    normals = eqs[first, :3].astype(float)
+    normals /= np.sqrt(np.vecdot(normals, normals))[:, None]  # np.linalg.norm's bits
+    offsets = (-eqs[first, 3]).tolist()
+    polars = _klein_polars(normals, -eqs[first, 3])
+    # triangles in one batch; merged faces and unsure triangles one by one
+    cycles: list = [None] * len(group_members)
+    tris = np.flatnonzero([len(members) == 1 for members in group_members])
+    tri_cycles, unsure = _order_triangles(np.sort(hull.simplices[first[tris]], axis=1),
+                                          sphere, normals[tris])
+    for gid, cycle, redo in zip(tris.tolist(), tri_cycles.tolist(), unsure.tolist()):
+        if not redo:
+            cycles[gid] = cycle
     faces: list[Face] = []
     group_of_simplex: dict[int, int] = {}
-    for gid, (root, members) in enumerate(sorted(groups.items())):
-        verts = sorted({int(v) for si in members for v in hull.simplices[si]})
-        normal = eqs[members[0], :3].astype(float)
-        normal /= np.linalg.norm(normal)
-        offset = -float(eqs[members[0], 3])
-        cycle = _order_cycle(verts, sphere[verts], normal)
+    for gid, members in enumerate(group_members):
+        normal, offset, cycle = normals[gid], offsets[gid], cycles[gid]
+        if cycle is None:
+            verts = sorted({v for si in members for v in simplices[si]})
+            cycle = _order_cycle(verts, sphere[verts], normal)
         faces.append(Face(normal, offset, cycle, _face_circle(normal, offset)))
         for si in members:
             group_of_simplex[si] = gid
 
     # edges between distinct merged faces
     edge_map: dict[tuple[int, int], set] = {}
-    for si in range(nsimp):
-        tri = [int(v) for v in hull.simplices[si]]
+    for si, tri in enumerate(simplices):
         for a in range(3):
             key = tuple(sorted((tri[a], tri[(a + 1) % 3])))
             edge_map.setdefault(key, set()).add(group_of_simplex[si])
@@ -281,7 +328,7 @@ def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
             continue  # interior diagonal of a merged face
         if len(fs) != 2:
             raise NumericallyCoincident(f"edge {va},{vb} borders {len(fs)} faces")
-        ang = _exterior_angle(faces[fs[0]], faces[fs[1]])
+        ang = _exterior_angle(polars[fs[0]], polars[fs[1]])
         edges.append(Edge((va, vb), (fs[0], fs[1]), ang))
 
     poly = HullPolyhedron(cfg, sphere, faces, edges, degenerate=False)
@@ -509,14 +556,36 @@ def retraction_certificate(hull: HullPolyhedron, z, result: RetractionResult,
 # ---------------------------------------------------------------------------
 
 
-class Dev2D:
-    """Isometry of the upper half plane: real Mobius, possibly anti-holomorphic."""
+def _quot(nr: float, ni: float, dr: float, di: float) -> complex:
+    """(nr + i ni) / (dr + i di), rounded as numpy divides complex128 scalars.
 
-    __slots__ = ("mat", "conj")
+    Smith's method, multiplying by the reciprocal of its denominator as
+    numpy does; CPython's complex ``/`` divides by it, which rounds some
+    quotients differently in the last bit.
+    """
+    if abs(dr) >= abs(di):
+        rat = di / dr
+        scl = 1.0 / (dr + di * rat)
+        return complex((nr + ni * rat) * scl, (ni - nr * rat) * scl)
+    rat = dr / di
+    scl = 1.0 / (di + dr * rat)
+    return complex((nr * rat + ni) * scl, (ni * rat - nr) * scl)
+
+
+class Dev2D:
+    """Isometry of the upper half plane: real Mobius, possibly anti-holomorphic.
+
+    ``mat`` is the normalized matrix, and ``coef`` its four entries as
+    Python floats, for the search's inner step `apply_boundary`.
+    """
+
+    __slots__ = ("mat", "coef", "conj")
 
     def __init__(self, mat: np.ndarray, conj: bool):
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        self.mat = mat / math.sqrt(abs(det))
+        a, b, c, d = mat.ravel().tolist()
+        s = math.sqrt(abs(a * d - b * c))
+        self.mat = mat / s
+        self.coef = (a / s, b / s, c / s, d / s)
         self.conj = conj
 
     @staticmethod
@@ -547,13 +616,20 @@ class Dev2D:
         return (a * w + b) / (c * w + d)
 
     def apply_boundary(self, x):
-        a, b, c, d = self.mat.flat
+        """Image of a boundary point x (a Python complex, or INF).
+
+        Python floats, with the values numpy's float64 and complex128
+        scalars give: INF, a float ``a / c`` (the image of INF), or a
+        complex quotient (`_quot`).
+        """
+        a, b, c, d = self.coef
         if is_inf(x):
             return INF if abs(c) < 1e-300 else a / c
-        den = c * x + d
-        if den == 0:
+        xr, xi = x.real, x.imag
+        dr, di = c * xr + d, c * xi
+        if dr == 0 and di == 0:
             return INF
-        return (a * x + b) / den
+        return _quot(a * xr + b, a * xi, dr, di)
 
     def moves(self, w: complex, tol: float = 1e-9) -> bool:
         return abs(self.apply(w) - w) > tol
@@ -576,19 +652,25 @@ def _dist_uhp_to_geodesic(w: complex, a, b) -> float:
 
 
 class SurfaceAtlas:
-    """Per-face upper-half-plane charts of the dome and the gluing maps."""
+    """Per-face upper-half-plane charts of the dome and the gluing maps.
 
-    def __init__(self, hull: HullPolyhedron):
-        self.hull = hull
-        self.charts: list[MobiusMap] = []
-        for f in hull.faces:
-            v = [hull.config.points[i] for i in f.vertices[:3]]
-            self.charts.append(MobiusMap.to_zero_one_inf(*v))
-        self.face_edges: list[list[int]] = [[] for _ in hull.faces]
-        for ei, e in enumerate(hull.edges):
+    A hull builds one, as `HullPolyhedron.atlas`, so the chart images of
+    the edges and the gluing maps computed for one query serve the next.
+    It keeps the hull's points, faces and edges, not the hull, so no
+    reference cycle holds a hull alive.
+    """
+
+    def __init__(self, points: tuple, faces: list[Face], edges: list[Edge]):
+        self.points, self.faces, self.edges = points, faces, edges
+        self.charts: list[MobiusMap] = [
+            MobiusMap.to_zero_one_inf(*(points[i] for i in f.vertices[:3]))
+            for f in faces]
+        self.face_edges: list[list[int]] = [[] for _ in faces]
+        for ei, e in enumerate(edges):
             self.face_edges[e.faces[0]].append(ei)
             self.face_edges[e.faces[1]].append(ei)
-        self._glue: dict[tuple[int, int], Dev2D] = {}
+        self._chart_edges: list[list | None] = [None] * len(faces)
+        self._glue: dict[tuple[int, int], tuple[Dev2D, int]] = {}
 
     def chart_point(self, face: int, p: PointH3) -> complex:
         q = poincare_extension(self.charts[face], p)
@@ -596,18 +678,24 @@ class SurfaceAtlas:
             raise DevelopmentFailed(f"point is not on face {face} (y = {q.y})")
         return complex(q.x, q.t)
 
-    def chart_edge(self, face: int, edge: int):
-        e = self.hull.edges[edge]
-        pa, pb = self.hull.edge_geodesic_endpoints(e)
-        return self.charts[face](pa), self.charts[face](pb)
+    def chart_edges(self, face: int) -> list[tuple[int, complex, complex]]:
+        """(edge, a, b) for each edge of ``face``, a and b the chart images
+        of the edge's ends; computed on the face's first use."""
+        got = self._chart_edges[face]
+        if got is None:
+            chart = self.charts[face]
+            got = self._chart_edges[face] = [
+                (ei, chart(self.points[self.edges[ei].v[0]]),
+                 chart(self.points[self.edges[ei].v[1]]))
+                for ei in self.face_edges[face]]
+        return got
 
-    def _unbend(self, face: int, edge: int) -> MobiusMap:
+    def _unbend(self, face: int, edge: int, other: int) -> MobiusMap:
         """Rotation about the edge mapping the neighbor's plane onto face's."""
-        e = self.hull.edges[edge]
-        other = e.faces[0] if e.faces[1] == face else e.faces[1]
-        pa, pb = self.hull.edge_geodesic_endpoints(e)
-        target = self.hull.faces[face].circle
-        source = self.hull.faces[other].circle
+        e = self.edges[edge]
+        pa, pb = self.points[e.v[0]], self.points[e.v[1]]
+        target = self.faces[face].circle
+        source = self.faces[other].circle
         for sign in (1.0, -1.0):
             rot = MobiusMap.rotation_about(pa, pb, sign * e.angle)
             if source.mobius_image(rot).close_to(target, tol=1e-7):
@@ -621,22 +709,26 @@ class SurfaceAtlas:
         Returns (g, neighbor) with g = chart_face o unbend o chart_neighbor^-1,
         so dev_child = dev_parent.compose(g).
         """
-        e = self.hull.edges[edge]
-        other = e.faces[0] if e.faces[1] == face else e.faces[1]
         key = (face, edge)
-        if key not in self._glue:
-            rho = self._unbend(face, edge)
+        got = self._glue.get(key)
+        if got is None:
+            e = self.edges[edge]
+            other = e.faces[0] if e.faces[1] == face else e.faces[1]
+            rho = self._unbend(face, edge, other)
             m = self.charts[face].compose(rho).compose(self.charts[other].inverse())
-            self._glue[key] = Dev2D.from_mobius(m)
-        return self._glue[key], other
+            got = self._glue[key] = (Dev2D.from_mobius(m), other)
+        return got
 
 
 @dataclass
 class InjectivityEstimate:
     value: float                # half the shortest essential loop found
-    exact: bool                 # search provably exhausted shorter loops
+    exact: bool                 # the frontier emptied before the depth cap
     loops_found: int
     depth: int
+    expanded: int               # nodes whose edges were developed
+    pruned: int                 # edges skipped as farther than best / 2
+    frontier: int               # nodes left at the depth cap; 0 iff exact
 
 
 def dome_injectivity_radius(hull: HullPolyhedron, face: int, p: PointH3,
@@ -646,29 +738,29 @@ def dome_injectivity_radius(hull: HullPolyhedron, face: int, p: PointH3,
     Develops non-backtracking face paths into the chart of the starting
     face; each return to it yields a deck transformation W and a loop of
     length dist(p, W p).  Branches are pruned once the next edge geodesic
-    is farther than half the current best loop, which also certifies
-    exactness when the frontier empties before the depth cap.
+    is farther than half the current best loop.  ``exact`` means the
+    frontier emptied before the depth cap; that pruning can drop a
+    shorter loop, so it is no certificate (see the README).
     """
-    atlas = SurfaceAtlas(hull)
+    atlas = hull.atlas
     w0 = atlas.chart_point(face, p)
     best = math.inf
-    loops = 0
-    exhausted = True
+    loops = expanded = pruned = frontier = 0
     queue: deque = deque()
     queue.append((face, Dev2D.identity(), -1, 0))
     while queue:
         cur_face, dev, in_edge, d = queue.popleft()
         if d >= depth:
-            exhausted = False
+            frontier += 1
             continue
-        for ei in atlas.face_edges[cur_face]:
+        expanded += 1
+        for ei, a, b in atlas.chart_edges(cur_face):
             if ei == in_edge:
                 continue
-            a, b = atlas.chart_edge(cur_face, ei)
-            da = dev.apply_boundary(a)
-            db = dev.apply_boundary(b)
-            gdist = _dist_uhp_to_geodesic(w0, da, db)
+            gdist = _dist_uhp_to_geodesic(w0, dev.apply_boundary(a),
+                                          dev.apply_boundary(b))
             if best < math.inf and gdist >= best / 2.0:
+                pruned += 1
                 continue
             g, nxt = atlas.gluing(cur_face, ei)
             ndev = dev.compose(g)
@@ -678,7 +770,8 @@ def dome_injectivity_radius(hull: HullPolyhedron, face: int, p: PointH3,
             queue.append((nxt, ndev, ei, d + 1))
     if not math.isfinite(best):
         raise DepthTooSmall(f"no essential loop closed within depth {depth}")
-    return InjectivityEstimate(best / 2.0, exhausted, loops, depth)
+    return InjectivityEstimate(best / 2.0, frontier == 0, loops, depth,
+                               expanded, pruned, frontier)
 
 
 @dataclass
@@ -686,6 +779,7 @@ class ArcTraceResult:
     measure: float
     crossings: list[tuple[int, float]]   # (edge id, arclength parameter)
     length: float
+    truncated: bool                      # stopped at max_crossings short of length
 
 
 def trace_surface_arc(hull: HullPolyhedron, face: int, p: PointH3,
@@ -694,9 +788,10 @@ def trace_surface_arc(hull: HullPolyhedron, face: int, p: PointH3,
     """Develop a geodesic arc on the dome and sum crossed bending weights.
 
     ``direction`` is the Euclidean angle of the initial tangent in the
-    starting face's chart.
+    starting face's chart.  ``truncated`` is set when the arc crosses
+    another edge within ``length`` after ``max_crossings`` crossings.
     """
-    atlas = SurfaceAtlas(hull)
+    atlas = hull.atlas
     w0 = atlas.chart_point(face, p)
     # geodesic through w0 with tangent direction `direction`
     co = math.cos(direction)
@@ -712,18 +807,23 @@ def trace_surface_arc(hull: HullPolyhedron, face: int, p: PointH3,
     T = MobiusMap.to_zero_inf(e_back, e_fwd)
     tau0 = abs(T(w0))
 
+    def on_axis(x):
+        """T(x) for an `apply_boundary` image x.  A finite complex x goes in
+        as a numpy scalar, so T divides as numpy does (see `_quot`)."""
+        return T(np.complex128(x) if type(x) is complex else x)
+
     crossings: list[tuple[int, float]] = []
     measure = 0.0
+    truncated = False
     cur_face, dev, in_edge = face, Dev2D.identity(), -1
     s_cur = 0.0
-    while len(crossings) < max_crossings:
+    while True:
         nxt_hit = None
-        for ei in atlas.face_edges[cur_face]:
+        for ei, a, b in atlas.chart_edges(cur_face):
             if ei == in_edge:
                 continue
-            a, b = atlas.chart_edge(cur_face, ei)
-            da = T(dev.apply_boundary(a))
-            db = T(dev.apply_boundary(b))
+            da = on_axis(dev.apply_boundary(a))
+            db = on_axis(dev.apply_boundary(b))
             if is_inf(da) or is_inf(db):
                 continue
             da, db = da.real, db.real
@@ -736,6 +836,9 @@ def trace_surface_arc(hull: HullPolyhedron, face: int, p: PointH3,
                 nxt_hit = (s, ei)
         if nxt_hit is None:
             break
+        if len(crossings) >= max_crossings:
+            truncated = True
+            break
         s, ei = nxt_hit
         measure += hull.edges[ei].angle
         crossings.append((ei, s))
@@ -743,7 +846,7 @@ def trace_surface_arc(hull: HullPolyhedron, face: int, p: PointH3,
         dev = dev.compose(g)
         in_edge = ei
         s_cur = s
-    return ArcTraceResult(measure, crossings, length)
+    return ArcTraceResult(measure, crossings, length, truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,27 @@ differences.  `retract_oracle` and `roundness_oracle` are the exceptions:
 they are the plain scalar loops (over every face and edge, and over every
 leaf triple) that `dome.retract` and `laminations.roundness` must equal
 bit for bit.  So is `embedding_check_oracle`, the pair-by-pair loop that
-`pleating.embedding_check` must match to its stated tolerance.
+`pleating.embedding_check` must match to its stated tolerance.  So are
+`injectivity_radius_oracle` and `trace_surface_arc_oracle`, the per-call
+development on numpy scalars that the dome queries must equal exactly,
+and `face_cycles_oracle`, the per-face `_order_cycle` loop of the hull.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
 from domekit.dome import (
     BASEPOINT,
     RetractionResult,
+    _dist_uhp,
+    _dist_uhp_to_geodesic,
+    _order_cycle,
     _point_in_convex_polygon,
 )
-from domekit.errors import PointNotInDomain
+from domekit.errors import DepthTooSmall, DevelopmentFailed, PointNotInDomain
 from domekit.hyperbolic import (
     PointH2,
     PointH3,
@@ -34,7 +41,7 @@ from domekit.hyperbolic import (
     point_to_hyperboloid,
 )
 from domekit.laminations import FiniteLamination, validate
-from domekit.mobius import MobiusMap, chordal_distance, is_inf
+from domekit.mobius import INF, MobiusMap, chordal_distance, is_inf
 from domekit.pleating import EmbeddingReport
 
 
@@ -272,3 +279,177 @@ def embedding_check_oracle(plane, samples: int = 10**4, seed: int = 0,
         if d3 < 1e-8 and d2 > 1e-3:
             collisions += 1
     return EmbeddingReport(samples, min_ratio, max_ratio, collisions, skipped), least
+
+
+def face_cycles_oracle(hull) -> list[list[int]]:
+    """Each face's vertex cycle by `_order_cycle`, one face at a time, from
+    its sorted vertex ids and its normal, as `build_hull` once ordered them."""
+    cycles = []
+    for f in hull.faces:
+        verts = sorted(f.vertices)
+        cycles.append(_order_cycle(verts, hull.sphere[verts], f.normal))
+    return cycles
+
+
+class _NumpyDev2D:
+    """The development's isometries on numpy scalars: a real 2x2 matrix,
+    normalized to |det| = 1, and a flag for orientation reversal."""
+
+    __slots__ = ("mat", "conj")
+
+    def __init__(self, mat: np.ndarray, conj: bool):
+        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+        self.mat = mat / math.sqrt(abs(det))
+        self.conj = conj
+
+    @staticmethod
+    def from_mobius(m: MobiusMap) -> "_NumpyDev2D":
+        mat = m.matrix()
+        lead = mat.flat[int(np.argmax(np.abs(mat.flatten())))]
+        mat = mat * (lead.conjugate() / abs(lead))
+        imag = np.abs(mat.imag).max()
+        if imag > 1e-7:
+            raise DevelopmentFailed(
+                f"gluing matrix not realifiable (imaginary part {imag:.3g})")
+        real = mat.real
+        det = real[0, 0] * real[1, 1] - real[0, 1] * real[1, 0]
+        return _NumpyDev2D(real, det < 0)
+
+    def compose(self, other: "_NumpyDev2D") -> "_NumpyDev2D":
+        return _NumpyDev2D(self.mat @ other.mat, self.conj ^ other.conj)
+
+    def apply(self, w: complex) -> complex:
+        if self.conj:
+            w = w.conjugate()
+        a, b, c, d = self.mat.flat
+        return (a * w + b) / (c * w + d)
+
+    def apply_boundary(self, x):
+        a, b, c, d = self.mat.flat
+        if is_inf(x):
+            return INF if abs(c) < 1e-300 else a / c
+        den = c * x + d
+        if den == 0:
+            return INF
+        return (a * x + b) / den
+
+
+class _FreshAtlas:
+    """Charts and gluings built for one query, from the hull itself."""
+
+    def __init__(self, hull):
+        self.hull = hull
+        self.charts = [MobiusMap.to_zero_one_inf(*[hull.config.points[i]
+                                                   for i in f.vertices[:3]])
+                       for f in hull.faces]
+        self.face_edges = [[] for _ in hull.faces]
+        for ei, e in enumerate(hull.edges):
+            self.face_edges[e.faces[0]].append(ei)
+            self.face_edges[e.faces[1]].append(ei)
+
+    def chart_point(self, face: int, p: PointH3) -> complex:
+        q = poincare_extension(self.charts[face], p)
+        if abs(q.y) > 1e-6:
+            raise DevelopmentFailed(f"point is not on face {face} (y = {q.y})")
+        return complex(q.x, q.t)
+
+    def chart_edge(self, face: int, edge: int):
+        pa, pb = self.hull.edge_geodesic_endpoints(self.hull.edges[edge])
+        return self.charts[face](pa), self.charts[face](pb)
+
+    def gluing(self, face: int, edge: int):
+        e = self.hull.edges[edge]
+        other = e.faces[0] if e.faces[1] == face else e.faces[1]
+        pa, pb = self.hull.edge_geodesic_endpoints(e)
+        target, source = self.hull.faces[face].circle, self.hull.faces[other].circle
+        for sign in (1.0, -1.0):
+            rho = MobiusMap.rotation_about(pa, pb, sign * e.angle)
+            if source.mobius_image(rho).close_to(target, tol=1e-7):
+                break
+        else:
+            raise DevelopmentFailed(
+                f"no unbending rotation aligns faces across edge {edge}")
+        m = self.charts[face].compose(rho).compose(self.charts[other].inverse())
+        return _NumpyDev2D.from_mobius(m), other
+
+
+def injectivity_radius_oracle(hull, face: int, p: PointH3, depth: int):
+    """(value, exact, loops_found) of the breadth-first development with
+    best/2 pruning, on a fresh atlas and numpy scalars."""
+    atlas = _FreshAtlas(hull)
+    w0 = atlas.chart_point(face, p)
+    best = math.inf
+    loops = 0
+    exhausted = True
+    queue = deque([(face, _NumpyDev2D(np.eye(2), False), -1, 0)])
+    while queue:
+        cur_face, dev, in_edge, d = queue.popleft()
+        if d >= depth:
+            exhausted = False
+            continue
+        for ei in atlas.face_edges[cur_face]:
+            if ei == in_edge:
+                continue
+            a, b = atlas.chart_edge(cur_face, ei)
+            gdist = _dist_uhp_to_geodesic(w0, dev.apply_boundary(a),
+                                          dev.apply_boundary(b))
+            if best < math.inf and gdist >= best / 2.0:
+                continue
+            g, nxt = atlas.gluing(cur_face, ei)
+            ndev = dev.compose(g)
+            if nxt == face and abs(ndev.apply(w0) - w0) > 1e-9:
+                loops += 1
+                best = min(best, _dist_uhp(w0, ndev.apply(w0)))
+            queue.append((nxt, ndev, ei, d + 1))
+    if not math.isfinite(best):
+        raise DepthTooSmall(f"no essential loop closed within depth {depth}")
+    return best / 2.0, exhausted, loops
+
+
+def trace_surface_arc_oracle(hull, face: int, p: PointH3, direction: float,
+                             length: float, max_crossings: int = 1000):
+    """(measure, crossings) of the developed geodesic arc, on a fresh atlas
+    and numpy scalars."""
+    atlas = _FreshAtlas(hull)
+    w0 = atlas.chart_point(face, p)
+    co = math.cos(direction)
+    if abs(co) < 1e-12:
+        e_back, e_fwd = (w0.real, INF) if math.sin(direction) > 0 else (INF, w0.real)
+    else:
+        c = w0.real + w0.imag * math.tan(direction)
+        r = abs(w0 - c)
+        e_back, e_fwd = (c - r, c + r) if co > 0 else (c + r, c - r)
+    T = MobiusMap.to_zero_inf(e_back, e_fwd)
+    tau0 = abs(T(w0))
+    crossings = []
+    measure = 0.0
+    cur_face, dev, in_edge = face, _NumpyDev2D(np.eye(2), False), -1
+    s_cur = 0.0
+    while len(crossings) < max_crossings:
+        nxt_hit = None
+        for ei in atlas.face_edges[cur_face]:
+            if ei == in_edge:
+                continue
+            a, b = atlas.chart_edge(cur_face, ei)
+            da = T(dev.apply_boundary(a))
+            db = T(dev.apply_boundary(b))
+            if is_inf(da) or is_inf(db):
+                continue
+            da, db = da.real, db.real
+            if da * db >= 0:
+                continue
+            s = math.log(math.sqrt(-da * db) / tau0)
+            if s <= s_cur + 1e-12 or s > length:
+                continue
+            if nxt_hit is None or s < nxt_hit[0]:
+                nxt_hit = (s, ei)
+        if nxt_hit is None:
+            break
+        s, ei = nxt_hit
+        measure += hull.edges[ei].angle
+        crossings.append((ei, s))
+        g, cur_face = atlas.gluing(cur_face, ei)
+        dev = dev.compose(g)
+        in_edge = ei
+        s_cur = s
+    return measure, crossings

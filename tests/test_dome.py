@@ -1,5 +1,8 @@
 import cmath
+import gc
 import math
+import random
+import weakref
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -7,9 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from domekit import dome
 from domekit.bounds import arc_for_radius
 from domekit.dome import (
+    Dev2D,
     IdealConfiguration,
+    _order_cycle,
+    _order_triangles,
+    _quot,
     bending_lamination,
     build_hull,
     dome_injectivity_radius,
@@ -22,6 +30,7 @@ from domekit.dome import (
 )
 from domekit.errors import (
     DepthTooSmall,
+    DevelopmentFailed,
     InvalidInput,
     NumericallyCoincident,
     PointNotInDomain,
@@ -38,7 +47,14 @@ from domekit.hyperbolic import (
 )
 from domekit.mobius import INF, MobiusMap, chordal_distance
 
-from _oracles import dihedral_angle, retract_oracle
+from _oracles import (
+    _NumpyDev2D,
+    dihedral_angle,
+    face_cycles_oracle,
+    injectivity_radius_oracle,
+    retract_oracle,
+    trace_surface_arc_oracle,
+)
 
 
 def face_point(hull, face_id) -> PointH3:
@@ -146,13 +162,7 @@ class TestBuildHull:
         assert len(hull.faces) == 2 and len(hull.edges) == 4
 
     def test_cube_faces_merge(self):
-        vs = (
-            np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
-                      for sz in (-1, 1)], float) / math.sqrt(3)
-        )
-        hull = build_hull(
-            IdealConfiguration([sphere_to_boundary(v) for v in vs])
-        )
+        hull = build_hull(_cube())
         assert len(hull.faces) == 6 and len(hull.edges) == 12
         assert hull.euler_characteristic() == 2
         angles = [e.angle for e in hull.edges]
@@ -169,6 +179,52 @@ class TestBuildHull:
             q2 = face_point(hull, e.faces[1])
             interior = dihedral_angle(pa, pb, foot, q1, q2)
             assert math.pi - interior == pytest.approx(e.angle, abs=1e-9)
+
+
+def _cube():
+    vs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
+                   for sz in (-1, 1)], float) / math.sqrt(3)
+    return IdealConfiguration([sphere_to_boundary(v) for v in vs])
+
+
+def _on_cut():
+    """Four lattice directions whose hull has a triangle vertex on the cut."""
+    vs = np.array([[2, -2, -1], [2, -2, 1], [0, 1, 0], [0, 2, 1]], float)
+    return IdealConfiguration([sphere_to_boundary(v / np.linalg.norm(v)) for v in vs])
+
+
+class TestFaceCycles:
+    """`build_hull` orders triangles in one batch; its cycles equal the
+    per-face `_order_cycle` loop's, start vertex included."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["sphere", "sphere_inf", "annulus"]),
+           n=st.integers(4, 300), seed=st.integers(0, 2**32 - 1))
+    @example(kind="sphere", n=300, seed=5)
+    @example(kind="annulus", n=8, seed=6)  # two rings of 11: two merged faces
+    def test_cycles_equal_per_face_loop(self, kind, n, seed):
+        rng = np.random.default_rng(seed)
+        hull = build_hull(IdealConfiguration(_retract_config(kind, n, rng)))
+        assert [f.vertices for f in hull.faces] == face_cycles_oracle(hull)
+
+    @pytest.mark.parametrize("cfg", [regular_ideal_tetrahedron(), _cube(), _on_cut()],
+                             ids=["tetrahedron", "cube", "on_cut"])
+    def test_symmetric_hulls_equal_per_face_loop(self, cfg):
+        hull = build_hull(cfg)
+        assert [f.vertices for f in hull.faces] == face_cycles_oracle(hull)
+
+    def test_triangles_on_the_cut_are_sent_back(self):
+        # a vertex of some face lies at angle +-pi of its frame, where the
+        # batched angles may land on the other side of the cut
+        hull = build_hull(_on_cut())
+        tris = np.array([sorted(f.vertices) for f in hull.faces])
+        normals = np.array([f.normal for f in hull.faces])
+        cycles, unsure = _order_triangles(tris, hull.sphere, normals)
+        assert unsure.any()
+        for tri, cycle, redo, normal in zip(tris, cycles, unsure, normals):
+            if not redo:
+                assert cycle.tolist() == _order_cycle(tri.tolist(), hull.sphere[tri],
+                                                      normal)
 
 
 class TestBendingLamination:
@@ -424,6 +480,161 @@ class TestSurfaceArcs:
                 continue
             bound = 2 * math.pi * math.ceil(1.0 / arc_for_radius(nu_hat))
             assert res.measure <= bound + 1e-9
+
+
+class TestInjectivityCounters:
+    def test_frontier_empty_iff_exact(self):
+        hull = build_hull(regular_ideal_tetrahedron())
+        p = face_point(hull, 0)
+        seen = set()
+        for depth in (3, 4, 8):
+            est = dome_injectivity_radius(hull, 0, p, depth=depth)
+            assert (est.frontier == 0) == est.exact
+            seen.add(est.exact)
+        assert seen == {False, True}
+
+    def test_counts_add_up_on_triangles(self):
+        # every face is a triangle: the root develops 3 edges, every other
+        # expanded node 2; each is pruned or enqueued, and every enqueued
+        # node is expanded or left at the cap
+        hull = build_hull(regular_ideal_tetrahedron())
+        for depth in (3, 6, 9):
+            est = dome_injectivity_radius(hull, 0, face_point(hull, 0), depth=depth)
+            developed = 3 + 2 * (est.expanded - 1)
+            enqueued = est.expanded + est.frontier - 1
+            assert developed == enqueued + est.pruned
+            assert est.pruned > 0 and est.expanded > 1
+
+
+class TestTruncation:
+    def test_flag_at_max_crossings(self):
+        hull = build_hull(regular_ideal_tetrahedron())
+        p = face_point(hull, 0)
+        full = trace_surface_arc(hull, 0, p, 0.3, 6.0)
+        assert len(full.crossings) > 2 and not full.truncated
+        capped = trace_surface_arc(hull, 0, p, 0.3, 6.0, max_crossings=2)
+        assert capped.truncated
+        assert capped.crossings == full.crossings[:2]
+        assert capped.measure == sum(hull.edges[e].angle for e, _ in full.crossings[:2])
+        # a cap the arc reaches without a further crossing truncates nothing
+        exact = trace_surface_arc(hull, 0, p, 0.3, 6.0,
+                                  max_crossings=len(full.crossings))
+        assert not exact.truncated and exact.crossings == full.crossings
+
+
+def _tetrahedron_queries(rng, n):
+    """Points that retract near a face centre of the regular tetrahedron,
+    jittered off the antipode of a vertex."""
+    verts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+                     float) / math.sqrt(3.0)
+    out = []
+    for _ in range(n):
+        d = -verts[rng.integers(4)] + rng.normal(0.0, 0.05, 3)
+        out.append(sphere_to_boundary(d / np.linalg.norm(d)))
+    return out
+
+
+def _dev_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DevelopmentFailed, DepthTooSmall) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestDevelopmentMatchesOracle:
+    """On one hull, whose atlas keeps its edge images and gluings from one
+    query to the next, both queries equal the per-call development on
+    numpy scalars exactly, in any order."""
+
+    @pytest.mark.parametrize("kind, n, seed", [
+        ("sphere", 64, 1), ("sphere", 256, 2), ("annulus", 32, 3),
+        ("concyclic", 24, 4), ("tetrahedron", 4, 5)])
+    def test_queries_equal_fresh_numpy_development(self, kind, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "tetrahedron":
+            hull = build_hull(regular_ideal_tetrahedron())
+            zs = _tetrahedron_queries(rng, 6)
+        else:
+            hull = build_hull(IdealConfiguration(_retract_config(kind, n, rng)))
+            zs = [sphere_to_boundary(x) for x in _unit_vectors(rng, 30)]
+        jobs = []
+        for z in zs:
+            res = retract(hull, z)
+            if res.carrier[0] != "face":
+                continue
+            face, depth = res.carrier[1], int(rng.integers(4, 10))
+            direction = float(rng.uniform(0.0, 2.0 * math.pi))
+            jobs += [("inj", face, res.point, depth), ("arc", face, res.point, direction)]
+            if len(jobs) >= 12:
+                break
+        assert len(jobs) >= 4
+        random.Random(seed).shuffle(jobs)
+        for what, face, p, arg in jobs:
+            if what == "inj":
+                got = _dev_outcome(dome_injectivity_radius, hull, face, p, arg)
+                if not isinstance(got, str):
+                    got = (got.value, got.exact, got.loops_found)
+                want = _dev_outcome(injectivity_radius_oracle, hull, face, p, arg)
+            else:
+                got = _dev_outcome(trace_surface_arc, hull, face, p, arg, 4.0)
+                if not isinstance(got, str):
+                    got = (got.measure, got.crossings)
+                want = _dev_outcome(trace_surface_arc_oracle, hull, face, p, arg, 4.0)
+            assert got == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(m=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+           x=st.one_of(st.just(INF), st.complex_numbers(max_magnitude=1e8,
+                                                        allow_nan=False,
+                                                        allow_infinity=False)))
+    def test_apply_boundary_rounds_as_numpy_scalars(self, m, x):
+        mat = np.array(m, dtype=float).reshape(2, 2)
+        if abs(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]) < 1e-6:
+            return
+        with np.errstate(all="ignore"):
+            want = _NumpyDev2D(mat, False).apply_boundary(x)
+        got = Dev2D(mat, False).apply_boundary(x)
+        assert complex(got) == complex(want)  # equal values; a zero's sign may differ
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
+    def test_quot_is_numpy_division(self, parts):
+        nr, ni, dr, di = parts
+        if dr == 0 and di == 0:
+            return
+        with np.errstate(all="ignore"):  # a subnormal denominator overflows
+            want = np.complex128(complex(nr, ni)) / np.complex128(complex(dr, di))
+        assert repr(_quot(nr, ni, dr, di)) == repr(complex(want))  # zero signs too
+
+
+class TestAtlasLifetime:
+    def test_atlas_built_once_per_hull(self, monkeypatch):
+        built = []
+        init = dome.SurfaceAtlas.__init__
+        monkeypatch.setattr(dome.SurfaceAtlas, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        hull = build_hull(regular_ideal_tetrahedron())
+        p = face_point(hull, 0)
+        for _ in range(2):
+            dome_injectivity_radius(hull, 0, p, depth=6)
+            trace_surface_arc(hull, 0, p, 0.3, 2.0)
+        assert len(built) == 1
+
+    def test_hull_freed_without_cycle_collection(self):
+        hull = build_hull(regular_ideal_tetrahedron())
+        p = face_point(hull, 0)
+        dome_injectivity_radius(hull, 0, p, depth=6)
+        trace_surface_arc(hull, 0, p, 0.3, 2.0)
+        atlas = hull.atlas
+        ref = weakref.ref(hull)
+        gc.disable()
+        try:
+            del hull
+            freed = ref() is None
+        finally:
+            gc.enable()
+        assert freed
+        assert atlas.charts  # the atlas outlives the hull it was built from
 
 
 class TestExports:
