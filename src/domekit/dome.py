@@ -556,103 +556,71 @@ def retraction_certificate(hull: HullPolyhedron, z, result: RetractionResult,
 # ---------------------------------------------------------------------------
 
 
-def _quot(nr: float, ni: float, dr: float, di: float) -> complex:
-    """(nr + i ni) / (dr + i di), rounded as numpy divides complex128 scalars.
-
-    Smith's method, multiplying by the reciprocal of its denominator as
-    numpy does; CPython's complex ``/`` divides by it, which rounds some
-    quotients differently in the last bit.
-    """
-    if abs(dr) >= abs(di):
-        rat = di / dr
-        scl = 1.0 / (dr + di * rat)
-        return complex((nr + ni * rat) * scl, (ni - nr * rat) * scl)
-    rat = dr / di
-    scl = 1.0 / (di + dr * rat)
-    return complex((nr * rat + ni) * scl, (ni * rat - nr) * scl)
+#: The identity as a real map (a, b, c, d): x -> (a x + b) / (c x + d).
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 
-class Dev2D:
-    """Isometry of the upper half plane: real Mobius, possibly anti-holomorphic.
+def _compose(m: tuple, n: tuple) -> tuple:
+    """The real map m after n (the matrix product m @ n)."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
-    ``mat`` is the normalized matrix, and ``coef`` its four entries as
-    Python floats, for the search's inner step `apply_boundary`.
-    """
 
-    __slots__ = ("mat", "coef", "conj")
+def _apply(m: tuple, x: float) -> float:
+    """Image of an extended real x under the real map m."""
+    a, b, c, d = m
+    if math.isinf(x):
+        return a / c if c else math.inf
+    den = c * x + d
+    return (a * x + b) / den if den else math.inf
 
-    def __init__(self, mat: np.ndarray, conj: bool):
-        a, b, c, d = mat.ravel().tolist()
-        s = math.sqrt(abs(a * d - b * c))
-        self.mat = mat / s
-        self.coef = (a / s, b / s, c / s, d / s)
-        self.conj = conj
 
-    @staticmethod
-    def identity() -> "Dev2D":
-        return Dev2D(np.eye(2), False)
+def _pull(m: tuple, w: complex) -> complex:
+    """Image of an upper-half-plane point w under m^-1, for det m = 1."""
+    a, b, c, d = m
+    return (d * w - b) / (a - c * w)
 
-    @staticmethod
-    def from_mobius(m: MobiusMap) -> "Dev2D":
-        """Realify a Mobius map that preserves the real line."""
-        mat = m.matrix()
-        lead = mat.flat[int(np.argmax(np.abs(mat.flatten())))]
-        mat = mat * (lead.conjugate() / abs(lead))
-        imag = np.abs(mat.imag).max()
-        if imag > 1e-7:
-            raise DevelopmentFailed(
-                f"gluing matrix not realifiable (imaginary part {imag:.3g})")
-        real = mat.real
-        det = real[0, 0] * real[1, 1] - real[0, 1] * real[1, 0]
-        return Dev2D(real, det < 0)
 
-    def compose(self, other: "Dev2D") -> "Dev2D":
-        return Dev2D(self.mat @ other.mat, self.conj ^ other.conj)
+def _to_zero_inf(p: float, q: float) -> tuple:
+    """A real map sending p to 0 and q to inf; either may be inf."""
+    if math.isinf(p):
+        return (0.0, 1.0, 1.0, -q)
+    if math.isinf(q):
+        return (1.0, -p, 0.0, 1.0)
+    return (1.0, -p, 1.0, -q)
 
-    def apply(self, w: complex) -> complex:
-        if self.conj:
-            w = w.conjugate()
-        a, b, c, d = self.mat.flat
-        return (a * w + b) / (c * w + d)
 
-    def apply_boundary(self, x):
-        """Image of a boundary point x (a Python complex, or INF).
-
-        Python floats, with the values numpy's float64 and complex128
-        scalars give: INF, a float ``a / c`` (the image of INF), or a
-        complex quotient (`_quot`).
-        """
-        a, b, c, d = self.coef
-        if is_inf(x):
-            return INF if abs(c) < 1e-300 else a / c
-        xr, xi = x.real, x.imag
-        dr, di = c * xr + d, c * xi
-        if dr == 0 and di == 0:
-            return INF
-        return _quot(a * xr + b, a * xi, dr, di)
-
-    def moves(self, w: complex, tol: float = 1e-9) -> bool:
-        return abs(self.apply(w) - w) > tol
+def _cross_ratio(pa, pb, v, u) -> complex:
+    """(pa, pb; v, u) = S(u) / S(v), S(z) = (z - pa) / (z - pb); a factor
+    with INF cancels against the other one with INF."""
+    def diff(x, y):
+        return 1.0 if is_inf(x) or is_inf(y) else x - y
+    return diff(u, pa) * diff(v, pb) / (diff(u, pb) * diff(v, pa))
 
 
 def _dist_uhp(w1: complex, w2: complex) -> float:
-    return math.acosh(
-        1.0 + abs(w1 - w2) ** 2 / (2.0 * w1.imag * w2.imag)
-    )
+    """Distance between upper-half-plane points, precise at any distance."""
+    return 2.0 * math.asinh(abs(w1 - w2) / (2.0 * math.sqrt(w1.imag * w2.imag)))
 
 
-def _dist_uhp_to_geodesic(w: complex, a, b) -> float:
+def _dist_uhp_to_geodesic(w: complex, a: float, b: float) -> float:
     """Distance from an UHP point to the geodesic with real endpoints a, b."""
-    if is_inf(a) or is_inf(b):
-        x = b if is_inf(a) else a
-        return math.asinh(abs(w.real - x) / w.imag)
-    c = 0.5 * (a + b)
-    r = 0.5 * abs(b - a)
-    return math.asinh(abs(abs(w - c) ** 2 - r * r) / (2 * r * w.imag))
+    x, y = w.real, w.imag
+    if math.isinf(a):
+        a, b = b, a
+    if math.isinf(b):
+        return math.asinh(abs(x - a) / y)
+    return math.asinh(abs((x - a) * (x - b) + y * y) / (abs(b - a) * y))
 
 
 class SurfaceAtlas:
     """Per-face upper-half-plane charts of the dome and the gluing maps.
+
+    A face's chart sends its first three vertices to 0, 1 and inf, so the
+    face goes to the upper half plane and its ideal vertices to the
+    extended real line.  The development moves between charts by real
+    maps (a, b, c, d) of determinant 1, tuples of Python floats.
 
     A hull builds one, as `HullPolyhedron.atlas`, so the chart images of
     the edges and the gluing maps computed for one query serve the next.
@@ -670,7 +638,7 @@ class SurfaceAtlas:
             self.face_edges[e.faces[0]].append(ei)
             self.face_edges[e.faces[1]].append(ei)
         self._chart_edges: list[list | None] = [None] * len(faces)
-        self._glue: dict[tuple[int, int], tuple[Dev2D, int]] = {}
+        self._glue: dict[tuple[int, int], tuple[tuple, int]] = {}
 
     def chart_point(self, face: int, p: PointH3) -> complex:
         q = poincare_extension(self.charts[face], p)
@@ -678,45 +646,54 @@ class SurfaceAtlas:
             raise DevelopmentFailed(f"point is not on face {face} (y = {q.y})")
         return complex(q.x, q.t)
 
-    def chart_edges(self, face: int) -> list[tuple[int, complex, complex]]:
+    def _vertex_image(self, face: int, i: int) -> float:
+        """Image of ideal point i in the chart of ``face``, a real or inf."""
+        z = self.charts[face](self.points[i])
+        return math.inf if is_inf(z) else z.real
+
+    def chart_edges(self, face: int) -> list[tuple[int, float, float]]:
         """(edge, a, b) for each edge of ``face``, a and b the chart images
         of the edge's ends; computed on the face's first use."""
         got = self._chart_edges[face]
         if got is None:
-            chart = self.charts[face]
             got = self._chart_edges[face] = [
-                (ei, chart(self.points[self.edges[ei].v[0]]),
-                 chart(self.points[self.edges[ei].v[1]]))
+                (ei, *(self._vertex_image(face, i) for i in self.edges[ei].v))
                 for ei in self.face_edges[face]]
         return got
 
-    def _unbend(self, face: int, edge: int, other: int) -> MobiusMap:
-        """Rotation about the edge mapping the neighbor's plane onto face's."""
-        e = self.edges[edge]
-        pa, pb = self.points[e.v[0]], self.points[e.v[1]]
-        target = self.faces[face].circle
-        source = self.faces[other].circle
-        for sign in (1.0, -1.0):
-            rot = MobiusMap.rotation_about(pa, pb, sign * e.angle)
-            if source.mobius_image(rot).close_to(target, tol=1e-7):
-                return rot
-        raise DevelopmentFailed(
-            f"no unbending rotation aligns faces across edge {edge}")
+    def gluing(self, face: int, edge: int) -> tuple[tuple, int]:
+        """Development step crossing ``edge`` out of ``face``: (g, neighbor).
 
-    def gluing(self, face: int, edge: int) -> tuple[Dev2D, int]:
-        """Development step crossing ``edge`` out of ``face``.
-
-        Returns (g, neighbor) with g = chart_face o unbend o chart_neighbor^-1,
-        so dev_child = dev_parent.compose(g).
+        g sends the neighbor's chart to this face's, so dev_child =
+        _compose(dev_parent, g).  It maps the neighbor's images of the
+        edge's ends pa, pb to this face's, and the neighbor's off-edge
+        vertex u to the point x on the far side of the edge from this
+        face's off-edge vertex v with (pa, pb; v, x) = -|(pa, pb; v, u)|.
+        The rotation about the edge that unbends the neighbor into this
+        face's plane keeps the modulus of that cross-ratio and turns its
+        argument, +-(pi minus the exterior angle), to pi.
         """
         key = (face, edge)
         got = self._glue.get(key)
         if got is None:
             e = self.edges[edge]
             other = e.faces[0] if e.faces[1] == face else e.faces[1]
-            rho = self._unbend(face, edge, other)
-            m = self.charts[face].compose(rho).compose(self.charts[other].inverse())
-            got = self._glue[key] = (Dev2D.from_mobius(m), other)
+            v = next(i for i in self.faces[face].vertices if i not in e.v)
+            u = next(i for i in self.faces[other].vertices if i not in e.v)
+            pts = self.points
+            r = abs(_cross_ratio(pts[e.v[0]], pts[e.v[1]], pts[v], pts[u]))
+            # S sends the edge's ends to 0 and inf in either chart, and the
+            # gluing is S_face^-1 o (x -> k x) o S_other, k < 0 taking u
+            # across the edge from v; (t, -q, -s, p) inverts S_face
+            a, b, x = (self._vertex_image(face, i) for i in (*e.v, v))
+            s_face = _to_zero_inf(a, b)
+            a, b, y = (self._vertex_image(other, i) for i in (*e.v, u))
+            s_other = _to_zero_inf(a, b)
+            k = -r * _apply(s_face, x) / _apply(s_other, y)
+            p, q, s, t = s_face
+            g = _compose((t, -q, -s, p), _compose((k, 0.0, 0.0, 1.0), s_other))
+            n = math.sqrt(g[0] * g[3] - g[1] * g[2])
+            got = self._glue[key] = (tuple(c / n for c in g), other)
         return got
 
 
@@ -724,7 +701,7 @@ class SurfaceAtlas:
 class InjectivityEstimate:
     value: float                # half the shortest essential loop found
     exact: bool                 # the frontier emptied before the depth cap
-    loops_found: int
+    loops_found: int            # pairs of half-paths closed into a loop
     depth: int
     expanded: int               # nodes whose edges were developed
     pruned: int                 # edges skipped as farther than best / 2
@@ -735,21 +712,25 @@ def dome_injectivity_radius(hull: HullPolyhedron, face: int, p: PointH3,
                             depth: int = 10) -> InjectivityEstimate:
     """Injectivity radius of the dome surface at a face point.
 
-    Develops non-backtracking face paths into the chart of the starting
-    face; each return to it yields a deck transformation W and a loop of
-    length dist(p, W p).  Branches are pruned once the next edge geodesic
-    is farther than half the current best loop.  ``exact`` means the
-    frontier emptied before the depth cap; that pruning can drop a
-    shorter loop, so it is no certificate (see the README).
+    Develops non-backtracking face paths (half-paths) of at most ``depth``
+    crossings out of the starting face, breadth first, and keeps for each
+    face the base point w0 pulled back along every half-path that reaches
+    it.  Two pull-backs in one face close a loop, of length their
+    distance.  An edge is pruned once it is at least half the best loop
+    from the pull-back: each half of a shortest loop stays within half
+    its length of w0, and the two halves meet in the face of its
+    midpoint, so ``exact`` (the frontier emptied before the depth cap)
+    certifies the value.
     """
     atlas = hull.atlas
     w0 = atlas.chart_point(face, p)
     best = math.inf
     loops = expanded = pruned = frontier = 0
+    pulls: dict[int, list[complex]] = {face: [w0]}
     queue: deque = deque()
-    queue.append((face, Dev2D.identity(), -1, 0))
+    queue.append((face, _IDENTITY, w0, -1, 0))
     while queue:
-        cur_face, dev, in_edge, d = queue.popleft()
+        cur_face, dev, q, in_edge, d = queue.popleft()
         if d >= depth:
             frontier += 1
             continue
@@ -757,17 +738,18 @@ def dome_injectivity_radius(hull: HullPolyhedron, face: int, p: PointH3,
         for ei, a, b in atlas.chart_edges(cur_face):
             if ei == in_edge:
                 continue
-            gdist = _dist_uhp_to_geodesic(w0, dev.apply_boundary(a),
-                                          dev.apply_boundary(b))
-            if best < math.inf and gdist >= best / 2.0:
+            if _dist_uhp_to_geodesic(q, a, b) >= best / 2.0:
                 pruned += 1
                 continue
             g, nxt = atlas.gluing(cur_face, ei)
-            ndev = dev.compose(g)
-            if nxt == face and ndev.moves(w0):
-                loops += 1
-                best = min(best, _dist_uhp(w0, ndev.apply(w0)))
-            queue.append((nxt, ndev, ei, d + 1))
+            ndev = _compose(dev, g)
+            nq = _pull(ndev, w0)
+            seen = pulls.setdefault(nxt, [])
+            for other in seen:
+                best = min(best, _dist_uhp(other, nq))
+            loops += len(seen)
+            seen.append(nq)
+            queue.append((nxt, ndev, nq, ei, d + 1))
     if not math.isfinite(best):
         raise DepthTooSmall(f"no essential loop closed within depth {depth}")
     return InjectivityEstimate(best / 2.0, frontier == 0, loops, depth,
@@ -796,7 +778,8 @@ def trace_surface_arc(hull: HullPolyhedron, face: int, p: PointH3,
     # geodesic through w0 with tangent direction `direction`
     co = math.cos(direction)
     if abs(co) < 1e-12:
-        e_back, e_fwd = (w0.real, INF) if math.sin(direction) > 0 else (INF, w0.real)
+        e_back, e_fwd = ((w0.real, math.inf) if math.sin(direction) > 0
+                         else (math.inf, w0.real))
     else:
         c = w0.real + w0.imag * math.tan(direction)
         r = abs(w0 - c)
@@ -804,30 +787,24 @@ def trace_surface_arc(hull: HullPolyhedron, face: int, p: PointH3,
             e_back, e_fwd = c - r, c + r
         else:
             e_back, e_fwd = c + r, c - r
-    T = MobiusMap.to_zero_inf(e_back, e_fwd)
-    tau0 = abs(T(w0))
-
-    def on_axis(x):
-        """T(x) for an `apply_boundary` image x.  A finite complex x goes in
-        as a numpy scalar, so T divides as numpy does (see `_quot`)."""
-        return T(np.complex128(x) if type(x) is complex else x)
+    # m sends the current face's chart to the axis chart, where the arc runs
+    # up the imaginary axis from tau0 i
+    m = _to_zero_inf(e_back, e_fwd)
+    a, b, c, d = m
+    tau0 = abs((a * w0 + b) / (c * w0 + d))
 
     crossings: list[tuple[int, float]] = []
     measure = 0.0
     truncated = False
-    cur_face, dev, in_edge = face, Dev2D.identity(), -1
+    cur_face, in_edge = face, -1
     s_cur = 0.0
     while True:
         nxt_hit = None
         for ei, a, b in atlas.chart_edges(cur_face):
             if ei == in_edge:
                 continue
-            da = on_axis(dev.apply_boundary(a))
-            db = on_axis(dev.apply_boundary(b))
-            if is_inf(da) or is_inf(db):
-                continue
-            da, db = da.real, db.real
-            if da * db >= 0:
+            da, db = _apply(m, a), _apply(m, b)
+            if math.isinf(da) or math.isinf(db) or da * db >= 0:
                 continue
             s = math.log(math.sqrt(-da * db) / tau0)
             if s <= s_cur + 1e-12 or s > length:
@@ -843,7 +820,7 @@ def trace_surface_arc(hull: HullPolyhedron, face: int, p: PointH3,
         measure += hull.edges[ei].angle
         crossings.append((ei, s))
         g, cur_face = atlas.gluing(cur_face, ei)
-        dev = dev.compose(g)
+        m = _compose(m, g)
         in_edge = ei
         s_cur = s
     return ArcTraceResult(measure, crossings, length, truncated)

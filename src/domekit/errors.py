@@ -38,9 +38,8 @@ class InvalidInput(DomekitError, ValueError):
 
 
 class DevelopmentFailed(DomekitError, ValueError):
-    """The dome surface could not be developed across an edge: no unbending
-    rotation aligns the two faces, the gluing map is not real, or a point
-    lies off its face."""
+    """The dome surface could not be developed from a point: the point lies
+    off the face it is said to lie on.  Every edge has a gluing map."""
 
 
 class TooManyLeaves(DomekitError):

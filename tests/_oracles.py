@@ -7,10 +7,14 @@ differences.  `retract_oracle` and `roundness_oracle` are the exceptions:
 they are the plain scalar loops (over every face and edge, and over every
 leaf triple) that `dome.retract` and `laminations.roundness` must equal
 bit for bit.  So is `embedding_check_oracle`, the pair-by-pair loop that
-`pleating.embedding_check` must match to its stated tolerance.  So are
-`injectivity_radius_oracle` and `trace_surface_arc_oracle`, the per-call
-development on numpy scalars that the dome queries must equal exactly,
-and `face_cycles_oracle`, the per-face `_order_cycle` loop of the hull.
+`pleating.embedding_check` must match to its stated tolerance.  So is
+`face_cycles_oracle`, the per-face `_order_cycle` loop of the hull.
+`injectivity_radius_oracle` and `trace_surface_arc_oracle` develop the
+dome by another route than `dome.SurfaceAtlas`: each gluing is the
+rotation about the edge by its exterior angle, composed as complex Mobius
+maps, and the injectivity search is unpruned and closes loops only on
+returns to the starting face, where the library meets half-paths in the
+middle.  Their values agree with the library's to rounding.
 """
 from __future__ import annotations
 
@@ -22,8 +26,6 @@ import numpy as np
 from domekit.dome import (
     BASEPOINT,
     RetractionResult,
-    _dist_uhp,
-    _dist_uhp_to_geodesic,
     _order_cycle,
     _point_in_convex_polygon,
 )
@@ -291,51 +293,16 @@ def face_cycles_oracle(hull) -> list[list[int]]:
     return cycles
 
 
-class _NumpyDev2D:
-    """The development's isometries on numpy scalars: a real 2x2 matrix,
-    normalized to |det| = 1, and a flag for orientation reversal."""
+class _RotationAtlas:
+    """Charts and gluings built for one query from the hull itself.
 
-    __slots__ = ("mat", "conj")
-
-    def __init__(self, mat: np.ndarray, conj: bool):
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        self.mat = mat / math.sqrt(abs(det))
-        self.conj = conj
-
-    @staticmethod
-    def from_mobius(m: MobiusMap) -> "_NumpyDev2D":
-        mat = m.matrix()
-        lead = mat.flat[int(np.argmax(np.abs(mat.flatten())))]
-        mat = mat * (lead.conjugate() / abs(lead))
-        imag = np.abs(mat.imag).max()
-        if imag > 1e-7:
-            raise DevelopmentFailed(
-                f"gluing matrix not realifiable (imaginary part {imag:.3g})")
-        real = mat.real
-        det = real[0, 0] * real[1, 1] - real[0, 1] * real[1, 0]
-        return _NumpyDev2D(real, det < 0)
-
-    def compose(self, other: "_NumpyDev2D") -> "_NumpyDev2D":
-        return _NumpyDev2D(self.mat @ other.mat, self.conj ^ other.conj)
-
-    def apply(self, w: complex) -> complex:
-        if self.conj:
-            w = w.conjugate()
-        a, b, c, d = self.mat.flat
-        return (a * w + b) / (c * w + d)
-
-    def apply_boundary(self, x):
-        a, b, c, d = self.mat.flat
-        if is_inf(x):
-            return INF if abs(c) < 1e-300 else a / c
-        den = c * x + d
-        if den == 0:
-            return INF
-        return (a * x + b) / den
-
-
-class _FreshAtlas:
-    """Charts and gluings built for one query, from the hull itself."""
+    A gluing is chart_face o rotation o chart_neighbor^-1, the rotation
+    about the edge by plus or minus its exterior angle, as a numpy matrix.
+    Of the two signs it takes the one whose det-1 matrix is real, that is
+    a real matrix of positive determinant.  The other sign's matrix is
+    complex, or, at a right angle, i times a real matrix of determinant
+    -1, which folds the neighbor onto the face instead of unbending it.
+    """
 
     def __init__(self, hull):
         self.hull = hull
@@ -358,59 +325,60 @@ class _FreshAtlas:
         return self.charts[face](pa), self.charts[face](pb)
 
     def gluing(self, face: int, edge: int):
+        """(matrix, neighbor) of the development step across ``edge``."""
         e = self.hull.edges[edge]
         other = e.faces[0] if e.faces[1] == face else e.faces[1]
         pa, pb = self.hull.edge_geodesic_endpoints(e)
-        target, source = self.hull.faces[face].circle, self.hull.faces[other].circle
+        mats = []
         for sign in (1.0, -1.0):
             rho = MobiusMap.rotation_about(pa, pb, sign * e.angle)
-            if source.mobius_image(rho).close_to(target, tol=1e-7):
-                break
-        else:
-            raise DevelopmentFailed(
-                f"no unbending rotation aligns faces across edge {edge}")
-        m = self.charts[face].compose(rho).compose(self.charts[other].inverse())
-        return _NumpyDev2D.from_mobius(m), other
+            mats.append(self.charts[face].compose(rho)
+                        .compose(self.charts[other].inverse()).matrix())
+        mat = min(mats, key=lambda m: np.abs(m.imag).max())
+        return mat.real, other
+
+
+def _act(mat: np.ndarray, x):
+    """Image of a complex x, or INF, under a real 2x2 matrix."""
+    (a, b), (c, d) = mat
+    if is_inf(x):
+        return INF if c == 0 else complex(a / c)
+    den = c * x + d
+    return INF if den == 0 else (a * x + b) / den
 
 
 def injectivity_radius_oracle(hull, face: int, p: PointH3, depth: int):
-    """(value, exact, loops_found) of the breadth-first development with
-    best/2 pruning, on a fresh atlas and numpy scalars."""
-    atlas = _FreshAtlas(hull)
+    """Half the shortest loop among all non-backtracking face paths of at
+    most ``depth`` crossings that leave the starting face and return to
+    it, developed on a fresh rotation atlas without pruning."""
+    atlas = _RotationAtlas(hull)
     w0 = atlas.chart_point(face, p)
     best = math.inf
-    loops = 0
-    exhausted = True
-    queue = deque([(face, _NumpyDev2D(np.eye(2), False), -1, 0)])
+    queue = deque([(face, np.eye(2), -1, 0)])
     while queue:
         cur_face, dev, in_edge, d = queue.popleft()
         if d >= depth:
-            exhausted = False
             continue
         for ei in atlas.face_edges[cur_face]:
             if ei == in_edge:
                 continue
-            a, b = atlas.chart_edge(cur_face, ei)
-            gdist = _dist_uhp_to_geodesic(w0, dev.apply_boundary(a),
-                                          dev.apply_boundary(b))
-            if best < math.inf and gdist >= best / 2.0:
-                continue
             g, nxt = atlas.gluing(cur_face, ei)
-            ndev = dev.compose(g)
-            if nxt == face and abs(ndev.apply(w0) - w0) > 1e-9:
-                loops += 1
-                best = min(best, _dist_uhp(w0, ndev.apply(w0)))
+            ndev = dev @ g
+            if nxt == face:
+                w = _act(ndev, w0)
+                best = min(best, math.acosh(
+                    1.0 + abs(w - w0) ** 2 / (2.0 * w.imag * w0.imag)))
             queue.append((nxt, ndev, ei, d + 1))
     if not math.isfinite(best):
         raise DepthTooSmall(f"no essential loop closed within depth {depth}")
-    return best / 2.0, exhausted, loops
+    return best / 2.0
 
 
 def trace_surface_arc_oracle(hull, face: int, p: PointH3, direction: float,
                              length: float, max_crossings: int = 1000):
-    """(measure, crossings) of the developed geodesic arc, on a fresh atlas
-    and numpy scalars."""
-    atlas = _FreshAtlas(hull)
+    """(measure, crossings) of the developed geodesic arc, on a fresh
+    rotation atlas."""
+    atlas = _RotationAtlas(hull)
     w0 = atlas.chart_point(face, p)
     co = math.cos(direction)
     if abs(co) < 1e-12:
@@ -423,7 +391,7 @@ def trace_surface_arc_oracle(hull, face: int, p: PointH3, direction: float,
     tau0 = abs(T(w0))
     crossings = []
     measure = 0.0
-    cur_face, dev, in_edge = face, _NumpyDev2D(np.eye(2), False), -1
+    cur_face, dev, in_edge = face, np.eye(2), -1
     s_cur = 0.0
     while len(crossings) < max_crossings:
         nxt_hit = None
@@ -431,8 +399,8 @@ def trace_surface_arc_oracle(hull, face: int, p: PointH3, direction: float,
             if ei == in_edge:
                 continue
             a, b = atlas.chart_edge(cur_face, ei)
-            da = T(dev.apply_boundary(a))
-            db = T(dev.apply_boundary(b))
+            da = T(_act(dev, a))
+            db = T(_act(dev, b))
             if is_inf(da) or is_inf(db):
                 continue
             da, db = da.real, db.real
@@ -449,7 +417,7 @@ def trace_surface_arc_oracle(hull, face: int, p: PointH3, direction: float,
         measure += hull.edges[ei].angle
         crossings.append((ei, s))
         g, cur_face = atlas.gluing(cur_face, ei)
-        dev = dev.compose(g)
+        dev = dev @ g
         in_edge = ei
         s_cur = s
     return measure, crossings

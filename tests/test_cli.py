@@ -529,7 +529,7 @@ GOLDEN_HELP = [["--help"]] + [[g, "--help"] for g in COMMANDS] + [
 
 #: sha256 of the matrix above under CPython 3.11 and numpy 2.4; argparse
 #: wraps and words its help and usage texts differently in other versions.
-GOLDEN_SHA256 = "9783dce70318be4eed04ac022edda3c571b62aeaca0d5cac6aa891334c4ae693"
+GOLDEN_SHA256 = "73a19cd59b9e072667f081713ab7f8037f460fc6e6a3768c600a30a8c81f924f"
 
 
 class TestGolden:
@@ -573,7 +573,7 @@ class TestGolden:
 
 
 # Nearly cocircular first four points: the hull has an edge of exterior angle
-# 1.7e-7, across which the gluing map of the development is not real.
+# 1.7e-7, which the development crosses like any other.
 FLAT_EDGE = [[-1.5773882307765996, 0.17922113048169758],
              [-1.1554544164922362, 0.07676559845439478],
              [-1.34548183335034, -0.10563059977012569],
@@ -603,7 +603,7 @@ class TestMalformedInput:
         (["bounds", "eval", "--nu", "1e-300", "--format", "csv"], 0),
         (["annulus", "table", "--s-min", "1", "--s-max", "1e5"], 1),
         (["dome", "inj-radius", "--input", "{flat.json}", "--z=-1.35,0.1",
-          "--depth", "12"], 1),
+          "--depth", "12"], 0),
         (["bounds", "table", "--nu-min", "0", "--nu-max", "1", "--points", "3"], 1),
         (["bounds", "table", "--nu-min=-1", "--nu-max", "1", "--points", "3"], 1),
         (["bounds", "table", "--nu-min", "0.1", "--nu-max=-2", "--points", "3"], 1),

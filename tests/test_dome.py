@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from domekit import dome
 from domekit.bounds import arc_for_radius
 from domekit.dome import (
-    Dev2D,
     IdealConfiguration,
+    _dist_uhp,
+    _exterior_angle,
+    _klein_polars,
     _order_cycle,
     _order_triangles,
-    _quot,
     bending_lamination,
     build_hull,
     dome_injectivity_radius,
@@ -48,7 +49,7 @@ from domekit.hyperbolic import (
 from domekit.mobius import INF, MobiusMap, chordal_distance
 
 from _oracles import (
-    _NumpyDev2D,
+    _RotationAtlas,
     dihedral_angle,
     face_cycles_oracle,
     injectivity_radius_oracle,
@@ -487,7 +488,7 @@ class TestInjectivityCounters:
         hull = build_hull(regular_ideal_tetrahedron())
         p = face_point(hull, 0)
         seen = set()
-        for depth in (3, 4, 8):
+        for depth in (2, 3, 8):
             est = dome_injectivity_radius(hull, 0, p, depth=depth)
             assert (est.frontier == 0) == est.exact
             seen.add(est.exact)
@@ -543,8 +544,9 @@ def _dev_outcome(fn, *args):
 
 class TestDevelopmentMatchesOracle:
     """On one hull, whose atlas keeps its edge images and gluings from one
-    query to the next, both queries equal the per-call development on
-    numpy scalars exactly, in any order."""
+    query to the next, injectivity queries equal those on a fresh atlas bit
+    for bit, and arc traces cross the edges that the rotation-route
+    development on numpy matrices crosses, in any query order."""
 
     @pytest.mark.parametrize("kind, n, seed", [
         ("sphere", 64, 1), ("sphere", 256, 2), ("annulus", 32, 3),
@@ -572,39 +574,221 @@ class TestDevelopmentMatchesOracle:
         for what, face, p, arg in jobs:
             if what == "inj":
                 got = _dev_outcome(dome_injectivity_radius, hull, face, p, arg)
-                if not isinstance(got, str):
-                    got = (got.value, got.exact, got.loops_found)
-                want = _dev_outcome(injectivity_radius_oracle, hull, face, p, arg)
+                want = _dev_outcome(dome_injectivity_radius, build_hull(hull.config),
+                                    face, p, arg)
+                assert got == want
             else:
-                got = _dev_outcome(trace_surface_arc, hull, face, p, arg, 4.0)
-                if not isinstance(got, str):
-                    got = (got.measure, got.crossings)
-                want = _dev_outcome(trace_surface_arc_oracle, hull, face, p, arg, 4.0)
-            assert got == want
+                _assert_arc_matches_oracle(hull, face, p, arg, 4.0)
 
+
+def _assert_arc_matches_oracle(hull, face, p, direction, length):
+    got = trace_surface_arc(hull, face, p, direction, length)
+    measure, crossings = trace_surface_arc_oracle(hull, face, p, direction, length)
+    assert [e for e, _ in got.crossings] == [e for e, _ in crossings]
+    assert [s for _, s in got.crossings] == pytest.approx(
+        [s for _, s in crossings], rel=1e-9, abs=1e-9)
+    assert got.measure == pytest.approx(measure, rel=1e-12)
+
+
+def _small_hull(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "tetrahedron":
+        return build_hull(regular_ideal_tetrahedron()), rng
+    if kind == "concyclic":  # _retract_config puts 3 + its n points on the circle
+        return build_hull(IdealConfiguration(_retract_config(kind, n - 3, rng))), rng
+    return build_hull(IdealConfiguration(_retract_config(kind, n, rng))), rng
+
+
+def _inside_point(hull, face, rng) -> PointH3:
+    """A point of the face well away from its ideal vertices."""
+    ids = hull.faces[face].vertices
+    w = rng.uniform(0.3, 1.0, len(ids))
+    c = (w / w.sum()) @ hull.sphere[ids]
+    return ball_to_halfspace(c / (1.0 + math.sqrt(max(0.0, 1.0 - c @ c))))
+
+
+_SMALL_HULLS = dict(kind=st.sampled_from(["sphere", "sphere_inf", "concyclic",
+                                          "tetrahedron"]),
+                    n=st.integers(4, 6), seed=st.integers(0, 2**32 - 1))
+
+
+def _assert_exact_value_is_oracle_minimum(hull, face, p):
+    for depth in range(1, 9):
+        est = _dev_outcome(dome_injectivity_radius, hull, face, p, depth)
+        if not isinstance(est, str) and est.exact:
+            break
+    assert est.exact and est.frontier == 0
+    # every half-path the search kept has at most depth - 1 crossings, so
+    # if the certificate holds, both halves of a shortest loop do, and the
+    # oracle's closed paths of up to 2 (depth - 1) crossings contain it; it
+    # searches two crossings further, for loops an unsound search missed
+    assert est.value == pytest.approx(
+        injectivity_radius_oracle(hull, face, p, 2 * depth), rel=1e-9)
+
+
+class TestDevelopmentOnSmallHulls:
+    """The certificate, the arc trace and the gluings against the unpruned
+    rotation-route development of `tests/_oracles.py`."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(**_SMALL_HULLS, face_draw=st.floats(0.0, 1.0, exclude_max=True))
+    def test_exact_value_is_oracle_minimum(self, kind, n, seed, face_draw):
+        hull, rng = _small_hull(kind, n, seed)
+        face = int(face_draw * len(hull.faces))
+        _assert_exact_value_is_oracle_minimum(hull, face,
+                                              _inside_point(hull, face, rng))
+
+    def test_exact_values_at_tetrahedron_retractions(self):
+        # points all over the faces, near the ideal vertices too, where an
+        # edge's far end in a chart is the chart's infinity
+        hull = build_hull(regular_ideal_tetrahedron())
+        for x in _unit_vectors(np.random.default_rng(2), 100):
+            res = retract(hull, sphere_to_boundary(x))
+            if res.carrier[0] == "face":
+                _assert_exact_value_is_oracle_minimum(hull, res.carrier[1], res.point)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(**_SMALL_HULLS, face_draw=st.floats(0.0, 1.0, exclude_max=True),
+           direction=st.floats(0.0, 2.0 * math.pi))
+    def test_arc_crossings_are_oracle_crossings(self, kind, n, seed, face_draw,
+                                                direction):
+        hull, rng = _small_hull(kind, n, seed)
+        face = int(face_draw * len(hull.faces))
+        _assert_arc_matches_oracle(hull, face, _inside_point(hull, face, rng),
+                                   direction, 5.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(**_SMALL_HULLS)
+    def test_gluings_unbend_by_the_exterior_angle(self, kind, n, seed):
+        hull, _ = _small_hull(kind, n, seed)
+        _assert_gluings_unbend(hull)
+
+
+def _assert_gluings_unbend(hull):
+    """Each gluing has determinant 1 and is the oracle's rotation gluing;
+    the cross-ratio (pa, pb; v, u) of the edge's ends and the two faces'
+    off-edge vertices has argument +-(pi minus the exterior angle)."""
+    pts = hull.config.points
+    polars = _klein_polars(np.array([f.normal for f in hull.faces]),
+                           np.array([f.offset for f in hull.faces]))
+    oracle = _RotationAtlas(hull)
+    for ei, e in enumerate(hull.edges):
+        pa, pb = pts[e.v[0]], pts[e.v[1]]
+        for face in e.faces:
+            g, other = hull.atlas.gluing(face, ei)
+            a, b, c, d = g
+            size = a * a + b * b + c * c + d * d
+            assert a * d - b * c == pytest.approx(1.0, abs=1e-12 * size)
+            want, _ = oracle.gluing(face, ei)
+            got = np.array(g).reshape(2, 2)
+            assert min(np.abs(got - want).max(), np.abs(got + want).max()) <= (
+                1e-9 * np.abs(want).max())
+            v = next(i for i in hull.faces[face].vertices if i not in e.v)
+            u = next(i for i in hull.faces[other].vertices if i not in e.v)
+            s = MobiusMap.to_zero_inf(pa, pb)
+            angle = _exterior_angle(polars[face], polars[other])
+            # as cosines: the acos in `_exterior_angle` keeps only about
+            # half the digits of angles near 0 and pi
+            assert -math.cos(cmath.phase(s(pts[u]) / s(pts[v]))) == pytest.approx(
+                math.cos(angle), abs=1e-10)
+
+
+# Nearly cocircular first four points: an edge of exterior angle 1.7e-7.
+FLAT_EDGE = [-1.5773882307765996 + 0.17922113048169758j,
+             -1.1554544164922362 + 0.07676559845439478j,
+             -1.34548183335034 - 0.10563059977012569j,
+             -1.1922140724590327 + 0.23572157895352278j,
+             3 + 1j, -4 + 2j, 0.5 - 5j, 6 - 3j, -0.5 + 0.2j]
+# An edge of exterior angle pi/2 + 7e-7, where rotating by either sign
+# about the edge takes one face's plane onto the other's.
+RIGHT_EDGE = [0.8859353559799235 + 0.39989052990172547j,
+              0.7798149935002603 + 0.3343616165295419j,
+              0.7158396668178753 + 0.4284355822619864j,
+              0.6310316232649529 + 0.3558117112277896j,
+              3 + 1j, -4 + 2j, 0.5 - 5j, 6 - 3j, -0.5 + 0.2j]
+
+
+def _ring(k, s):
+    """k equally spaced points on each of |z| = 1 and |z| = e^s, at the same
+    angles; the dome approximates that of the round annulus of modulus s."""
+    return [r * cmath.exp(2j * math.pi * j / k) for r in (1.0, math.exp(s))
+            for j in range(k)]
+
+
+def _start(hull, z):
+    """The face under the retraction of z (the first face of an edge carrier)."""
+    res = retract(hull, z)
+    kind, i = res.carrier
+    return (i if kind == "face" else hull.edges[i].faces[0]), res.point
+
+
+class TestSoundValues:
+    """Values the half-path search gets right where the search that pruned
+    whole loops at best / 2 certified a longer loop, and where choosing the
+    rotation sign under a tolerance glued the wrong way."""
+
+    @pytest.mark.parametrize("depth", [14, 26, 36])
+    def test_ring_reproducer(self, depth):
+        hull = build_hull(IdealConfiguration(_ring(12, 2.0)))
+        face, p = _start(hull, math.e * cmath.exp(0.37j))
+        est = dome_injectivity_radius(hull, face, p, depth=depth)
+        assert est.exact
+        assert est.value == pytest.approx(2.62190, abs=1e-5)
+
+    @pytest.mark.parametrize("points, z, depth, value", [
+        ([0, 1, INF, -1j], 0.4 + 0.8j, 10, 1.19968),
+        ([0, 1, 1j, -1j, 3 + 2j], 0.5 + 0.5j, 6, 1.33829),
+    ], ids=["tetra", "five"])
+    def test_readme_inputs(self, points, z, depth, value):
+        hull = build_hull(IdealConfiguration(points))
+        face, p = _start(hull, z)
+        est = dome_injectivity_radius(hull, face, p, depth=depth)
+        assert est.exact
+        assert est.value == pytest.approx(value, abs=1e-5)
+
+    @pytest.mark.parametrize("points, z", [(FLAT_EDGE, -1.35 + 0.1j),
+                                           (RIGHT_EDGE, 0.79 + 0.4j)],
+                             ids=["flat", "right"])
+    def test_flat_and_right_edges_develop(self, points, z):
+        hull = build_hull(IdealConfiguration(points))
+        face, p = _start(hull, z)
+        est = dome_injectivity_radius(hull, face, p, depth=12)
+        assert est.exact
+        assert dome_injectivity_radius(hull, face, p, depth=16).value == est.value
+        _assert_gluings_unbend(hull)
+
+
+class TestAnnulusConvergence:
+    """Ring domes approach the round annulus, whose dome has injectivity
+    radius pi / sinh(s / 2) on its core curve, with error O(k^-2)."""
+
+    @pytest.mark.parametrize("s", [2.0, 3.0])
+    def test_core_radius_converges(self, s):
+        target = math.pi / math.sinh(s / 2.0)
+        errors = []
+        for k in (12, 24, 48):
+            hull = build_hull(IdealConfiguration(_ring(k, s)))
+            face, p = _start(hull, math.exp(s / 2.0) * cmath.exp(0.37j))
+            est = dome_injectivity_radius(hull, face, p, depth=k)
+            assert est.exact
+            errors.append(target - est.value)
+        assert 0.0 < errors[2] < errors[1] < errors[0]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+
+class TestDistance:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(m=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
-           x=st.one_of(st.just(INF), st.complex_numbers(max_magnitude=1e8,
-                                                        allow_nan=False,
-                                                        allow_infinity=False)))
-    def test_apply_boundary_rounds_as_numpy_scalars(self, m, x):
-        mat = np.array(m, dtype=float).reshape(2, 2)
-        if abs(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]) < 1e-6:
-            return
-        with np.errstate(all="ignore"):
-            want = _NumpyDev2D(mat, False).apply_boundary(x)
-        got = Dev2D(mat, False).apply_boundary(x)
-        assert complex(got) == complex(want)  # equal values; a zero's sign may differ
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
-    def test_quot_is_numpy_division(self, parts):
-        nr, ni, dr, di = parts
-        if dr == 0 and di == 0:
-            return
-        with np.errstate(all="ignore"):  # a subnormal denominator overflows
-            want = np.complex128(complex(nr, ni)) / np.complex128(complex(dr, di))
-        assert repr(_quot(nr, ni, dr, di)) == repr(complex(want))  # zero signs too
+    @given(x=st.floats(-10.0, 10.0), y=st.floats(1e-3, 10.0),
+           theta=st.floats(0.0, 2.0 * math.pi))
+    def test_close_pairs_against_mpmath(self, x, y, theta):
+        mpmath = pytest.importorskip("mpmath")
+        w1 = complex(x, y)
+        w2 = w1 + 1e-8 * y * cmath.exp(1j * theta)
+        with mpmath.workdps(50):
+            u = (mpmath.mpf(w1.real) - w2.real) ** 2 + (mpmath.mpf(w1.imag) - w2.imag) ** 2
+            want = mpmath.acosh(1 + u / (2 * mpmath.mpf(w1.imag) * w2.imag))
+            assert abs(_dist_uhp(w1, w2) - want) <= 1e-14 * want
 
 
 class TestAtlasLifetime:
