@@ -8,6 +8,7 @@ extrapolate, because the hypotheses behind these formulas are sharp.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 from .errors import NonpositiveInput, OutOfDomain
@@ -42,38 +43,33 @@ def radius_for_arc(x: float) -> float:
     return x / 2.0 + math.asinh(s / math.sqrt(1.0 - s * s))
 
 
-def arc_for_radius(x: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Functional inverse of `radius_for_arc`, by bisection.
+def arc_for_radius(x: float) -> float:
+    """Functional inverse of `radius_for_arc`, at its certified end.
 
-    Returns the longest arc certified to carry bending at most 2*pi when
-    the injectivity radius is at least x.  Increasing in x.
+    Returns the largest float a with radius_for_arc(a) <= x: the longest
+    arc certified to carry bending at most 2*pi when the injectivity
+    radius is at least x.  Increasing in x.  The search bisects the bit
+    patterns of the floats in [0, ARC_GAUGE_LIMIT), which order as the
+    floats do, so it ends on that float.
     """
     if not x > 0:
         raise NonpositiveInput(f"x = {x} must be positive")
-    lo = 0.0
-    hi = ARC_GAUGE_LIMIT
-    # shrink hi to a point where the gauge is defined and exceeds x
-    step = 1.0
-    while True:
-        cand = ARC_GAUGE_LIMIT - 2.0 ** (-step)
-        if radius_for_arc(cand) >= x:
-            hi = cand
-            break
-        step += 1.0
-        if step > 60:
-            hi = ARC_GAUGE_LIMIT - 2.0**-60
-            break
-    if radius_for_arc(hi) < x:
-        return hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if radius_for_arc(mid) < x:
+    lo, hi = 0, _float_bits(ARC_GAUGE_LIMIT)  # radius(lo) <= x < radius(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if radius_for_arc(_bits_float(mid)) <= x:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    return _bits_float(lo)
+
+
+def _float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", n))[0]
 
 
 def dome_injectivity_lower(nu: float) -> float:
@@ -90,11 +86,13 @@ def roundness_bound_dome(nu_hat: float) -> tuple[float, float]:
     """Bending roundness bounds from the dome injectivity radius.
 
     Returns (exact, relaxed) = (2 pi ceil(1 / arc_for_radius(nu_hat)),
-    4 pi / nu_hat + 2 pi); exact <= relaxed always.
+    4 pi / nu_hat + 2 pi); exact <= relaxed always.  Each is inf where it
+    overflows a float.
     """
     if not nu_hat > 0:
         raise NonpositiveInput(f"nu_hat = {nu_hat} must be positive")
-    exact = 2.0 * math.pi * math.ceil(1.0 / arc_for_radius(nu_hat))
+    inv = 1.0 / arc_for_radius(nu_hat)
+    exact = 2.0 * math.pi * math.ceil(inv) if inv < math.inf else math.inf
     relaxed = 4.0 * math.pi / nu_hat + 2.0 * math.pi
     return exact, relaxed
 

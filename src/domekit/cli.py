@@ -209,10 +209,9 @@ def cmd_dome_retract(args):
 def cmd_dome_inj_radius(args):
     hull = _hull(args)
     res = dome_mod.retract(hull, args.z)
-    if res.carrier[0] != "face":
-        raise DomekitError("retraction lands on an edge; pick another z")
-    est = dome_mod.dome_injectivity_radius(hull, res.carrier[1], res.point,
-                                           depth=args.depth)
+    kind, index = res.carrier
+    face = index if kind == "face" else hull.edges[index].faces[0]
+    est = dome_mod.dome_injectivity_radius(hull, face, res.point, depth=args.depth)
     payload = {"value": est.value, "exact": est.exact,
                "loops_found": est.loops_found, "depth": est.depth}
     return payload, list(payload)

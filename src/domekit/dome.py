@@ -407,7 +407,8 @@ def _retraction_survivors(hull: HullPolyhedron, z, z_inf: bool):
 
     The screen maps the points by w -> 1/(w - z) (the identity for z = inf)
     and each face circle's form H to H' = N* H N, N = [[z, 1], [1, 0]] the
-    inverse map.  It bounds how far each screened value can be from the one
+    inverse map: `CircleOrLine.mobius_image`'s expressions, evaluated for
+    that N.  It bounds how far each screened value can be from the one
     the scalar expressions in `retract` compute: a few ulps of the terms
     summed, over what is left after cancellation.  Every edge with finite
     ends is a candidate, so the best edge height, less its bound, is a floor

@@ -178,32 +178,36 @@ def _vec_to_disk(X: np.ndarray) -> complex:
 # ---------------------------------------------------------------------------
 
 def dist_h2(p: PointH2 | complex, q: PointH2 | complex) -> float:
-    """Hyperbolic distance in the disk model."""
+    """Hyperbolic distance in the disk model.
+
+    It and `dist_h3` evaluate acosh(1 + u) as 2 asinh(sqrt(u / 2)), which
+    keeps full relative precision for near points.
+    """
     zp = p.z if isinstance(p, PointH2) else complex(p)
     zq = q.z if isinstance(q, PointH2) else complex(q)
     num = 2.0 * abs(zp - zq) ** 2
     den = (1.0 - abs(zp) ** 2) * (1.0 - abs(zq) ** 2)
-    return math.acosh(1.0 + num / den)
+    return 2.0 * math.asinh(math.sqrt(num / den / 2.0))
 
 
 def dist_h2_array(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """`dist_h2` over complex arrays of disk points."""
     num = 2.0 * np.abs(z1 - z2) ** 2
     den = (1.0 - np.abs(z1) ** 2) * (1.0 - np.abs(z2) ** 2)
-    return np.arccosh(1.0 + num / den)
+    return 2.0 * np.arcsinh(np.sqrt(num / den / 2.0))
 
 
 def dist_h3(p: PointH3, q: PointH3) -> float:
     """Hyperbolic distance in upper half-space."""
     num = (p.x - q.x) ** 2 + (p.y - q.y) ** 2 + (p.t - q.t) ** 2
-    return math.acosh(1.0 + num / (2.0 * p.t * q.t))
+    return 2.0 * math.asinh(math.sqrt(num / (2.0 * p.t * q.t) / 2.0))
 
 
 def dist_h3_array(z1: np.ndarray, t1: np.ndarray, z2: np.ndarray,
                   t2: np.ndarray) -> np.ndarray:
     """`dist_h3` over arrays of points (z, t) of upper half-space."""
     num = (z1.real - z2.real) ** 2 + (z1.imag - z2.imag) ** 2 + (t1 - t2) ** 2
-    return np.arccosh(1.0 + num / (2.0 * t1 * t2))
+    return 2.0 * np.arcsinh(np.sqrt(num / (2.0 * t1 * t2) / 2.0))
 
 
 def dist_point_geodesic_h2(z, g: GeodesicH2) -> float:

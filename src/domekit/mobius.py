@@ -61,7 +61,7 @@ class MobiusMap:
     # -- algebra ---------------------------------------------------------
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other (matrix product self @ other)."""
+        """self after other (the matrix product, self on the left)."""
         return MobiusMap(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -74,15 +74,6 @@ class MobiusMap:
 
     def trace(self) -> complex:
         return self.a + self.d
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
-
-    def is_identity(self, tol: float = 1e-9) -> bool:
-        m = self.matrix()
-        return min(
-            float(np.abs(m - np.eye(2)).max()), float(np.abs(m + np.eye(2)).max())
-        ) < tol
 
     # -- action ----------------------------------------------------------
 
@@ -153,15 +144,20 @@ class MobiusMap:
         If p, q lie on a circle, that circle (and both disks it bounds)
         is preserved.
         """
-        s = MobiusMap.to_zero_inf(p, q)
-        half = math.exp(dist / 2.0)
-        return s.inverse().compose(MobiusMap(half, 0, 0, 1.0 / half)).compose(s)
+        return MobiusMap._about_axis(p, q, math.exp(dist / 2.0))
 
     @staticmethod
     def rotation_about(p, q, angle: float) -> "MobiusMap":
         """Elliptic map with fixed points p, q; angle signed by the (p, q) order."""
+        return MobiusMap._about_axis(p, q, cmath.exp(1j * angle / 2.0))
+
+    @staticmethod
+    def _about_axis(p, q, half) -> "MobiusMap":
+        """s^-1 diag(half, 1/half) s, s sending p to 0 and q to inf.
+
+        It fixes p and q, with multiplier half^2 at p.
+        """
         s = MobiusMap.to_zero_inf(p, q)
-        half = cmath.exp(1j * angle / 2.0)
         return s.inverse().compose(MobiusMap(half, 0, 0, 1.0 / half)).compose(s)
 
     @staticmethod
@@ -245,15 +241,8 @@ class CircleOrLine:
     @staticmethod
     def through_points(z1, z2, z3) -> "CircleOrLine":
         """Circle or line through three distinct extended-complex points."""
-        rows = []
-        for z in (z1, z2, z3):
-            if is_inf(z):
-                rows.append([1.0, 0.0, 0.0, 0.0])
-            else:
-                rows.append([abs(z) ** 2, 2 * z.real, 2 * z.imag, 1.0])
-        _, _, vt = np.linalg.svd(np.array(rows))
-        A, br, bi, C = vt[-1]
-        return CircleOrLine(A, complex(br, bi), C)
+        return CircleOrLine.real_line().mobius_image(
+            MobiusMap.from_three_points((0, 1, INF), (z1, z2, z3)))
 
     # -- queries -----------------------------------------------------------
 
@@ -283,20 +272,15 @@ class CircleOrLine:
         return abs(self.evaluate(z)) < tol * scale
 
     def mobius_image(self, m: MobiusMap) -> "CircleOrLine":
-        """Image circle under a Mobius map (pullback by the inverse)."""
+        """Image circle under a Mobius map: the form N* H N, N the inverse map."""
         n = m.inverse()
-        H = np.array(
-            [[self.A, self.B], [self.B.conjugate(), self.C]], dtype=complex
-        )
-        N = n.matrix()
-        Hp = N.conjugate().T @ H @ N
-        return CircleOrLine(Hp[0, 0].real, Hp[0, 1], Hp[1, 1].real)
-
-    def close_to(self, other: "CircleOrLine", tol: float = 1e-8) -> bool:
-        return (
-            abs(self.A - other.A) < tol
-            and abs(self.B - other.B) < tol
-            and abs(self.C - other.C) < tol
+        a, b, c, d = n.a, n.b, n.c, n.d
+        A, B, C = self.A, self.B, self.C
+        ac, cc = a.conjugate(), c.conjugate()
+        return CircleOrLine(
+            A * abs(a) ** 2 + 2 * (ac * B * c).real + C * abs(c) ** 2,
+            A * ac * b + B * ac * d + B.conjugate() * cc * b + C * cc * d,
+            A * abs(b) ** 2 + 2 * (b.conjugate() * B * d).real + C * abs(d) ** 2,
         )
 
     def intersect(self, other: "CircleOrLine") -> list:
@@ -307,15 +291,12 @@ class CircleOrLine:
             pts.append(INF)
             a1, c1 = self.B, self.C
             a2, c2 = other.B, other.C
-            # solve 2 Re(conj(B) z) + C = 0 for both
-            M = np.array(
-                [[2 * a1.real, 2 * a1.imag], [2 * a2.real, 2 * a2.imag]]
-            )
-            rhs = np.array([-c1, -c2])
-            if abs(np.linalg.det(M)) < 1e-14:
+            # solve 2 Re(conj(B) z) + C = 0 for both, by Cramer's rule
+            det = 4 * (a1.real * a2.imag - a1.imag * a2.real)
+            if abs(det) < 1e-14:
                 return pts  # parallel lines: tangent at infinity
-            xy = np.linalg.solve(M, rhs)
-            pts.append(complex(xy[0], xy[1]))
+            pts.append(complex(2 * (c2 * a1.imag - c1 * a2.imag) / det,
+                               2 * (c1 * a2.real - c2 * a1.real) / det))
             return pts
         if self.is_line or other.is_line:
             line, circ = (self, other) if self.is_line else (other, self)

@@ -291,7 +291,7 @@ def embedding_check(plane: PleatedPlane, samples: int = 10**4,
     skipped.
 
     All pairs are mapped at once in numpy, whose complex arithmetic and
-    arccosh round differently from Python's in the last bits.  The ratios
+    arcsinh round differently from Python's in the last bits.  The ratios
     therefore agree with a pair-by-pair evaluation to within
     1e-14 (S^2 e^radius / d + d^-2) relative, S the largest gap-map
     coefficient and d the least source distance of a compared pair;

@@ -15,6 +15,8 @@ rotation about the edge by its exterior angle, composed as complex Mobius
 maps, and the injectivity search is unpruned and closes loops only on
 returns to the starting face, where the library meets half-paths in the
 middle.  Their values agree with the library's to rounding.
+`mobius_matrix`, `is_identity` and `circles_close` are the tests' own
+matrix and tolerance views of `MobiusMap` and `CircleOrLine`.
 """
 from __future__ import annotations
 
@@ -45,6 +47,23 @@ from domekit.hyperbolic import (
 from domekit.laminations import FiniteLamination, validate
 from domekit.mobius import INF, MobiusMap, chordal_distance, is_inf
 from domekit.pleating import EmbeddingReport
+
+
+def mobius_matrix(m: MobiusMap) -> np.ndarray:
+    return np.array([[m.a, m.b], [m.c, m.d]], dtype=complex)
+
+
+def is_identity(m: MobiusMap, tol: float = 1e-9) -> bool:
+    """m is +-I to within tol in every coefficient."""
+    mat = mobius_matrix(m)
+    return min(float(np.abs(mat - np.eye(2)).max()),
+               float(np.abs(mat + np.eye(2)).max())) < tol
+
+
+def circles_close(c1, c2, tol: float = 1e-8) -> bool:
+    """The canonical forms (A, B, C) of two circles agree to within tol."""
+    return (abs(c1.A - c2.A) < tol and abs(c1.B - c2.B) < tol
+            and abs(c1.C - c2.C) < tol)
 
 
 def unit_tangent_toward_ideal(Xf: np.ndarray, xi) -> np.ndarray:
@@ -332,8 +351,8 @@ class _RotationAtlas:
         mats = []
         for sign in (1.0, -1.0):
             rho = MobiusMap.rotation_about(pa, pb, sign * e.angle)
-            mats.append(self.charts[face].compose(rho)
-                        .compose(self.charts[other].inverse()).matrix())
+            mats.append(mobius_matrix(self.charts[face].compose(rho)
+                                      .compose(self.charts[other].inverse())))
         mat = min(mats, key=lambda m: np.abs(m.imag).max())
         return mat.real, other
 

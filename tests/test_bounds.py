@@ -75,6 +75,33 @@ class TestArcGauge:
         with pytest.raises(NonpositiveInput):
             arc_for_radius(0.0)
 
+    def test_inverse_is_the_certified_float(self):
+        # the largest float a with radius_for_arc(a) <= x, from 1e-300 to
+        # past the last finite gauge value (about 19.05)
+        for x in np.geomspace(1e-300, 40.0, 600):
+            x = float(x)
+            a = arc_for_radius(x)
+            assert 0.0 < a < ARC_GAUGE_LIMIT
+            assert radius_for_arc(a) <= x < radius_for_arc(math.nextafter(a, math.inf))
+
+    def test_inverse_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def radius(a):
+            s = mpmath.sinh(a / 2)
+            return a / 2 + mpmath.asinh(s / mpmath.sqrt(1 - s * s))
+
+        def slope(a):
+            return (1 + mpmath.cosh(a / 2) / (1 - mpmath.sinh(a / 2) ** 2)) / 2
+
+        with mpmath.workdps(50):
+            for x in np.geomspace(1e-300, 19.0, 300):
+                a = arc_for_radius(float(x))
+                want = mpmath.mpf(a)
+                for _ in range(8):  # Newton from the float answer
+                    want -= (radius(want) - float(x)) / slope(want)
+                assert abs(a - want) <= 1e-15 * want
+
 
 class TestInjectivityTransfer:
     def test_limit_value(self):
@@ -106,6 +133,17 @@ class TestRoundnessBounds:
         for nu_hat in np.geomspace(1e-4, 10.0, 300):
             exact, relaxed = roundness_bound_dome(float(nu_hat))
             assert exact <= relaxed + 1e-12
+
+    def test_round_annulus_below_both(self):
+        # the round annulus of modulus s has dome injectivity radius
+        # pi / sinh(s/2) and dome roundness cosh(s/2)
+        for s in np.linspace(0.1, 1400.0, 600):
+            s = float(s)
+            exact, relaxed = roundness_bound_dome(math.pi / math.sinh(s / 2.0))
+            assert math.cosh(s / 2.0) <= exact <= relaxed
+
+    def test_overflowing_reciprocal_is_inf(self):
+        assert roundness_bound_dome(1e-310) == (math.inf, math.inf)
 
     def test_small_radius_asymptotics(self):
         nu_hat = 1e-6

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from domekit.errors import CrossingLeaves
@@ -14,7 +15,9 @@ from domekit.hyperbolic import (
     boundary_to_sphere,
     busemann,
     dist_h2,
+    dist_h2_array,
     dist_h3,
+    dist_h3_array,
     dist_point_geodesic_h2,
     disk_to_halfspace,
     geodesic_distance,
@@ -63,6 +66,42 @@ class TestDistH2:
     def test_boundary_points_rejected(self):
         with pytest.raises(ValueError):
             PointH2(1.0 - 1e-10)
+
+
+class TestCloseDistances:
+    """Pairs 1e-8 apart (relative to their distance from the boundary),
+    against acosh(1 + u) at 50 digits; acosh(1 + u) in floats keeps only
+    half the digits there."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(r=st.floats(0.0, 0.99), phi=st.floats(0.0, 2 * math.pi),
+           theta=st.floats(0.0, 2 * math.pi))
+    def test_disk_against_mpmath(self, r, phi, theta):
+        mpmath = pytest.importorskip("mpmath")
+        z1 = r * cmath.exp(1j * phi)
+        z2 = z1 + 1e-8 * (1.0 - r) * cmath.exp(1j * theta)
+        with mpmath.workdps(50):
+            a, b = mpmath.mpc(z1), mpmath.mpc(z2)
+            want = mpmath.acosh(1 + 2 * abs(a - b) ** 2 / ((1 - abs(a) ** 2) * (1 - abs(b) ** 2)))
+        assert abs(dist_h2(z1, z2) - want) <= 1e-13 * want
+        got = dist_h2_array(np.array([z1]), np.array([z2]))[0]
+        assert abs(got - want) <= 1e-13 * want
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0), t=st.floats(1e-3, 10.0),
+           theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi))
+    def test_halfspace_against_mpmath(self, x, y, t, theta, phi):
+        mpmath = pytest.importorskip("mpmath")
+        step = 1e-8 * t
+        p = PointH3(x, y, t)
+        q = PointH3(x + step * math.sin(theta) * math.cos(phi),
+                    y + step * math.sin(theta) * math.sin(phi), t + step * math.cos(theta))
+        with mpmath.workdps(50):
+            num = sum((mpmath.mpf(u) - v) ** 2 for u, v in ((p.x, q.x), (p.y, q.y), (p.t, q.t)))
+            want = mpmath.acosh(1 + num / (2 * mpmath.mpf(p.t) * q.t))
+        assert abs(dist_h3(p, q) - want) <= 1e-13 * want
+        got = dist_h3_array(np.array([p.z]), np.array([p.t]), np.array([q.z]), np.array([q.t]))[0]
+        assert abs(got - want) <= 1e-13 * want
 
 
 class TestGeodesicDistance:

@@ -1,8 +1,14 @@
 import cmath
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from domekit.errors import DegenerateMobius
 from domekit.mobius import (
@@ -13,6 +19,8 @@ from domekit.mobius import (
     random_disk_mobius,
     random_mobius,
 )
+
+from _oracles import circles_close, is_identity
 
 
 def test_identity_fixes_point():
@@ -39,7 +47,7 @@ def test_composition_matches_pointwise(rng):
 def test_inverse_composes_to_identity(rng):
     for _ in range(100):
         m = random_mobius(rng)
-        assert m.compose(m.inverse()).is_identity(tol=1e-12)
+        assert is_identity(m.compose(m.inverse()), tol=1e-12)
 
 
 def test_determinant_normalized(rng):
@@ -125,7 +133,7 @@ def test_chordal_distance_beyond_float_squares(z, w):
 
 
 def test_coefficients_beyond_float_squares():
-    assert MobiusMap(1e160, 0, 0, 1e160).is_identity(tol=1e-15)
+    assert is_identity(MobiusMap(1e160, 0, 0, 1e160), tol=1e-15)
     assert MobiusMap(1e160, 2e160, 0, 1e160)(1.0) == 3.0
     with pytest.raises(DegenerateMobius):
         MobiusMap(0, 1, 1, -1e160)
@@ -134,12 +142,12 @@ def test_coefficients_beyond_float_squares():
 class TestCircleOrLine:
     def test_through_three_points_unit_circle(self):
         c = CircleOrLine.through_points(1.0, 1j, -1.0)
-        assert c.close_to(CircleOrLine.unit_circle())
+        assert circles_close(c, CircleOrLine.unit_circle())
 
     def test_line_detection(self):
         c = CircleOrLine.through_points(0.0, 1.0, INF)
         assert c.is_line
-        assert c.close_to(CircleOrLine.real_line())
+        assert circles_close(c, CircleOrLine.real_line())
 
     def test_center_radius(self):
         c = CircleOrLine.circle(2 + 1j, 3.0)
@@ -173,3 +181,117 @@ class TestCircleOrLine:
         assert len(pts) <= 2  # tangency collapses to a double point
         if len(pts) == 2:
             assert abs(pts[0] - pts[1]) < 1e-6
+
+
+def _form_gap(c1, c2) -> float:
+    """Largest coefficient difference of two canonical forms, up to sign."""
+    return min(max(abs(c1.A - s * c2.A), abs(c1.B - s * c2.B), abs(c1.C - s * c2.C))
+               for s in (1.0, -1.0))
+
+
+_COEF = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+_PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _map(a, b, c, d) -> MobiusMap:
+    """The map, provided its determinant is not small against its size."""
+    assume(abs(a * d - b * c) > 1e-2 * max(abs(a), abs(b), abs(c), abs(d)) ** 2)
+    return MobiusMap(a, b, c, d)
+
+
+class TestClosedForms:
+    @_PROPS
+    @given(a=_COEF, b=_COEF, c=_COEF, d=_COEF, center=_COEF,
+           radius=st.floats(1e-3, 10.0), line=st.booleans())
+    def test_mobius_image_against_mpmath(self, a, b, c, d, center, radius, line):
+        mpmath = pytest.importorskip("mpmath")
+        m = _map(a, b, c, d)
+        if line:
+            circ = CircleOrLine.line_through(center, center + cmath.exp(1j * radius))
+        else:
+            circ = CircleOrLine.circle(center, radius)
+        got = circ.mobius_image(m)
+        with mpmath.workdps(50):
+            H = mpmath.matrix([[circ.A, circ.B], [circ.B.conjugate(), circ.C]])
+            N = mpmath.matrix([[m.d, -m.b], [-m.c, m.a]])  # the inverse map
+            Hp = N.H * H * N
+            A, B, C = mpmath.re(Hp[0, 0]), Hp[0, 1], mpmath.re(Hp[1, 1])
+            norm = mpmath.sqrt(A * A + 2 * abs(B) ** 2 + C * C)
+            want = CircleOrLine(float(A / norm), complex(B / norm), float(C / norm))
+            # rounding of each coefficient is a few ulps of its terms' sizes
+            size = (abs(circ.A) + 2 * abs(circ.B) + abs(circ.C)) * sum(
+                abs(x) for x in (m.a, m.b, m.c, m.d)) ** 2
+            tol = 8 * 2.0 ** -52 * float(size / norm)
+        assert _form_gap(got, want) <= tol
+
+    @_PROPS
+    @given(seed=st.integers(0, 2**32 - 1), center=_COEF, radius=st.floats(0.1, 10.0))
+    def test_mobius_image_group_law(self, seed, center, radius):
+        rng = np.random.default_rng(seed)
+        m1, m2 = random_mobius(rng), random_mobius(rng)
+        circ = CircleOrLine.circle(center, radius)
+        once = circ.mobius_image(m1.compose(m2))
+        twice = circ.mobius_image(m2).mobius_image(m1)
+        assert _form_gap(once, twice) <= 1e-9
+        assert _form_gap(circ.mobius_image(m1).mobius_image(m1.inverse()), circ) <= 1e-9
+
+    @_PROPS
+    @given(center=_COEF, radius=st.floats(0.1, 10.0),
+           angles=st.lists(st.floats(0.0, 2 * math.pi), min_size=3, max_size=3))
+    def test_through_points_round_trip(self, center, radius, angles):
+        ts = sorted(angles)
+        assume(min(ts[1] - ts[0], ts[2] - ts[1], ts[0] + 2 * math.pi - ts[2]) > 0.1)
+        pts = [center + radius * cmath.exp(1j * t) for t in ts]
+        circ = CircleOrLine.through_points(*pts)
+        assert _form_gap(circ, CircleOrLine.circle(center, radius)) <= 1e-9
+        # a line: two finite points and infinity
+        line = CircleOrLine.through_points(pts[0], INF, pts[1])
+        assert line.is_line
+        assert _form_gap(line, CircleOrLine.line_through(pts[0], pts[1])) <= 1e-9
+
+    @_PROPS
+    @given(p=_COEF, t1=st.floats(0.0, math.pi), t2=st.floats(0.0, math.pi))
+    def test_line_line_intersect_round_trip(self, p, t1, t2):
+        assume(0.1 < abs(t1 - t2) < math.pi - 0.1)
+        l1 = CircleOrLine.line_through(p, p + cmath.exp(1j * t1))
+        l2 = CircleOrLine.line_through(p, p + cmath.exp(1j * t2))
+        pts = l1.intersect(l2)
+        assert len(pts) == 2 and pts[0] == INF
+        assert abs(pts[1] - p) <= 1e-12 * max(1.0, abs(p))
+
+    def test_parallel_lines_meet_only_at_infinity(self):
+        l1 = CircleOrLine.line_through(0j, 1 + 1j)
+        l2 = CircleOrLine.line_through(1j, 1 + 2j)
+        assert l1.intersect(l2) == [INF]
+
+
+_DIGEST = """
+import hashlib, struct
+import numpy as np
+from domekit.mobius import CircleOrLine, random_mobius
+rng = np.random.default_rng(0)
+h = hashlib.sha256()
+for _ in range(5000):
+    m = random_mobius(rng)
+    c = CircleOrLine.circle(complex(*rng.normal(size=2)), float(rng.uniform(0.1, 3.0)))
+    img = c.mobius_image(m)
+    h.update(struct.pack("<4d", img.A, img.B.real, img.B.imag, img.C))
+print(h.hexdigest())
+"""
+
+
+def test_circle_images_independent_of_blas_kernel():
+    # OpenBLAS picks its kernel by CPU unless OPENBLAS_CORETYPE names one;
+    # circle images are scalar Python arithmetic, so their bits must not move
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for coretype in (None, "Prescott", "Haswell"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = subprocess.run([sys.executable, "-c", _DIGEST], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        digests.add(out.strip())
+    assert len(digests) == 1

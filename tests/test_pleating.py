@@ -41,7 +41,7 @@ from domekit.pleating import (
     shear_reach,
 )
 
-from _oracles import dihedral_angle, embedding_check_oracle
+from _oracles import dihedral_angle, embedding_check_oracle, is_identity
 from test_laminations import (
     cusp_lamination,
     fan_lamination,
@@ -357,7 +357,7 @@ class TestPleat:
                 rel = w_par.inverse().compose(w_chi)
                 # the short leaf's map has coefficients ~1e5, and its trace
                 # cancels them: allow a few ulps of their square
-                size = max(abs(c) for m in (w_par, w_chi) for c in m.matrix().ravel())
+                size = max(abs(c) for m in (w_par, w_chi) for c in (m.a, m.b, m.c, m.d))
                 tol = 1e-15 * size * size
                 assert abs(abs(rel.trace()) - trace) < tol
                 for p in (to_plane(g.a.z), to_plane(g.b.z)):
@@ -433,7 +433,7 @@ class TestEarthquake:
             t1 = q1.gap_maps[par].inverse().compose(q1.gap_maps[chi])
             t2 = q2.gap_maps[par].inverse().compose(q2.gap_maps[chi])
             sq = t1.compose(t1)
-            assert sq.compose(t2.inverse()).is_identity(tol=1e-9)
+            assert is_identity(sq.compose(t2.inverse()), tol=1e-9)
 
     def test_boundary_map_monotone(self, rng):
         lam = random_lamination(rng, 5)
