@@ -30,6 +30,11 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _positive(name: str, x: float) -> None:
+    if not x > 0:
+        raise NonpositiveInput(f"{name} = {x} must be positive")
+
+
 def radius_for_arc(x: float) -> float:
     """Injectivity radius that certifies a length-x arc has small bending.
 
@@ -52,8 +57,7 @@ def arc_for_radius(x: float) -> float:
     patterns of the floats in [0, ARC_GAUGE_LIMIT), which order as the
     floats do, so it ends on that float.
     """
-    if not x > 0:
-        raise NonpositiveInput(f"x = {x} must be positive")
+    _positive("x", x)
     lo, hi = 0, _float_bits(ARC_GAUGE_LIMIT)  # radius(lo) <= x < radius(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -77,8 +81,7 @@ def dome_injectivity_lower(nu: float) -> float:
 
     exp(-arccosh(e^2)) * exp(-pi^2 / (2 nu)) / 2; increasing, below 1/2.
     """
-    if not nu > 0:
-        raise NonpositiveInput(f"nu = {nu} must be positive")
+    _positive("nu", nu)
     return math.exp(-ARCCOSH_E_SQUARED) * math.exp(-math.pi**2 / (2.0 * nu)) / 2.0
 
 
@@ -89,8 +92,7 @@ def roundness_bound_dome(nu_hat: float) -> tuple[float, float]:
     4 pi / nu_hat + 2 pi); exact <= relaxed always.  Each is inf where it
     overflows a float.
     """
-    if not nu_hat > 0:
-        raise NonpositiveInput(f"nu_hat = {nu_hat} must be positive")
+    _positive("nu_hat", nu_hat)
     inv = 1.0 / arc_for_radius(nu_hat)
     exact = 2.0 * math.pi * math.ceil(inv) if inv < math.inf else math.inf
     relaxed = 4.0 * math.pi / nu_hat + 2.0 * math.pi
@@ -103,8 +105,7 @@ def roundness_bound_domain(nu: float) -> tuple[float, float]:
     Returns (tight, relaxed) = (8 pi e^m e^{pi^2/2nu} + 2 pi,
     370 e^{pi^2/2nu} + 2 pi) with m = arccosh(e^2).
     """
-    if not nu > 0:
-        raise NonpositiveInput(f"nu = {nu} must be positive")
+    _positive("nu", nu)
     e = _exp_or_inf(math.pi**2 / (2.0 * nu))
     tight = 8.0 * math.pi * math.exp(ARCCOSH_E_SQUARED) * e + 2.0 * math.pi
     relaxed = 370.0 * e + 2.0 * math.pi
@@ -116,8 +117,7 @@ def domain_dilatation_bound(nu: float) -> float:
 
     48 pi e^m e^{pi^2/2nu} + 12 pi, which is 6x the tight roundness bound.
     """
-    if not nu > 0:
-        raise NonpositiveInput(f"nu = {nu} must be positive")
+    _positive("nu", nu)
     return (
         48.0 * math.pi * math.exp(ARCCOSH_E_SQUARED)
         * _exp_or_inf(math.pi**2 / (2.0 * nu))
@@ -127,8 +127,7 @@ def domain_dilatation_bound(nu: float) -> float:
 
 def domain_dilatation_bound_relaxed(nu: float) -> float:
     """Relaxed integer-coefficient form 2220 e^{pi^2/2nu} + 38."""
-    if not nu > 0:
-        raise NonpositiveInput(f"nu = {nu} must be positive")
+    _positive("nu", nu)
     return 2220.0 * _exp_or_inf(math.pi**2 / (2.0 * nu)) + 38.0
 
 
@@ -137,15 +136,13 @@ def dome_dilatation_bound(nu_hat: float) -> float:
 
     24 pi / nu_hat + 12 pi, which is 6x the relaxed roundness bound.
     """
-    if not nu_hat > 0:
-        raise NonpositiveInput(f"nu_hat = {nu_hat} must be positive")
+    _positive("nu_hat", nu_hat)
     return 24.0 * math.pi / nu_hat + 12.0 * math.pi
 
 
 def retraction_lipschitz_bound(nu: float) -> float:
     """Lipschitz constant of the nearest-point retraction: 2 sqrt2 (k + pi^2/2nu)."""
-    if not nu > 0:
-        raise NonpositiveInput(f"nu = {nu} must be positive")
+    _positive("nu", nu)
     return 2.0 * math.sqrt(2.0) * (LIPSCHITZ_OFFSET + math.pi**2 / (2.0 * nu))
 
 
@@ -168,8 +165,7 @@ def annulus_modulus_bounds(length: float) -> tuple[float, float]:
 
     Returns (upper, lower) = (pi / l, pi / (l e^{l/2})).
     """
-    if not length > 0:
-        raise NonpositiveInput(f"length = {length} must be positive")
+    _positive("length", length)
     return math.pi / length, math.pi / (length * math.exp(length / 2.0))
 
 
@@ -178,8 +174,7 @@ def retracted_geodesic_length_bound(length: float) -> float:
 
     4 pi e^{0.502 pi} e^{-pi^2 / (sqrt(e) L)}; increasing in L.
     """
-    if not length > 0:
-        raise NonpositiveInput(f"length = {length} must be positive")
+    _positive("length", length)
     return (
         4.0 * math.pi * math.exp(0.502 * math.pi)
         * math.exp(-math.pi**2 / (math.sqrt(math.e) * length))
@@ -206,8 +201,7 @@ def canary_length_bound(nu: float) -> float:
 
     max( sqrt2 (k + log 2), sqrt2 (k nu + 8 pi k + 2 pi^2) / nu ).
     """
-    if not nu > 0:
-        raise NonpositiveInput(f"nu = {nu} must be positive")
+    _positive("nu", nu)
     k = LIPSCHITZ_OFFSET
     return max(
         math.sqrt(2.0) * (k + math.log(2.0)),
@@ -217,8 +211,7 @@ def canary_length_bound(nu: float) -> float:
 
 def convex_core_length_bound(length: float) -> float:
     """Historical bound 45 L e^{L/2} (optional calculator entry)."""
-    if not length > 0:
-        raise NonpositiveInput(f"length = {length} must be positive")
+    _positive("length", length)
     return 45.0 * length * math.exp(length / 2.0)
 
 

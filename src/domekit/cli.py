@@ -157,14 +157,9 @@ def cmd_bounds_table(args):
         if not 0 < nu < math.inf:
             raise OutOfDomain(f"{name} = {nu} outside (0, inf)")
     rows = []
-    for nu in np.geomspace(args.nu_min, args.nu_max, args.points):
-        nu = float(nu)
-        tight, relaxed = bounds_mod.roundness_bound_domain(nu)
-        low = bounds_mod.dilatation_lower_bound(nu) if 0 < nu < 0.5 else None
-        rows.append([nu, bounds_mod.domain_dilatation_bound(nu),
-                     bounds_mod.domain_dilatation_bound_relaxed(nu), tight,
-                     relaxed, bounds_mod.retraction_lipschitz_bound(nu),
-                     bounds_mod.dome_injectivity_lower(nu), low])
+    for nu in np.geomspace(args.nu_min, args.nu_max, args.points).tolist():
+        values = bounds_mod.BoundReport.evaluate(nu=nu).values
+        rows.append([nu] + [values[k] for k in header[1:]])
     return {"rows": [dict(zip(header, r)) for r in rows]}, header, rows
 
 
@@ -238,14 +233,12 @@ def cmd_earthquake_trace(args):
     angles = np.linspace(0.0, 2 * math.pi, args.samples, endpoint=False)
     payload = {"t": t}
     if t.imag == 0:
-        quake = pleat_mod.EarthquakeMap(lam, *pleat_mod._gap_maps(
-            lam, [t.real * w for w in lam.weights], None, pleat_mod._shear))
-        boundary = quake.boundary_map().apply_complex
+        boundary = pleat_mod._quake(lam, t.real, None).boundary_map().apply_complex
     else:
         ce = pleat_mod.complex_earthquake(lam, t)
         boundary = ce.boundary
-        payload["faces"] = [{"gap": f["gap"], "arcs": f["arcs"]}
-                            for f in ce.plane.faces()]
+        payload["faces"] = [{"gap": gid, "arcs": list(gap.arcs)}
+                            for gid, gap in enumerate(ce.plane.complex_.gaps)]
     rows = []
     for a in angles:
         w = boundary(float(a))
@@ -297,10 +290,9 @@ def cmd_qc_estimate(args):
     field = qc_mod.beltrami_estimate(grid)
     stats = qc_mod.dilatation_stats(field)
     if args.dump_field:
-        usable = field.valid & ~field.degenerate & ~field.orientation_reversing
         with open(args.dump_field, "w") as fh:
             fh.write("x,y,K\n")
-            for j, i in zip(*np.nonzero(usable)):
+            for j, i in zip(*np.nonzero(field.usable)):
                 loc = grid.cell_location(int(j), int(i))
                 fh.write(f"{loc.real:.17g},{loc.imag:.17g},"
                          f"{field.K[j, i]:.17g}\n")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +38,9 @@ class Crescent:
     circle1: CircleOrLine
     circle2: CircleOrLine
     sample: complex
-    theta: float = 0.0
-    vertices: tuple = ()
-    _beta: MobiusMap | None = None
+    theta: float = field(init=False)
+    vertices: tuple = field(init=False)
+    _beta: MobiusMap = field(init=False)
 
     def __post_init__(self):
         pts = self.circle1.intersect(self.circle2)

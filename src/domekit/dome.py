@@ -91,11 +91,11 @@ class IdealConfiguration:
         v.flags.writeable = False
         return v
 
-    def is_concyclic(self, tol: float = 1e-9) -> bool:
+    def is_concyclic(self) -> bool:
         v = self.sphere_vectors
         c = v.mean(axis=0)
         sv = np.linalg.svd(v - c, compute_uv=False)
-        return sv[-1] < tol
+        return sv[-1] < 1e-9
 
     @staticmethod
     def from_json(data: dict) -> "IdealConfiguration":
@@ -259,7 +259,7 @@ def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
     sphere = cfg.sphere_vectors
     if cfg.is_concyclic():
         return _build_degenerate(cfg, sphere)
-    # Imported here, not at module level: it takes ~0.4 s and only the hull
+    # Imported here, not at module level: it takes about 0.5 s and only the hull
     # needs it, so the other CLI subcommands start without it.
     from scipy.spatial import ConvexHull
 
@@ -365,11 +365,11 @@ class BendingData:
         return [e.weight for e in self.entries]
 
 
-def bending_lamination(hull: HullPolyhedron, tol: float = 1e-12) -> BendingData:
-    """Edges with positive exterior angle, weighted by that angle."""
+def bending_lamination(hull: HullPolyhedron) -> BendingData:
+    """Edges with exterior angle above 1e-12, weighted by that angle."""
     entries = []
     for i, e in enumerate(hull.edges):
-        if e.angle > tol:
+        if e.angle > 1e-12:
             entries.append(
                 BendingEntry(
                     i, hull.edge_geodesic_endpoints(e), e.angle, e.fold
@@ -383,15 +383,15 @@ def bending_lamination(hull: HullPolyhedron, tol: float = 1e-12) -> BendingData:
 # ---------------------------------------------------------------------------
 
 
-def _point_in_convex_polygon(p: complex, verts: list[complex], tol: float = 1e-12) -> bool:
+def _point_in_convex_polygon(p: complex, verts: list[complex]) -> bool:
     n = len(verts)
     signs = []
     for i in range(n):
         a, b = verts[i], verts[(i + 1) % n]
         cr = (b.real - a.real) * (p.imag - a.imag) - (b.imag - a.imag) * (p.real - a.real)
         signs.append(cr)
-    scale = max(max(abs(s) for s in signs), tol)
-    return all(s >= -tol * scale for s in signs) or all(s <= tol * scale for s in signs)
+    bound = 1e-12 * max(max(abs(s) for s in signs), 1e-12)
+    return all(s >= -bound for s in signs) or all(s <= bound for s in signs)
 
 
 @dataclass
@@ -547,7 +547,7 @@ def retraction_certificate(hull: HullPolyhedron, z, result: RetractionResult,
         for p in pts:
             if np.linalg.norm(p) >= 1 - 1e-12:
                 continue
-            hp = ball_to_halfspace(p / (1.0 + math.sqrt(max(0.0, 1 - p @ p))))
+            hp = ball_to_halfspace(_klein_to_ball(p))
             worst = min(worst, busemann(z, hp, BASEPOINT))
     return worst - result.busemann_value
 
@@ -862,22 +862,21 @@ def hull_to_json(hull: HullPolyhedron) -> dict:
     }
 
 
-def export_mesh(hull: HullPolyhedron, shrink: float = 0.98) -> str:
+def _klein_to_ball(x: np.ndarray) -> np.ndarray:
+    return x / (1.0 + math.sqrt(max(0.0, 1.0 - float(x @ x))))
+
+
+def export_mesh(hull: HullPolyhedron) -> str:
     """OBJ mesh of the dome in the Poincare ball, one fan per face."""
     lines = ["# domekit dome mesh (Poincare ball model)"]
     vert_lines = []
     face_lines = []
     count = 0
-
-    def ball(x: np.ndarray) -> np.ndarray:
-        n2 = float(x @ x)
-        return x / (1.0 + math.sqrt(max(0.0, 1.0 - n2)))
-
     for f in hull.faces:
         pts = hull.sphere[f.vertices]
         c = pts.mean(axis=0)
-        ring = [ball(c + shrink * (p - c)) for p in pts]
-        center = ball(c)
+        ring = [_klein_to_ball(c + 0.98 * (p - c)) for p in pts]
+        center = _klein_to_ball(c)
         base = count + 1
         vert_lines.append("v {:.8f} {:.8f} {:.8f}".format(*center))
         count += 1

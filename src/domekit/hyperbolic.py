@@ -160,10 +160,7 @@ def foot_on_geodesic(z: complex, polar: np.ndarray) -> complex:
     v = v / nv
     f = np.cross(polar, v)
     f[2] = -f[2]
-    f = f / math.sqrt(abs(-_mink_dot(f, f)))
-    if f[2] < 0:
-        f = -f
-    return complex(f[0], f[1]) / (1.0 + f[2])
+    return _vec_to_disk(f)
 
 
 def _vec_to_disk(X: np.ndarray) -> complex:

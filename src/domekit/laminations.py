@@ -62,9 +62,6 @@ class GeodesicArc:
     p: PointH2
     q: PointH2
 
-    def length(self) -> float:
-        return dist_h2(self.p, self.q)
-
 
 @dataclass(frozen=True)
 class FiniteLamination:
@@ -571,8 +568,8 @@ def _initial_direction(z: complex, w: complex) -> float:
 
 
 def random_lamination(rng: np.random.Generator, n_leaves: int,
-                      min_gap: float = 0.05, weight_range=(0.5, 2.0)) -> FiniteLamination:
-    """Random pairwise-disjoint lamination with a separation margin."""
+                      min_gap: float = 0.05) -> FiniteLamination:
+    """Random pairwise-disjoint lamination with a separation margin, weights in [0.5, 2)."""
     leaves: list[GeodesicH2] = []
     polars: list[np.ndarray] = []
     attempts = 0
@@ -593,5 +590,5 @@ def random_lamination(rng: np.random.Generator, n_leaves: int,
         if ok:
             leaves.append(g)
             polars.append(u)
-    weights = rng.uniform(*weight_range, n_leaves).tolist()
+    weights = rng.uniform(0.5, 2.0, n_leaves).tolist()
     return FiniteLamination(leaves, weights)

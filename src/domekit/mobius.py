@@ -134,10 +134,6 @@ class MobiusMap:
         return MobiusMap(1, -p, 1, -q)
 
     @staticmethod
-    def scaling(w) -> "MobiusMap":
-        return MobiusMap(w, 0, 0, 1)
-
-    @staticmethod
     def translation_along(p, q, dist: float) -> "MobiusMap":
         """Hyperbolic translation with axis (p, q), by dist toward q.
 

@@ -145,9 +145,14 @@ def _shear(leaf: GeodesicH2, dist: float, inside: bool) -> MobiusMap:
     return MobiusMap.translation_along(p, q, dist)
 
 
+def _quake(lam: FiniteLamination, x: float, base) -> EarthquakeMap:
+    """Left earthquake shearing by x times each leaf's weight, fixing the base gap."""
+    return EarthquakeMap(lam, *_gap_maps(lam, [x * w for w in lam.weights], base, _shear))
+
+
 def earthquake(lam: FiniteLamination, base=None) -> EarthquakeMap:
     """Left earthquake shearing by each leaf's weight, fixing the base gap."""
-    return EarthquakeMap(lam, *_gap_maps(lam, lam.weights, base, _shear))
+    return _quake(lam, 1.0, base)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +180,6 @@ class PleatedPlane(_GapMaps):
     def boundary(self, angle: float):
         """Ideal boundary trace: image of the disk boundary point on the sphere."""
         return self._circle_map.apply_complex(angle)
-
-    def faces(self) -> list[dict]:
-        """Supporting plane and boundary arcs of each gap image."""
-        from .mobius import CircleOrLine
-
-        real_line = CircleOrLine.real_line()
-        out = []
-        for gid, gap in enumerate(self.complex_.gaps):
-            circ = real_line.mobius_image(self.gap_maps[gid])
-            out.append({"gap": gid, "circle": circ, "arcs": list(gap.arcs)})
-        return out
 
 
 def _bend(leaf: GeodesicH2, angle: float, inside: bool) -> MobiusMap:
@@ -227,11 +221,10 @@ class ComplexEarthquake:
 
 
 def complex_earthquake(lam: FiniteLamination, z: complex, base=None) -> ComplexEarthquake:
-    x, y = z.real, z.imag
-    quake = EarthquakeMap(lam, *_gap_maps(lam, [x * w for w in lam.weights], base, _shear))
+    quake = _quake(lam, z.real, base)
     pushed = pushforward(quake.boundary_map(), lam)
     base_sample = lam.gaps.gaps[quake.base_gap].sample
-    plane = PleatedPlane(pushed, *_gap_maps(pushed, [y * w for w in lam.weights],
+    plane = PleatedPlane(pushed, *_gap_maps(pushed, [z.imag * w for w in lam.weights],
                                             base_sample, _bend))
     return ComplexEarthquake(lam, complex(z), quake, plane)
 
@@ -249,19 +242,10 @@ def shear_reach(L: float, x: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class T0Region:
-    """Parameters x + iy with |y| < c2 / ceil(shear_reach(1, x))."""
-
-    c2: float = 0.73
-
-    def contains(self, t: complex) -> bool:
-        t = complex(t)
-        return abs(t.imag) < self.c2 / math.ceil(shear_reach(1.0, t.real))
-
-
 def in_T0(t: complex, c2: float = 0.73) -> bool:
-    return T0Region(c2).contains(t)
+    """Whether t = x + iy has |y| < c2 / ceil(shear_reach(1, x))."""
+    t = complex(t)
+    return abs(t.imag) < c2 / math.ceil(shear_reach(1.0, t.real))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,16 @@ scalings and radial power maps between annuli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .crescents import AngleScaling, scaling_dilatation
+from .crescents import (
+    AngleScaling,
+    angle_scale_array,
+    quasiregular_bound,
+    scaling_dilatation,
+)
 from .errors import EmptyField, NonpositiveInput, TooFewPoints
 from .mobius import MobiusMap
 
@@ -38,11 +43,7 @@ class GridSample:
     y0: float
     h: float
     values: np.ndarray
-    mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.mask is None:
-            self.mask = np.ones(self.values.shape, dtype=bool)
+    mask: np.ndarray
 
     @property
     def shape(self):
@@ -75,6 +76,11 @@ class BeltramiField:
     valid: np.ndarray
     degenerate: np.ndarray
     orientation_reversing: np.ndarray
+
+    @property
+    def usable(self) -> np.ndarray:
+        """Cells that enter the statistics: valid, nondegenerate, orientation kept."""
+        return self.valid & ~self.degenerate & ~self.orientation_reversing
 
 
 def beltrami_estimate(grid: GridSample) -> BeltramiField:
@@ -117,7 +123,7 @@ class DilatationStats:
 
 def dilatation_stats(field: BeltramiField) -> DilatationStats:
     """Statistics of K over usable cells; the sup comes with its location."""
-    usable = field.valid & ~field.degenerate & ~field.orientation_reversing
+    usable = field.usable
     if not usable.any():
         raise EmptyField("no usable cells")
     K = np.where(usable, field.K, -np.inf)
@@ -153,9 +159,8 @@ def conjugation_sample(n: int = 128) -> GridSample:
     return GridSample.from_function(np.conj, 0.0, 1.0, 0.0, 1.0, n)
 
 
-def power_map_sample(alpha: float, n: int = 512, r0: float = 1.0,
-                     r1: float = 2.0) -> GridSample:
-    """Radial power map r e^{i t} -> r^alpha e^{i t} on a masked annulus.
+def power_map_sample(alpha: float, n: int = 512) -> GridSample:
+    """Radial power map r e^{i t} -> r^alpha e^{i t} on the masked annulus 1 < |z| < 2.
 
     |mu| = |alpha - 1| / (alpha + 1), so sup K = max(alpha, 1/alpha).
     """
@@ -169,14 +174,13 @@ def power_map_sample(alpha: float, n: int = 512, r0: float = 1.0,
         return out
 
     return GridSample.from_function(
-        f, -r1, r1, -r1, r1, n,
-        mask_fn=lambda z: (np.abs(z) > r0) & (np.abs(z) < r1),
+        f, -2.0, 2.0, -2.0, 2.0, n,
+        mask_fn=lambda z: (np.abs(z) > 1.0) & (np.abs(z) < 2.0),
     )
 
 
-def mobius_sample(m: MobiusMap, n: int = 512, x0: float = 0.0, x1: float = 1.0,
-                  y0: float = 0.0, y1: float = 1.0) -> GridSample:
-    return GridSample.from_function(m.apply_array, x0, x1, y0, y1, n)
+def mobius_sample(m: MobiusMap, n: int = 512) -> GridSample:
+    return GridSample.from_function(m.apply_array, 0.0, 1.0, 0.0, 1.0, n)
 
 
 def far_pole_mobius() -> MobiusMap:
@@ -209,24 +213,27 @@ class ScalingCheck:
     quasiregular_bound: float | None = None
 
 
+def _estimate_against(grid: GridSample, analytic: float) -> tuple[float, float]:
+    """Grid sup K and the largest deviation of a usable cell's K from ``analytic``."""
+    field = beltrami_estimate(grid)
+    stats = dilatation_stats(field)
+    return stats.sup, float(np.max(np.abs(field.K[field.usable] - analytic)))
+
+
 def verify_scaling_dilatation(w: complex, theta: float, n: int = 512,
-                              r0: float = 0.45, r1: float = 1.0,
                               t: complex | None = None,
                               t0: complex | None = None) -> ScalingCheck:
     """Grid-estimate the dilatation of the angle scaling and compare.
 
-    The scaling is sampled directly on the wedge sector r0 < |z| < r1,
+    The scaling is sampled directly on the wedge sector 0.45 < |z| < 1,
     0 <= arg z <= theta, with cells within 2h of a wedge edge masked,
     mirroring how composite maps jump across bending lines.  The inner
     radius keeps the angular derivatives resolvable at the grid spacing.
     """
     scaling = AngleScaling(w, theta)
     analytic = scaling_dilatation(scaling)
-
-    from .crescents import angle_scale_array
-
-    x_lo = min(0.0, r1 * math.cos(min(theta, math.pi)))
-    h = _grid_step(r1 - x_lo, n)
+    x_lo = min(0.0, math.cos(min(theta, math.pi)))
+    h = _grid_step(1.0 - x_lo, n)
 
     def mask(z):
         r = np.abs(z)
@@ -234,25 +241,18 @@ def verify_scaling_dilatation(w: complex, theta: float, n: int = 512,
         d_edge1 = z.imag  # distance to the positive real axis edge
         d_edge2 = r * np.sin(np.maximum(theta - ang, 0.0))
         return (
-            (r > r0) & (r < r1)
+            (r > 0.45) & (r < 1.0)
             & (ang < theta) & (d_edge1 > 2 * h) & (d_edge2 > 2 * h)
         )
 
     grid = GridSample.from_function(
-        lambda z: angle_scale_array(scaling, z), x_lo, r1, 0.0,
-        r1 * math.sin(min(theta, math.pi / 2)) if theta < math.pi else r1,
+        lambda z: angle_scale_array(scaling, z), x_lo, 1.0, 0.0,
+        math.sin(min(theta, math.pi / 2)) if theta < math.pi else 1.0,
         n, mask_fn=mask,
     )
-    field = beltrami_estimate(grid)
-    stats = dilatation_stats(field)
-    usable = field.valid & ~field.degenerate & ~field.orientation_reversing
-    dev = float(np.max(np.abs(field.K[usable] - analytic)))
-    qb = None
-    if t is not None and t0 is not None:
-        from .crescents import quasiregular_bound
-
-        qb = quasiregular_bound(t, t0)
-    return ScalingCheck(w, theta, n, analytic, stats.sup, dev, qb)
+    sup, dev = _estimate_against(grid, analytic)
+    qb = quasiregular_bound(t, t0) if t is not None and t0 is not None else None
+    return ScalingCheck(w, theta, n, analytic, sup, dev, qb)
 
 
 @dataclass
@@ -283,20 +283,10 @@ def annulus_extremal_check(s: float, alpha: float, n: int = 512) -> AnnulusExtre
     if s <= 0 or alpha <= 0:
         raise NonpositiveInput("s and alpha must be positive")
     analytic = max(alpha, 1.0 / alpha)
-    h = _grid_step(s, n)
-
-    def g(zeta):
-        return np.exp(alpha * zeta.real + 1j * zeta.imag)
-
-    ny = int(round(2 * math.pi / h)) + 1
-    xs = h * np.arange(n)
-    ys = h * np.arange(ny)
-    Z = xs[None, :] + 1j * ys[:, None]
-    grid = GridSample(0.0, 0.0, h, g(Z))
-    field = beltrami_estimate(grid)
-    stats = dilatation_stats(field)
-    usable = field.valid & ~field.degenerate & ~field.orientation_reversing
-    dev = float(np.max(np.abs(field.K[usable] - analytic)))
+    grid = GridSample.from_function(
+        lambda zeta: np.exp(alpha * zeta.real + 1j * zeta.imag),
+        0.0, s, 0.0, 2 * math.pi, n)
+    sup, dev = _estimate_against(grid, analytic)
     return AnnulusExtremalCheck(
-        s, alpha, n, analytic, stats.sup, dev, alpha * s / (2 * math.pi)
+        s, alpha, n, analytic, sup, dev, alpha * s / (2 * math.pi)
     )

@@ -35,6 +35,11 @@ class TestCrescent:
         assert c.theta == pytest.approx(math.pi / 2, abs=1e-12)
         assert sorted((abs(v) if v != INF else math.inf) for v in c.vertices) == [1.0, 1.0]
 
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            Crescent(CircleOrLine.unit_circle(), CircleOrLine.real_line(),
+                     0.5 + 0.3j, theta=1.0)
+
     def test_normalize_sends_vertices_to_zero_inf(self):
         c = Crescent(CircleOrLine.unit_circle(), CircleOrLine.real_line(),
                      0.5 + 0.3j)

@@ -32,6 +32,7 @@ class TestBeltramiEstimate:
         field = beltrami_estimate(affine_sample(128))
         stats = dilatation_stats(field)
         assert stats.sup == pytest.approx(2.0, abs=1e-10)
+        assert stats.n_cells == field.usable.sum() == 126 * 126
         mus = field.mu[field.valid & ~field.degenerate]
         assert np.abs(mus - 1.0 / 3.0).max() < 1e-10
 
@@ -47,7 +48,7 @@ class TestBeltramiEstimate:
         assert not field.valid[:, 0].any() and not field.valid[:, -1].any()
 
     def test_masked_region_respected(self):
-        g = power_map_sample(2.0, 128, r0=1.0, r1=2.0)
+        g = power_map_sample(2.0, 128)
         field = beltrami_estimate(g)
         ys = np.arange(g.values.shape[0])
         xs = np.arange(g.values.shape[1])
