@@ -12,7 +12,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import laminations as lam_mod
 from . import pleating as pleat_mod
 from . import qc as qc_mod
 from .crescents import AngleScaling, scaling_dilatation
-from .errors import DomekitError, NonpositiveInput, OutOfDomain
+from .errors import DomekitError, OutOfDomain
 from .mobius import INF, is_inf
 
 SCHEMA = "domekit/1"
@@ -127,18 +126,6 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("DOMEKIT_THREADS")
-    if env:
-        try:
-            return _positive_int(env)
-        except argparse.ArgumentTypeError as exc:
-            raise NonpositiveInput(f"DOMEKIT_THREADS: {exc}") from None
-    return os.cpu_count() or 1
-
-
 # Subcommand handlers: each returns the arguments of `_emit` after ``args``.
 
 
@@ -222,7 +209,7 @@ def cmd_lamination_roundness(args):
     payload = {"roundness": lam_mod.roundness(lam)}
     if args.brute_arcs:
         payload["brute_force"] = lam_mod.roundness_brute_force(
-            lam, n_arcs=args.brute_arcs, seed=args.seed, threads=_threads(args))
+            lam, n_arcs=args.brute_arcs, seed=args.seed, threads=args.threads)
         payload["brute_arcs"] = args.brute_arcs
     return payload, list(payload)
 

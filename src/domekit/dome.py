@@ -35,7 +35,17 @@ from .hyperbolic import (
     poincare_extension,
     sphere_to_boundary,
 )
-from .mobius import INF, CircleOrLine, MobiusMap, chordal_distance, is_inf
+from .mobius import (
+    INF,
+    CircleOrLine,
+    MobiusMap,
+    apply,
+    chordal_distance,
+    compose,
+    inverse,
+    is_inf,
+    to_zero_inf,
+)
 
 COPLANAR_TOL = 1e-10
 BASEPOINT = PointH3(0.0, 0.0, 1.0)
@@ -134,7 +144,6 @@ class Edge:
 @dataclass
 class HullPolyhedron:
     config: IdealConfiguration
-    sphere: np.ndarray
     faces: list[Face]
     edges: list[Edge]
     degenerate: bool
@@ -158,6 +167,11 @@ class HullPolyhedron:
             [f.vertices + f.vertices[:1] * (k - len(f.vertices))
              for f in self.faces])
         self.edge_vertices = np.array([e.v for e in self.edges]).reshape(-1, 2)
+
+    @property
+    def sphere(self) -> np.ndarray:
+        """The configuration's sphere vectors, (N, 3) and read-only."""
+        return self.config.sphere_vectors
 
     @cached_property
     def atlas(self) -> "SurfaceAtlas":
@@ -247,7 +261,7 @@ def _build_degenerate(cfg: IdealConfiguration, sphere: np.ndarray) -> HullPolyhe
         Edge((cycle[i], cycle[(i + 1) % len(cycle)]), (0, 1), math.pi, fold=True)
         for i in range(len(cycle))
     ]
-    return HullPolyhedron(cfg, sphere, [f_top, f_bot], edges, degenerate=True)
+    return HullPolyhedron(cfg, [f_top, f_bot], edges, degenerate=True)
 
 
 def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
@@ -331,7 +345,7 @@ def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
         ang = _exterior_angle(polars[fs[0]], polars[fs[1]])
         edges.append(Edge((va, vb), (fs[0], fs[1]), ang))
 
-    poly = HullPolyhedron(cfg, sphere, faces, edges, degenerate=False)
+    poly = HullPolyhedron(cfg, faces, edges, degenerate=False)
     if poly.euler_characteristic() != 2:
         raise NumericallyCoincident(
             f"Euler characteristic {poly.euler_characteristic()} != 2"
@@ -532,8 +546,10 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
 
 
 def retraction_certificate(hull: HullPolyhedron, z, result: RetractionResult,
-                           n_samples: int = 200, seed: int = 0) -> float:
+                           seed: int = 0) -> float:
     """Smallest sampled hull Busemann value minus the retraction's value.
+
+    About 200 points are sampled, spread evenly over the faces.
 
     Nonnegative (within tolerance) certifies that the open horoball through
     the contact point misses the hull.
@@ -542,7 +558,7 @@ def retraction_certificate(hull: HullPolyhedron, z, result: RetractionResult,
     worst = math.inf
     for f in hull.faces:
         ids = f.vertices
-        w = rng.dirichlet(np.ones(len(ids)), size=n_samples // max(len(hull.faces), 1) + 1)
+        w = rng.dirichlet(np.ones(len(ids)), size=200 // max(len(hull.faces), 1) + 1)
         pts = w @ hull.sphere[ids]
         for p in pts:
             if np.linalg.norm(p) >= 1 - 1e-12:
@@ -557,39 +573,10 @@ def retraction_certificate(hull: HullPolyhedron, z, result: RetractionResult,
 # ---------------------------------------------------------------------------
 
 
-#: The identity as a real map (a, b, c, d): x -> (a x + b) / (c x + d).
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
-
-
-def _compose(m: tuple, n: tuple) -> tuple:
-    """The real map m after n (the matrix product m @ n)."""
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _apply(m: tuple, x: float) -> float:
-    """Image of an extended real x under the real map m."""
-    a, b, c, d = m
-    if math.isinf(x):
-        return a / c if c else math.inf
-    den = c * x + d
-    return (a * x + b) / den if den else math.inf
-
-
 def _pull(m: tuple, w: complex) -> complex:
     """Image of an upper-half-plane point w under m^-1, for det m = 1."""
     a, b, c, d = m
     return (d * w - b) / (a - c * w)
-
-
-def _to_zero_inf(p: float, q: float) -> tuple:
-    """A real map sending p to 0 and q to inf; either may be inf."""
-    if math.isinf(p):
-        return (0.0, 1.0, 1.0, -q)
-    if math.isinf(q):
-        return (1.0, -p, 0.0, 1.0)
-    return (1.0, -p, 1.0, -q)
 
 
 def _cross_ratio(pa, pb, v, u) -> complex:
@@ -621,7 +608,8 @@ class SurfaceAtlas:
     A face's chart sends its first three vertices to 0, 1 and inf, so the
     face goes to the upper half plane and its ideal vertices to the
     extended real line.  The development moves between charts by real
-    maps (a, b, c, d) of determinant 1, tuples of Python floats.
+    maps (a, b, c, d) of determinant 1, tuples of Python floats that
+    `mobius`'s tuple kernel composes and applies.
 
     A hull builds one, as `HullPolyhedron.atlas`, so the chart images of
     the edges and the gluing maps computed for one query serve the next.
@@ -666,7 +654,7 @@ class SurfaceAtlas:
         """Development step crossing ``edge`` out of ``face``: (g, neighbor).
 
         g sends the neighbor's chart to this face's, so dev_child =
-        _compose(dev_parent, g).  It maps the neighbor's images of the
+        compose(dev_parent, g).  It maps the neighbor's images of the
         edge's ends pa, pb to this face's, and the neighbor's off-edge
         vertex u to the point x on the far side of the edge from this
         face's off-edge vertex v with (pa, pb; v, x) = -|(pa, pb; v, u)|.
@@ -685,14 +673,13 @@ class SurfaceAtlas:
             r = abs(_cross_ratio(pts[e.v[0]], pts[e.v[1]], pts[v], pts[u]))
             # S sends the edge's ends to 0 and inf in either chart, and the
             # gluing is S_face^-1 o (x -> k x) o S_other, k < 0 taking u
-            # across the edge from v; (t, -q, -s, p) inverts S_face
+            # across the edge from v
             a, b, x = (self._vertex_image(face, i) for i in (*e.v, v))
-            s_face = _to_zero_inf(a, b)
+            s_face = to_zero_inf(a, b)
             a, b, y = (self._vertex_image(other, i) for i in (*e.v, u))
-            s_other = _to_zero_inf(a, b)
-            k = -r * _apply(s_face, x) / _apply(s_other, y)
-            p, q, s, t = s_face
-            g = _compose((t, -q, -s, p), _compose((k, 0.0, 0.0, 1.0), s_other))
+            s_other = to_zero_inf(a, b)
+            k = -r * apply(s_face, x) / apply(s_other, y)
+            g = compose(inverse(s_face), compose((k, 0.0, 0.0, 1.0), s_other))
             n = math.sqrt(g[0] * g[3] - g[1] * g[2])
             got = self._glue[key] = (tuple(c / n for c in g), other)
         return got
@@ -729,7 +716,7 @@ def dome_injectivity_radius(hull: HullPolyhedron, face: int, p: PointH3,
     loops = expanded = pruned = frontier = 0
     pulls: dict[int, list[complex]] = {face: [w0]}
     queue: deque = deque()
-    queue.append((face, _IDENTITY, w0, -1, 0))
+    queue.append((face, (1.0, 0.0, 0.0, 1.0), w0, -1, 0))
     while queue:
         cur_face, dev, q, in_edge, d = queue.popleft()
         if d >= depth:
@@ -743,7 +730,7 @@ def dome_injectivity_radius(hull: HullPolyhedron, face: int, p: PointH3,
                 pruned += 1
                 continue
             g, nxt = atlas.gluing(cur_face, ei)
-            ndev = _compose(dev, g)
+            ndev = compose(dev, g)
             nq = _pull(ndev, w0)
             seen = pulls.setdefault(nxt, [])
             for other in seen:
@@ -790,9 +777,8 @@ def trace_surface_arc(hull: HullPolyhedron, face: int, p: PointH3,
             e_back, e_fwd = c + r, c - r
     # m sends the current face's chart to the axis chart, where the arc runs
     # up the imaginary axis from tau0 i
-    m = _to_zero_inf(e_back, e_fwd)
-    a, b, c, d = m
-    tau0 = abs((a * w0 + b) / (c * w0 + d))
+    m = to_zero_inf(e_back, e_fwd)
+    tau0 = abs(apply(m, w0))
 
     crossings: list[tuple[int, float]] = []
     measure = 0.0
@@ -804,8 +790,9 @@ def trace_surface_arc(hull: HullPolyhedron, face: int, p: PointH3,
         for ei, a, b in atlas.chart_edges(cur_face):
             if ei == in_edge:
                 continue
-            da, db = _apply(m, a), _apply(m, b)
-            if math.isinf(da) or math.isinf(db) or da * db >= 0:
+            da, db = apply(m, a), apply(m, b)
+            # a pole (INF) or an overflow: not a crossing
+            if not (cmath.isfinite(da) and cmath.isfinite(db)) or da * db >= 0:
                 continue
             s = math.log(math.sqrt(-da * db) / tau0)
             if s <= s_cur + 1e-12 or s > length:
@@ -821,7 +808,7 @@ def trace_surface_arc(hull: HullPolyhedron, face: int, p: PointH3,
         measure += hull.edges[ei].angle
         crossings.append((ei, s))
         g, cur_face = atlas.gluing(cur_face, ei)
-        m = _compose(m, g)
+        m = compose(m, g)
         in_edge = ei
         s_cur = s
     return ArcTraceResult(measure, crossings, length, truncated)

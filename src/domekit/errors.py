@@ -22,9 +22,9 @@ class CrossingLeaves(DomekitError):
 
 
 class NonpositiveWeight(DomekitError):
-    def __init__(self, i, message=None):
+    def __init__(self, i):
         self.i = i
-        super().__init__(message or f"weight {i} is not strictly positive")
+        super().__init__(f"weight {i} is not strictly positive")
 
 
 class MismatchedLengths(DomekitError, ValueError):

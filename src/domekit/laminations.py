@@ -443,12 +443,13 @@ def _chunks(n: int) -> list[slice]:
 
 
 def _worker_count(requested: int | None, n_chunks: int) -> int:
-    """Threads to start: no more than requested, usable CPUs or chunks."""
+    """Threads to start: no more than requested (None: the usable CPUs),
+    usable CPUs or chunks."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(requested or 1, cpus, n_chunks))
+    return max(1, min(cpus if requested is None else requested, cpus, n_chunks))
 
 
 def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
@@ -464,8 +465,8 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     attains it when the sample pool contains a witnessing arc.
 
     The arcs are scored in fixed-size chunks on up to ``threads`` threads
-    (never more than the usable CPUs or the chunks); the result, a maximum
-    over chunks, does not depend on the thread count.
+    (by default the usable CPUs; never more than those or the chunks); the
+    result, a maximum over chunks, does not depend on the thread count.
     """
     if n_arcs < 1:
         raise NonpositiveInput(f"n_arcs must be at least 1, got {n_arcs}")

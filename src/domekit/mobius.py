@@ -2,7 +2,9 @@
 
 A MobiusMap is the isometry currency of the whole engine: it acts on the
 extended complex plane, and (via the Poincare extension in
-:mod:`domekit.hyperbolic`) on upper half-space.
+:mod:`domekit.hyperbolic`) on upper half-space.  Its algebra is the 2x2
+kernel below, functions on coefficient tuples (a, b, c, d) of floats or
+complex numbers; the dome's development calls them on real tuples.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ HUGE = 1e150
 
 
 def is_inf(z) -> bool:
-    return z == INF or (isinstance(z, complex) and not cmath.isfinite(z))
+    """INF: any non-finite complex, or a real +inf; the finite test comes first."""
+    return not cmath.isfinite(z) and (isinstance(z, complex) or z == math.inf)
 
 
 def chordal_distance(z, w) -> float:
@@ -40,6 +43,37 @@ def chordal_distance(z, w) -> float:
     if max(abs(z), abs(w)) > HUGE:
         return 2.0 * (abs(z - w) / math.hypot(1.0, abs(z))) / math.hypot(1.0, abs(w))
     return 2.0 * abs(z - w) / math.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
+
+
+def compose(m: tuple, n: tuple) -> tuple:
+    """m after n (the matrix product m @ n)."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def inverse(m: tuple) -> tuple:
+    """The adjugate of m: its inverse map, with the same determinant."""
+    a, b, c, d = m
+    return (d, -b, -c, a)
+
+
+def apply(m: tuple, z):
+    """Image of an extended number z under m; INF at a pole."""
+    a, b, c, d = m
+    if not cmath.isfinite(z) and is_inf(z):  # a finite z skips the call
+        return a / c if c else INF
+    den = c * z + d
+    return (a * z + b) / den if den else INF
+
+
+def to_zero_inf(p, q) -> tuple:
+    """A map sending p to 0 and q to inf (normalization free); either may be inf."""
+    if is_inf(p):
+        return (0.0, 1.0, 1.0, -q)
+    if is_inf(q):
+        return (1.0, -p, 0.0, 1.0)
+    return (1.0, -p, 1.0, -q)
 
 
 class MobiusMap:
@@ -62,15 +96,11 @@ class MobiusMap:
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """self after other (the matrix product, self on the left)."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return MobiusMap(*compose((self.a, self.b, self.c, self.d),
+                                  (other.a, other.b, other.c, other.d)))
 
     def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
+        return MobiusMap(*inverse((self.a, self.b, self.c, self.d)))
 
     def trace(self) -> complex:
         return self.a + self.d
@@ -79,15 +109,7 @@ class MobiusMap:
 
     def __call__(self, z):
         """Apply to an extended complex number; total on the sphere."""
-        if is_inf(z):
-            if self.c == 0:
-                return INF
-            return self.a / self.c
-        num = self.a * z + self.b
-        den = self.c * z + self.d
-        if den == 0:
-            return INF
-        return num / den
+        return apply((self.a, self.b, self.c, self.d), z)
 
     def apply_array(self, z: np.ndarray) -> np.ndarray:
         """Vectorized action on finite complex arrays (poles map to inf)."""
@@ -127,11 +149,7 @@ class MobiusMap:
     @staticmethod
     def to_zero_inf(p, q) -> "MobiusMap":
         """Some map sending p to 0 and q to inf (normalization free)."""
-        if is_inf(p):
-            return MobiusMap(0, 1, 1, -q)
-        if is_inf(q):
-            return MobiusMap(1, -p, 0, 1)
-        return MobiusMap(1, -p, 1, -q)
+        return MobiusMap(*to_zero_inf(p, q))
 
     @staticmethod
     def translation_along(p, q, dist: float) -> "MobiusMap":

@@ -63,7 +63,7 @@ class CircleMap:
         return self.maps[i]
 
     def __call__(self, angle: float) -> float:
-        w = self._map_at(angle)(cmath.exp(1j * (angle % (2 * math.pi))))
+        w = self.apply_complex(angle)
         return math.atan2(w.imag, w.real) % (2 * math.pi)
 
     def apply_complex(self, angle: float):

@@ -393,17 +393,6 @@ class TestInputValidation:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_threads_env_is_an_error_line(self, lam_file, value,
-                                              monkeypatch, capsys):
-        monkeypatch.setenv("DOMEKIT_THREADS", value)
-        code, out, err = run_cli(
-            ["lamination", "roundness", "--input", lam_file,
-             "--brute-arcs", "1000"], capsys
-        )
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "DOMEKIT_THREADS" in err
-
     @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
     def test_seed_must_be_nonnegative(self, lam_file, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -568,7 +557,6 @@ class TestGolden:
 
     def _transcript(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "100")
-        monkeypatch.delenv("DOMEKIT_THREADS", raising=False)
         for name, doc in GOLDEN_FILES.items():
             (tmp_path / name).write_text(json.dumps(doc))
         runs = [case + ["--format", fmt]

@@ -370,7 +370,8 @@ class TestSampler:
         assert wc(10**9, 10**9) == 64
         assert wc(10**9, 3) == 3
         assert wc(5, 10**9) == 5
-        for requested in (None, 0, -3, 1):
+        assert wc(None, 10**9) == 64 and wc(None, 10) == 10
+        for requested in (0, -3, 1):
             assert wc(requested, 10) == 1
         assert wc(8, 0) == 1
 
@@ -401,7 +402,7 @@ class TestSampler:
                                     threads=10**6)
         assert started == [5]
         assert got == roundness_brute_force(lam, n_arcs=n_arcs, seed=4,
-                                            targeted=False)
+                                            targeted=False, threads=1)
         assert started == [5]
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from domekit import mobius
 from domekit.errors import DegenerateMobius
 from domekit.mobius import (
     INF,
@@ -194,8 +195,9 @@ _PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=No
 
 
 def _map(a, b, c, d) -> MobiusMap:
-    """The map, provided its determinant is not small against its size."""
-    assume(abs(a * d - b * c) > 1e-2 * max(abs(a), abs(b), abs(c), abs(d)) ** 2)
+    """The map, provided its determinant is not small against its size
+    (at least 1, as in MobiusMap)."""
+    assume(abs(a * d - b * c) > 1e-2 * max(abs(a), abs(b), abs(c), abs(d), 1.0) ** 2)
     return MobiusMap(a, b, c, d)
 
 
@@ -263,6 +265,80 @@ class TestClosedForms:
         l1 = CircleOrLine.line_through(0j, 1 + 1j)
         l2 = CircleOrLine.line_through(1j, 1 + 2j)
         assert l1.intersect(l2) == [INF]
+
+
+_REAL = st.floats(-1e6, 1e6)
+_REAL_MAP = st.tuples(_REAL, _REAL, _REAL, _REAL)
+
+
+def _bits(x) -> str:
+    """x's bits, the sign of a zero aside: complex division drops it."""
+    return float.hex(x + 0.0)
+
+
+class TestTupleKernel:
+    """`mobius.compose`, `inverse`, `apply` and `to_zero_inf` act on (a, b, c, d)
+    tuples of floats (the dome's development) or complex numbers (MobiusMap)."""
+
+    @_PROPS
+    @given(m=_REAL_MAP, n=_REAL_MAP, x=_REAL)
+    def test_float_and_complex_tuples_agree_bit_for_bit(self, m, n, x):
+        def cx(t):
+            return tuple(complex(v) for v in t)
+
+        for real, cplx in zip(mobius.compose(m, n), mobius.compose(cx(m), cx(n))):
+            assert cplx.imag == 0 and _bits(cplx.real) == _bits(real)
+        real, cplx = mobius.apply(m, x), mobius.apply(cx(m), complex(x))
+        if real == INF:
+            assert cplx == INF
+        else:
+            assert cplx.imag == 0 and _bits(cplx.real) == _bits(real)
+
+    @_PROPS
+    @given(m=_REAL_MAP)
+    def test_inverse_is_the_adjugate(self, m):
+        a, b, c, d = m
+        det = a * d - b * c
+        assert mobius.compose(m, mobius.inverse(m)) == (det, 0.0, 0.0, det)
+
+    @_PROPS
+    @given(a=_COEF, b=_COEF, c=_COEF, z=_COEF)
+    def test_apply_is_inf_at_a_pole_and_at_inf(self, a, b, c, z):
+        # d = -(c z) makes c z + d exactly 0
+        for m, w in (((a, b, c, -(c * z)), z),
+                     ((a.real, b.real, c.real, -(c.real * z.real)), z.real)):
+            assert mobius.apply(m, w) == INF
+            for inf in (INF, math.inf):
+                assert mobius.apply((m[0], m[1], 0.0, m[3]), inf) == INF
+                if m[2] != 0:
+                    assert mobius.apply(m, inf) == m[0] / m[2]
+
+    @_PROPS
+    @given(a=_COEF, b=_COEF, c=_COEF, d=_COEF, z=st.one_of(_COEF, st.just(INF)))
+    def test_mobius_map_wraps_the_kernel(self, a, b, c, d, z):
+        def coef(m):
+            return (m.a, m.b, m.c, m.d)
+
+        m = _map(a, b, c, d)
+        n = _map(d, c, b, a)
+        assert m(z) == mobius.apply(coef(m), z)
+        assert coef(m.inverse()) == coef(MobiusMap(*mobius.inverse(coef(m))))
+        assert coef(m.compose(n)) == coef(MobiusMap(*mobius.compose(coef(m), coef(n))))
+
+    @pytest.mark.parametrize("z, want", [
+        (0.3, False), (5, False), (1 + 2j, False), (INF, True), (math.inf, True),
+        (complex(-math.inf, 1.0), True), (complex(1.0, math.nan), True),
+        (np.float64(np.inf), True), (np.complex128(1j), False),
+        # a real -inf or NaN is not the point at infinity
+        (-math.inf, False), (math.nan, False),
+    ])
+    def test_is_inf(self, z, want):
+        assert mobius.is_inf(z) == want
+
+    @pytest.mark.parametrize("p, q", [(2.0, -1.0), (INF, 3.0), (0.5, INF), (1j, 2 + 1j)])
+    def test_to_zero_inf(self, p, q):
+        m = mobius.to_zero_inf(p, q)
+        assert mobius.apply(m, p) == 0 and mobius.apply(m, q) == INF
 
 
 _DIGEST = """
