@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,32 +142,59 @@ class Edge:
     fold: bool = False          # angle pi edge of a doubled flat hull
 
 
+class _Screen(NamedTuple):
+    """A hull's arrays that `_retraction_survivors` screens with, read-only.
+
+    Face i's circle is the form (A[i], B[i], C[i]) with A and C real.
+    """
+
+    ideal: np.ndarray          # (N,) the ideal points, INF as 0
+    finite: np.ndarray         # (N,) not INF
+    has_inf: bool              # some ideal point is INF
+    A: np.ndarray              # (F,)
+    B: np.ndarray              # (F,)
+    Bc: np.ndarray             # (F,) conj(B)
+    C: np.ndarray              # (F,)
+    abs_A: np.ndarray          # (F,) |A|, and so on
+    abs_B: np.ndarray
+    abs_C: np.ndarray
+    face_vertices: np.ndarray  # (F, K) vertex cycles padded with their start
+    face_next: np.ndarray      # (F, K) each entry's successor in its cycle
+    face_finite: np.ndarray    # (F,) no vertex is INF
+    edge_ends: np.ndarray      # (2, E) the first and the second ends of the edges
+    edge_finite: np.ndarray    # (E,) neither end is INF
+
+
+def _screen_arrays(points: tuple, faces: list[Face], edges: list[Edge]) -> _Screen:
+    """The hull's `_Screen`, its arrays made read-only."""
+    finite = np.array([not is_inf(p) for p in points])
+    ideal = np.array([p if f else 0j for p, f in zip(points, finite)], dtype=complex)
+    A = np.array([f.circle.A for f in faces])
+    B = np.array([f.circle.B for f in faces], dtype=complex)
+    C = np.array([f.circle.C for f in faces])
+    k = max(len(f.vertices) for f in faces)
+    fv = np.array([f.vertices + f.vertices[:1] * (k - len(f.vertices)) for f in faces])
+    ends = np.array([e.v for e in edges]).reshape(-1, 2).T.copy()
+    screen = _Screen(ideal, finite, not finite.all(), A, B, B.conjugate(), C,
+                     np.abs(A), np.abs(B), np.abs(C), fv, np.roll(fv, -1, axis=1),
+                     finite[fv].all(axis=1), ends, finite[ends].all(axis=0))
+    for a in screen:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return screen
+
+
 @dataclass
 class HullPolyhedron:
     config: IdealConfiguration
     faces: list[Face]
     edges: list[Edge]
     degenerate: bool
-    # arrays that `retract` screens with, built once with the hull
-    finite: np.ndarray = field(init=False, repr=False, compare=False)  # (N,) not INF
-    ideal: np.ndarray = field(init=False, repr=False, compare=False)  # (N,) INF as 0
-    face_forms: np.ndarray = field(init=False, repr=False, compare=False)  # (F, 3) A, B, C
-    face_vertices: np.ndarray = field(init=False, repr=False, compare=False)  # (F, K)
-    edge_vertices: np.ndarray = field(init=False, repr=False, compare=False)  # (E, 2)
+    # built once with the hull
+    screen: _Screen = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = self.config.points
-        self.finite = np.array([not is_inf(p) for p in pts])
-        self.ideal = np.array([p if f else 0j for p, f in zip(pts, self.finite)],
-                              dtype=complex)
-        self.face_forms = np.array(
-            [(f.circle.A, f.circle.B, f.circle.C) for f in self.faces],
-            dtype=complex)
-        k = max(len(f.vertices) for f in self.faces)  # cycles padded with their start
-        self.face_vertices = np.array(
-            [f.vertices + f.vertices[:1] * (k - len(f.vertices))
-             for f in self.faces])
-        self.edge_vertices = np.array([e.v for e in self.edges]).reshape(-1, 2)
+        self.screen = _screen_arrays(self.config.points, self.faces, self.edges)
 
     @property
     def sphere(self) -> np.ndarray:
@@ -429,62 +457,80 @@ def _retraction_survivors(hull: HullPolyhedron, z, z_inf: bool):
     the carrier reaches.  A face or edge is dropped only when, within the
     bounds, it is surely no candidate or surely below that floor; a face
     whose image form the scalar path might reject is always kept.
+
+    The hull-fixed inputs come from `hull.screen`.  Only z = inf on a hull
+    with an INF point leaves an image at INF, so only then are edges and
+    faces masked by the finiteness of their vertices.
     """
-    A, B, C = hull.face_forms.T
-    A, C = A.real, C.real
-    fv, ev = hull.face_vertices, hull.edge_vertices
+    s = hull.screen
+    A, C = s.A, s.C
     eps = _EPS
+    masked = z_inf and s.has_inf
     with np.errstate(all="ignore"):
         if z_inf:
-            w, ok = hull.ideal, hull.finite
-            Ap, Bp, Cp = A, B, C
-            tA, tB = np.abs(A), np.abs(B)
+            w = s.ideal
+            Ap, Bp, Cp = A, s.B, C
+            tA, tB, aC = s.abs_A, s.abs_B, s.abs_C
+            aA, aB = tA, tB
         else:
             zc = complex(z)
             r2 = abs(zc) ** 2
-            w = np.where(hull.finite, 1.0 / (hull.ideal - zc), 0.0)
-            ok = np.ones(len(w), dtype=bool)
-            Ap = A * r2 + 2.0 * (B.conjugate() * zc).real + C
-            Bp = A * zc.conjugate() + B.conjugate()
-            Cp = A
-            tA = np.abs(A) * r2 + 2.0 * np.abs(B) * abs(zc) + np.abs(C)
-            tB = np.abs(A) * abs(zc) + np.abs(B)
-        aA, aB = np.abs(Ap), np.abs(Bp)
+            w = 1.0 / (s.ideal - zc)
+            if s.has_inf:
+                w = np.where(s.finite, w, 0.0)
+            Ap = A * r2 + 2.0 * (s.Bc * zc).real + C
+            Bp = A * zc.conjugate() + s.Bc
+            Cp, aC = A, s.abs_A
+            tA = s.abs_A * r2 + 2.0 * s.abs_B * abs(zc) + s.abs_C
+            tB = s.abs_A * abs(zc) + s.abs_B
+            aA, aB = np.abs(Ap), np.abs(Bp)
 
         # edges: height |a - b| / 2
-        a, b = w[ev[:, 0]], w[ev[:, 1]]
+        a, b = w[s.edge_ends]
+        aw = np.abs(w)
+        abs_a, abs_b = aw[s.edge_ends]
         he = np.abs(a - b) / 2.0
-        dhe = 16.0 * eps * (1.0 + (np.abs(a) + np.abs(b)) / (2.0 * he))
-        edge_ok = ok[ev].all(axis=1)
-        floor = np.where(edge_ok, he * (1.0 - dhe), -np.inf).max(initial=-np.inf)
-        keep_edges = np.flatnonzero(edge_ok & ~(he * (1.0 + dhe) < floor))
+        dhe = 16.0 * eps * (1.0 + (abs_a + abs_b) / (2.0 * he))
+        low = he * (1.0 - dhe)
+        if masked:
+            low = np.where(s.edge_finite, low, -np.inf)
+        floor = low.max(initial=-np.inf)
+        keep = ~(he * (1.0 + dhe) < floor)
+        if masked:
+            keep &= s.edge_finite
+        keep_edges = keep.nonzero()[0]
 
         # faces: line test and height sqrt(D)/|A'|, D = |B'|^2 - A'C'
-        D = aB * aB - Ap * Cp
-        D_scale = aB * aB + np.abs(Ap * Cp) + tA * np.abs(Cp) + 2.0 * tB * aB
+        aB2, ApCp = aB * aB, Ap * Cp
+        D = aB2 - ApCp
+        D_scale = aB2 + np.abs(ApCp) + tA * aC + 2.0 * tB * aB
         sure_disc = D > 16.0 * eps * D_scale
         norm = np.sqrt(Ap * Ap + 2.0 * aB * aB + Cp * Cp)
         sure_line = (aA + 32.0 * eps * tA) / norm < 1e-12
         dh = 64.0 * eps * (1.0 + tA / aA + D_scale / D)
-        high = ~(np.sqrt(D) / aA * (1.0 + dh) < floor)
-        cand = np.flatnonzero(~sure_disc | (ok[fv].all(axis=1) & ~sure_line & high))
+        live = ~sure_line & ~(np.sqrt(D) / aA * (1.0 + dh) < floor)
+        if masked:
+            live &= s.face_finite
+        cand = (~sure_disc | live).nonzero()[0]
 
         # the few faces left: is the centre -B'/A' surely outside the polygon?
         c = -Bp[cand] / Ap[cand]
-        c_err = (32.0 * eps * (tB[cand] + np.abs(c) * tA[cand]) / aA[cand]
-                 + 8.0 * eps * np.abs(c))
-        fw = w[fv[cand]]
-        e = np.roll(fw, -1, axis=1) - fw
+        abs_c = np.abs(c)
+        c_err = (32.0 * eps * (tB[cand] + abs_c * tA[cand]) / aA[cand]
+                 + 8.0 * eps * abs_c)
+        fv = s.face_vertices[cand]
+        fw = w[fv]
+        e = w[s.face_next[cand]] - fw
         q = c[:, None] - fw
         sgn = e.real * q.imag - e.imag * q.real
         E, Q = np.abs(e).max(axis=1, initial=0.0), np.abs(q).max(axis=1, initial=0.0)
-        pos_err = c_err + 64.0 * eps * np.abs(fw).max(axis=1, initial=0.0)
+        pos_err = c_err + 64.0 * eps * aw[fv].max(axis=1, initial=0.0)
         s_err = (E + Q + pos_err) * pos_err + 8.0 * eps * E * Q
         band = s_err + 1e-12 * np.maximum(np.abs(sgn).max(axis=1, initial=0.0) + s_err,
                                           1e-12)
         outside = ((sgn.max(axis=1, initial=0.0) > band)
                    & (sgn.min(axis=1, initial=0.0) < -band))
-        keep_faces = cand[~sure_disc[cand] | ~outside]
+        keep_faces = cand[~(sure_disc[cand] & outside)]
     return keep_faces.tolist(), keep_edges.tolist()
 
 
@@ -502,16 +548,19 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
     the order faces then edges, so the result is the one a loop over every
     face and edge gives, bit for bit.
     """
+    if cmath.isnan(z):
+        raise InvalidInput("z: a coordinate is NaN")
     z_inf = is_inf(z)
-    d2 = ((hull.sphere - boundary_to_sphere(z)) ** 2).sum(axis=1)
-    for i in np.flatnonzero(~(d2 > _NEAR * _NEAR)):
-        if chordal_distance(z, hull.config.points[i]) <= COINCIDE_TOL:
+    pts = hull.config.points
+    # |u - v|^2 = 2 - 2 u.v: the rounding of u.v, a few ulps, is far below the
+    # gap between _NEAR and COINCIDE_TOL, and chordal_distance decides the
+    # screened points in index order, so the first coincident point raises.
+    near = hull.sphere @ boundary_to_sphere(z) >= 1.0 - 0.5 * _NEAR * _NEAR
+    for i in near.nonzero()[0]:
+        if chordal_distance(z, pts[i]) <= COINCIDE_TOL:
             raise PointNotInDomain(f"z coincides with ideal point {i}")
     m = MobiusMap.identity() if z_inf else MobiusMap(0, 1, 1, -z)
     faces, edges = _retraction_survivors(hull, z, z_inf)
-    used = set(hull.face_vertices[faces].ravel().tolist())
-    used.update(hull.edge_vertices[edges].ravel().tolist())
-    pts_m = {v: m(hull.config.points[v]) for v in used}
 
     best = None  # (height, priority, point, carrier)
     for fi in faces:
@@ -520,7 +569,7 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
         if circ.is_line:
             continue  # z on the face circle: contact cannot be interior
         c, rho = circ.center_radius()
-        verts = [pts_m[v] for v in f.vertices]
+        verts = [m(pts[v]) for v in f.vertices]
         if any(is_inf(v) for v in verts):
             continue
         if _point_in_convex_polygon(c, verts):
@@ -529,7 +578,7 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
                 best = cand
     for ei in edges:
         e = hull.edges[ei]
-        a, b = pts_m[e.v[0]], pts_m[e.v[1]]
+        a, b = m(pts[e.v[0]]), m(pts[e.v[1]])
         if is_inf(a) or is_inf(b):
             continue
         mid = (a + b) / 2.0
@@ -542,7 +591,7 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
     height, _, top, carrier = best
     point = poincare_extension(m.inverse(), top)
     b_val = math.log(poincare_extension(m, BASEPOINT).t / height)
-    return RetractionResult(point, carrier, b_val, None if is_inf(z) else complex(z))
+    return RetractionResult(point, carrier, b_val, None if z_inf else complex(z))
 
 
 def retraction_certificate(hull: HullPolyhedron, z, result: RetractionResult,

@@ -24,8 +24,8 @@ HUGE = 1e150
 
 
 def is_inf(z) -> bool:
-    """INF: any non-finite complex, or a real +inf; the finite test comes first."""
-    return not cmath.isfinite(z) and (isinstance(z, complex) or z == math.inf)
+    """INF: any non-finite complex, or a real +-inf; the finite test comes first."""
+    return not cmath.isfinite(z) and (isinstance(z, complex) or abs(z) == math.inf)
 
 
 def chordal_distance(z, w) -> float:

@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from domekit import dome
@@ -46,7 +46,7 @@ from domekit.hyperbolic import (
     poincare_extension,
     sphere_to_boundary,
 )
-from domekit.mobius import INF, MobiusMap, chordal_distance
+from domekit.mobius import INF, MobiusMap, chordal_distance, is_inf
 
 from _oracles import (
     _RotationAtlas,
@@ -134,6 +134,27 @@ class TestConfiguration:
         v = cfg.sphere_vectors
         assert v is cfg.sphere_vectors is build_hull(cfg).sphere
         assert not v.flags.writeable
+
+    def test_screen_arrays_built_once_and_read_only(self, monkeypatch):
+        built = []
+        make = dome._screen_arrays
+        monkeypatch.setattr(dome, "_screen_arrays",
+                            lambda *a: built.append(1) or make(*a))
+        hull = build_hull(IdealConfiguration([0, 1, INF, 1j, 2 + 1j]))
+        screen = hull.screen
+        for z in (0.5j, INF, -2.0 + 1j, -math.inf):
+            try:
+                retract(hull, z)
+            except PointNotInDomain:
+                pass
+        assert len(built) == 1 and hull.screen is screen
+        assert screen.has_inf
+        arrays = [a for a in screen if isinstance(a, np.ndarray)]
+        assert len(arrays) == len(screen) - 1
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            screen.A[0] = 0.0
+        assert not build_hull(regular_ideal_tetrahedron()).screen.has_inf
 
     def test_concyclic_detection(self):
         assert IdealConfiguration([0, 1, INF, -1]).is_concyclic()
@@ -257,6 +278,21 @@ class TestRetract:
         hull = build_hull(IdealConfiguration([0, 1, INF]))
         with pytest.raises(PointNotInDomain):
             retract(hull, 1.0)
+
+    @pytest.mark.parametrize("z", [math.nan, complex(math.nan, 0.0),
+                                   complex(0.0, math.nan), complex(math.inf, math.nan)])
+    def test_nan_query_rejected(self, z):
+        hull = build_hull(regular_ideal_tetrahedron())
+        with pytest.raises(InvalidInput, match=r"^z: a coordinate is NaN$"):
+            retract(hull, z)
+
+    def test_real_minus_inf_is_infinity(self):
+        for points in ([0, 1, 1j, 2 + 1j], [1.0, -1.0, 1j, -1j]):
+            hull = build_hull(IdealConfiguration(points))
+            assert retract(hull, -math.inf) == retract(hull, INF)
+        hull = build_hull(IdealConfiguration([0, 1, INF, 1j]))
+        with pytest.raises(PointNotInDomain, match=r"^z coincides with ideal point 2$"):
+            retract(hull, -math.inf)
 
     def test_doubled_disk_foot_of_perpendicular(self):
         # dense concyclic polygon approximates the doubled unit disk; the
@@ -413,12 +449,95 @@ class TestRetractMatchesOracle:
         for z in queries:
             assert _outcome(retract, hull, z) == _outcome(retract_oracle, hull, z)
 
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["sphere", "sphere_inf"]), n=st.integers(4, 256),
+           seed=st.integers(0, 2**32 - 1),
+           z=st.one_of(st.just(INF), st.just(-math.inf),
+                       st.complex_numbers(max_magnitude=10.0)))
+    # the screen's branches: a finite z with and without an INF ideal point,
+    # z = INF with and without one, and z a real -inf
+    @example(kind="sphere", n=64, seed=5, z=0.3 - 0.8j)
+    @example(kind="sphere_inf", n=64, seed=6, z=0.3 - 0.8j)
+    @example(kind="sphere_inf", n=64, seed=6, z=INF)
+    @example(kind="sphere", n=64, seed=7, z=INF)
+    @example(kind="sphere", n=64, seed=7, z=-math.inf)
+    @example(kind="sphere_inf", n=256, seed=8, z=-math.inf)
+    def test_screen_branches(self, kind, n, seed, z):
+        rng = np.random.default_rng(seed)
+        hull = build_hull(IdealConfiguration(_retract_config(kind, n, rng)))
+        assert hull.screen.has_inf == (kind == "sphere_inf")
+        assert _outcome(retract, hull, z) == _outcome(retract_oracle, hull, z)
+
     def test_ideal_point_message(self):
         hull = build_hull(IdealConfiguration([0, 1, INF, 0.8j]))
         for i, z in enumerate(hull.config.points):
             with pytest.raises(PointNotInDomain,
                                match=rf"^z coincides with ideal point {i}$"):
                 retract(hull, z)
+
+
+def _carrier_vertices(hull, carrier):
+    kind, i = carrier
+    return set(hull.faces[i].vertices if kind == "face" else hull.edges[i].v)
+
+
+def _edge_distance(hull, p: PointH3) -> float:
+    """Hyperbolic distance from p to the nearest edge geodesic of the hull."""
+    pts = hull.config.points
+    best = math.inf
+    for e in hull.edges:
+        q = poincare_extension(MobiusMap.to_zero_inf(pts[e.v[0]], pts[e.v[1]]), p)
+        best = min(best, math.asinh(abs(q.z) / q.t))
+    return best
+
+
+_MOBIUS_COEF = st.complex_numbers(max_magnitude=2.0)
+#: points of the two retractions may differ by this hyperbolic distance
+_NATURAL_TOL = 1e-9
+#: within this distance of an edge, one retraction may land on the edge and
+#: the other on a face beside it
+_EDGE_MARGIN = 1e-6
+
+
+class TestConformalNaturality:
+    """retract(hull(M cfg), M z) = M^(retract(hull(cfg), z)), M^ the Poincare
+    extension of the Mobius map M: the retraction commutes with the conformal
+    group.  M is moderate: it sends every point and query to INF or to a
+    modulus of at most 1e5, below where `retract`'s MobiusMap(0, 1, 1, -z)
+    turns degenerate.  The images keep the vertex indices, so carriers
+    compare by their vertex sets."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["sphere", "sphere_inf", "concyclic", "annulus"]),
+           n=st.integers(4, 48), seed=st.integers(0, 2**32 - 1),
+           a=_MOBIUS_COEF, b=_MOBIUS_COEF, c=_MOBIUS_COEF, d=_MOBIUS_COEF)
+    @example(kind="sphere_inf", n=12, seed=1, a=1.0, b=2j, c=0.5, d=1.0)
+    @example(kind="annulus", n=8, seed=2, a=1j, b=0.0, c=1.0, d=0.3 + 0.2j)
+    def test_retract_commutes_with_mobius(self, kind, n, seed, a, b, c, d):
+        assume(abs(a * d - b * c) > 0.1)
+        m = MobiusMap(a, b, c, d)
+
+        def moderate(w):
+            return is_inf(w) or abs(w) <= 1e5
+
+        rng = np.random.default_rng(seed)
+        pts = _retract_config(kind, n, rng)
+        images = [m(p) for p in pts]
+        assume(all(moderate(w) for w in images))
+        hull = build_hull(IdealConfiguration(pts))
+        hull_m = build_hull(IdealConfiguration(images))
+        queries = [INF] + [sphere_to_boundary(x) for x in _unit_vectors(rng, 6)]
+        for z in queries:
+            if not moderate(m(z)) or min(chordal_distance(z, p) for p in pts) < 1e-6:
+                continue
+            r, r_m = retract(hull, z), retract(hull_m, m(z))
+            assert dist_h3(poincare_extension(m, r.point), r_m.point) <= _NATURAL_TOL
+            verts = _carrier_vertices(hull, r.carrier)
+            verts_m = _carrier_vertices(hull_m, r_m.carrier)
+            if _edge_distance(hull, r.point) > _EDGE_MARGIN or r.carrier[0] == r_m.carrier[0]:
+                assert verts == verts_m
+            else:  # a face's top within the margin of its edge: either may carry it
+                assert min(verts, verts_m, key=len) <= max(verts, verts_m, key=len)
 
 
 class TestInjectivityRadius:

@@ -308,7 +308,7 @@ class TestTupleKernel:
         for m, w in (((a, b, c, -(c * z)), z),
                      ((a.real, b.real, c.real, -(c.real * z.real)), z.real)):
             assert mobius.apply(m, w) == INF
-            for inf in (INF, math.inf):
+            for inf in (INF, math.inf, -math.inf):
                 assert mobius.apply((m[0], m[1], 0.0, m[3]), inf) == INF
                 if m[2] != 0:
                     assert mobius.apply(m, inf) == m[0] / m[2]
@@ -329,8 +329,8 @@ class TestTupleKernel:
         (0.3, False), (5, False), (1 + 2j, False), (INF, True), (math.inf, True),
         (complex(-math.inf, 1.0), True), (complex(1.0, math.nan), True),
         (np.float64(np.inf), True), (np.complex128(1j), False),
-        # a real -inf or NaN is not the point at infinity
-        (-math.inf, False), (math.nan, False),
+        # a real -inf is the point at infinity, a real NaN is not
+        (-math.inf, True), (math.nan, False),
     ])
     def test_is_inf(self, z, want):
         assert mobius.is_inf(z) == want
