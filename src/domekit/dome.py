@@ -142,46 +142,38 @@ class Edge:
     fold: bool = False          # angle pi edge of a doubled flat hull
 
 
-class _Screen(NamedTuple):
-    """A hull's arrays that `_retraction_survivors` screens with, read-only.
+class _FaceTable(NamedTuple):
+    """A hull's face data for `retract` and the development; read-only.
 
-    Face i's circle is the form (A[i], B[i], C[i]) with A and C real.
+    Face i's plane is normals[i] . x = offsets[i], and its circle on the unit
+    sphere has Euclidean radius sqrt(|n|^2 - o^2), which lies in
+    [radius_lo[i], radius_hi[i]].
     """
 
-    ideal: np.ndarray          # (N,) the ideal points, INF as 0
-    finite: np.ndarray         # (N,) not INF
-    has_inf: bool              # some ideal point is INF
-    A: np.ndarray              # (F,)
-    B: np.ndarray              # (F,)
-    Bc: np.ndarray             # (F,) conj(B)
-    C: np.ndarray              # (F,)
-    abs_A: np.ndarray          # (F,) |A|, and so on
-    abs_B: np.ndarray
-    abs_C: np.ndarray
-    face_vertices: np.ndarray  # (F, K) vertex cycles padded with their start
-    face_next: np.ndarray      # (F, K) each entry's successor in its cycle
-    face_finite: np.ndarray    # (F,) no vertex is INF
-    edge_ends: np.ndarray      # (2, E) the first and the second ends of the edges
-    edge_finite: np.ndarray    # (E,) neither end is INF
+    normals: np.ndarray        # (F, 3)
+    offsets: np.ndarray        # (F,)
+    radius_lo: tuple           # (F,) floats
+    radius_hi: tuple
+    face_edges: tuple          # face i's edges, in index order
 
 
-def _screen_arrays(points: tuple, faces: list[Face], edges: list[Edge]) -> _Screen:
-    """The hull's `_Screen`, its arrays made read-only."""
-    finite = np.array([not is_inf(p) for p in points])
-    ideal = np.array([p if f else 0j for p, f in zip(points, finite)], dtype=complex)
-    A = np.array([f.circle.A for f in faces])
-    B = np.array([f.circle.B for f in faces], dtype=complex)
-    C = np.array([f.circle.C for f in faces])
-    k = max(len(f.vertices) for f in faces)
-    fv = np.array([f.vertices + f.vertices[:1] * (k - len(f.vertices)) for f in faces])
-    ends = np.array([e.v for e in edges]).reshape(-1, 2).T.copy()
-    screen = _Screen(ideal, finite, not finite.all(), A, B, B.conjugate(), C,
-                     np.abs(A), np.abs(B), np.abs(C), fv, np.roll(fv, -1, axis=1),
-                     finite[fv].all(axis=1), ends, finite[ends].all(axis=0))
-    for a in screen:
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return screen
+def _face_table(faces: list[Face], edges: list[Edge]) -> _FaceTable:
+    normals = np.array([f.normal for f in faces], dtype=float)
+    offsets = np.array([f.offset for f in faces])
+    nn, oo = np.vecdot(normals, normals), offsets * offsets
+    # |n|^2 - o^2, shifted by err, rounds by at most 5u (|n|^2 + o^2), u =
+    # eps / 2, which err = 8u (|n|^2 + o^2) covers; 1 -+ 4 eps covers the
+    # rounding of the square root and of the scaling itself
+    err = 4.0 * _EPS * (nn + oo)
+    radius_lo = np.sqrt(np.maximum(nn - oo - err, 0.0)) * (1.0 - 4.0 * _EPS)
+    radius_hi = np.sqrt(nn - oo + err) * (1.0 + 4.0 * _EPS)
+    face_edges: list[list[int]] = [[] for _ in faces]
+    for ei, e in enumerate(edges):
+        face_edges[e.faces[0]].append(ei)
+        face_edges[e.faces[1]].append(ei)
+    normals.flags.writeable = offsets.flags.writeable = False
+    return _FaceTable(normals, offsets, tuple(radius_lo.tolist()),
+                      tuple(radius_hi.tolist()), tuple(map(tuple, face_edges)))
 
 
 @dataclass
@@ -191,10 +183,10 @@ class HullPolyhedron:
     edges: list[Edge]
     degenerate: bool
     # built once with the hull
-    screen: _Screen = field(init=False, repr=False, compare=False)
+    face_table: _FaceTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.screen = _screen_arrays(self.config.points, self.faces, self.edges)
+        self.face_table = _face_table(self.faces, self.edges)
 
     @property
     def sphere(self) -> np.ndarray:
@@ -204,7 +196,8 @@ class HullPolyhedron:
     @cached_property
     def atlas(self) -> "SurfaceAtlas":
         """The dome's development (charts and gluing maps), built on first use."""
-        return SurfaceAtlas(self.config.points, self.faces, self.edges)
+        return SurfaceAtlas(self.config.points, self.faces, self.edges,
+                            self.face_table.face_edges)
 
     def edge_geodesic_endpoints(self, e: Edge):
         return self.config.points[e.v[0]], self.config.points[e.v[1]]
@@ -444,152 +437,133 @@ class RetractionResult:
     z: complex | None = None
 
 
-def _retraction_survivors(hull: HullPolyhedron, z, z_inf: bool):
-    """Faces and edges that may carry the retraction of z, screened in numpy.
+#: bounds the error of g = n . v - o, computed for a face plane (n, o) and
+#: the sphere vector v of z: see `retract`
+_VISIBLE_TOL = 16.0 * _EPS
+#: relative slack of the radius ranking: see `retract`
+_RANK_TOL = 1e-9
 
-    The screen maps the points by w -> 1/(w - z) (the identity for z = inf)
-    and each face circle's form H to H' = N* H N, N = [[z, 1], [1, 0]] the
-    inverse map: `CircleOrLine.mobius_image`'s expressions, evaluated for
-    that N.  It bounds how far each screened value can be from the one
-    the scalar expressions in `retract` compute: a few ulps of the terms
-    summed, over what is left after cancellation.  Every edge with finite
-    ends is a candidate, so the best edge height, less its bound, is a floor
-    the carrier reaches.  A face or edge is dropped only when, within the
-    bounds, it is surely no candidate or surely below that floor; a face
-    whose image form the scalar path might reject is always kept.
 
-    The hull-fixed inputs come from `hull.screen`.  Only z = inf on a hull
-    with an INF point leaves an image at INF, so only then are edges and
-    faces masked by the finiteness of their vertices.
-    """
-    s = hull.screen
-    A, C = s.A, s.C
-    eps = _EPS
-    masked = z_inf and s.has_inf
-    with np.errstate(all="ignore"):
-        if z_inf:
-            w = s.ideal
-            Ap, Bp, Cp = A, s.B, C
-            tA, tB, aC = s.abs_A, s.abs_B, s.abs_C
-            aA, aB = tA, tB
-        else:
-            zc = complex(z)
-            r2 = abs(zc) ** 2
-            w = 1.0 / (s.ideal - zc)
-            if s.has_inf:
-                w = np.where(s.finite, w, 0.0)
-            Ap = A * r2 + 2.0 * (s.Bc * zc).real + C
-            Bp = A * zc.conjugate() + s.Bc
-            Cp, aC = A, s.abs_A
-            tA = s.abs_A * r2 + 2.0 * s.abs_B * abs(zc) + s.abs_C
-            tB = s.abs_A * abs(zc) + s.abs_B
-            aA, aB = np.abs(Ap), np.abs(Bp)
-
-        # edges: height |a - b| / 2
-        a, b = w[s.edge_ends]
-        aw = np.abs(w)
-        abs_a, abs_b = aw[s.edge_ends]
-        he = np.abs(a - b) / 2.0
-        dhe = 16.0 * eps * (1.0 + (abs_a + abs_b) / (2.0 * he))
-        low = he * (1.0 - dhe)
-        if masked:
-            low = np.where(s.edge_finite, low, -np.inf)
-        floor = low.max(initial=-np.inf)
-        keep = ~(he * (1.0 + dhe) < floor)
-        if masked:
-            keep &= s.edge_finite
-        keep_edges = keep.nonzero()[0]
-
-        # faces: line test and height sqrt(D)/|A'|, D = |B'|^2 - A'C'
-        aB2, ApCp = aB * aB, Ap * Cp
-        D = aB2 - ApCp
-        D_scale = aB2 + np.abs(ApCp) + tA * aC + 2.0 * tB * aB
-        sure_disc = D > 16.0 * eps * D_scale
-        norm = np.sqrt(Ap * Ap + 2.0 * aB * aB + Cp * Cp)
-        sure_line = (aA + 32.0 * eps * tA) / norm < 1e-12
-        dh = 64.0 * eps * (1.0 + tA / aA + D_scale / D)
-        live = ~sure_line & ~(np.sqrt(D) / aA * (1.0 + dh) < floor)
-        if masked:
-            live &= s.face_finite
-        cand = (~sure_disc | live).nonzero()[0]
-
-        # the few faces left: is the centre -B'/A' surely outside the polygon?
-        c = -Bp[cand] / Ap[cand]
-        abs_c = np.abs(c)
-        c_err = (32.0 * eps * (tB[cand] + abs_c * tA[cand]) / aA[cand]
-                 + 8.0 * eps * abs_c)
-        fv = s.face_vertices[cand]
-        fw = w[fv]
-        e = w[s.face_next[cand]] - fw
-        q = c[:, None] - fw
-        sgn = e.real * q.imag - e.imag * q.real
-        E, Q = np.abs(e).max(axis=1, initial=0.0), np.abs(q).max(axis=1, initial=0.0)
-        pos_err = c_err + 64.0 * eps * aw[fv].max(axis=1, initial=0.0)
-        s_err = (E + Q + pos_err) * pos_err + 8.0 * eps * E * Q
-        band = s_err + 1e-12 * np.maximum(np.abs(sgn).max(axis=1, initial=0.0) + s_err,
-                                          1e-12)
-        outside = ((sgn.max(axis=1, initial=0.0) > band)
-                   & (sgn.min(axis=1, initial=0.0) < -band))
-        keep_faces = cand[~(sure_disc[cand] & outside)]
-    return keep_faces.tolist(), keep_edges.tolist()
+def _cavity(hull: HullPolyhedron, v: np.ndarray) -> tuple[list[int], list[int]]:
+    """The faces and edges that `retract` decides for z, v its sphere vector."""
+    if hull.degenerate:
+        return list(range(len(hull.faces))), list(range(len(hull.edges)))
+    t = hull.face_table
+    g = t.normals @ v - t.offsets
+    cav = np.flatnonzero(g > -_VISIBLE_TOL).tolist()
+    gaps = g[cav].tolist()
+    radius_lo, radius_hi = t.radius_lo, t.radius_hi
+    bound = min((radius_hi[f] / (x - _VISIBLE_TOL)
+                 for f, x in zip(cav, gaps) if x > _VISIBLE_TOL), default=math.inf)
+    bound *= 1.0 + _RANK_TOL
+    faces = [f for f, x in zip(cav, gaps) if radius_lo[f] <= bound * (x + _VISIBLE_TOL)]
+    edges = sorted({e for f in cav for e in t.face_edges[f]})
+    return faces, edges
 
 
 def retract(hull: HullPolyhedron, z) -> RetractionResult:
     """Nearest-point retraction of z onto the dome.
 
-    Sends z to infinity; there the smallest horoball at z is a half-space
-    {t >= c}, so the contact point is the highest point of the transformed
-    hull: the top of a face hemisphere when that top lies over the face
-    polygon, or the top of an edge semicircle.  Candidates are compared by
-    height; ties prefer the face carrier.
+    Sends z to infinity by m(w) = 1/(w - z) (the identity for z = inf);
+    there the smallest horoball at z is a half-space {t >= c}, so the
+    contact point is the highest point of the transformed hull: the top of
+    a face hemisphere when that top lies over the face polygon, or the top
+    of an edge semicircle.  Candidates are compared by height; ties prefer
+    the face carrier.
 
-    A numpy screen (`_retraction_survivors`) keeps the few faces and edges
-    that can be highest; the scalar expressions below decide among them in
-    the order faces then edges, so the result is the one a loop over every
-    face and edge gives, bit for bit.
+    Only the faces and edges that `_cavity` keeps are decided, by the
+    scalar expressions below, in the order faces then edges.  So the
+    result is the one a loop over every face and edge gives, bit for bit,
+    whenever the loop's winner is kept.  The rest of this docstring shows
+    that it is; u = eps / 2 is the unit roundoff and tol = _VISIBLE_TOL.
+
+    Visible faces.  Let v be z's unit vector on the sphere, and g_F =
+    n_F . v - o_F for the plane (n_F, o_F) of face F.  F is visible from z
+    when g_F > 0.  Then z lies in F's empty cap, so after m the hull lies
+    inside F's hemisphere, and the hull's top height H* is at most F's
+    image radius rho_F.  The carrier is a visible face or an edge of one:
+    a support plane through an edge lies in the pencil of the edge's two
+    faces, whose empty caps cover the pencil's caps.  A face that is not
+    visible, or an edge neither of whose faces is, lies below the top by
+    the hull's thickness there.  It can tie the top only on a hull thinner
+    than rounding: the doubled polygon of a concyclic configuration, whose
+    faces and edges are all decided.
+
+    Margin 1, visibility.  `boundary_to_sphere` gives v to within 12u
+    (|z|^2 and |z|^2 -+ 1 round by 3u relative, the quotients by 2u more),
+    and the 3-term product and the difference add 5u.  So the computed
+    g^_F is within 17u < tol = 32u of g_F, and every visible face has
+    g^_F > -tol.  Every edge of such a face is decided.
+
+    Margin 2, radius ranking.  F's polar is (n_F, o_F) / s_F with s_F =
+    sqrt(|n_F|^2 - o_F^2), so rho_F = kappa(z) r_F with r_F = s_F / g_F,
+    where kappa depends on z alone: the radii rank as the ratios r_F.
+    - The loop's winning face W has its centre c in its polygon, within
+      `_point_in_convex_polygon`'s band of 1e-12 relative.  If c lies
+      outside by d, the polygon is at hemisphere height <= sqrt(rho_W^2 -
+      d^2), which is at most H*.  The band admits d <= 2e-12 rho_W: the
+      chord that separates c from the polygon is about 2 rho_W long, and
+      every cross product is at most 4 rho_W^2.
+    - Let d' be d plus the rounding of c and of the vertex images, and e
+      the distance of W's vertices from its plane, both relative to rho_W.
+      Then r_W <= (1 + delta) r_F for every visible F, with delta <= e +
+      d'^2.  On qhull's planes e is below 1e-14, merged k-gons of ring
+      domes included, so delta is below 1e-12 for moderate z.
+    - s_F lies in the hull's [radius_lo, radius_hi], and g_F in g^_F -+
+      tol.  So every visible face has r_F >= lo_F = radius_lo / (g^_F +
+      tol), and r_F <= hi_F = radius_hi / (g^_F - tol) when g^_F > tol.
+      Hence lo_W <= (1 + delta) min hi_F.
+    A face is decided when lo_F <= (1 + _RANK_TOL) min hi_F: _RANK_TOL =
+    1e-9 covers delta and the 6u of evaluating the test.  Where no face
+    has g^_F > tol, min hi_F is inf and every face with g^_F > -tol is
+    decided.  The image radius that `CircleOrLine.pullback` computes
+    enters only through c; its own error, about u |z|^2 / s_F^2 relative
+    for a query far from the hull, is compared nowhere.
     """
     if cmath.isnan(z):
         raise InvalidInput("z: a coordinate is NaN")
     z_inf = is_inf(z)
     pts = hull.config.points
+    v = boundary_to_sphere(z)
     # |u - v|^2 = 2 - 2 u.v: the rounding of u.v, a few ulps, is far below the
     # gap between _NEAR and COINCIDE_TOL, and chordal_distance decides the
     # screened points in index order, so the first coincident point raises.
-    near = hull.sphere @ boundary_to_sphere(z) >= 1.0 - 0.5 * _NEAR * _NEAR
+    near = hull.sphere @ v >= 1.0 - 0.5 * _NEAR * _NEAR
     for i in near.nonzero()[0]:
         if chordal_distance(z, pts[i]) <= COINCIDE_TOL:
             raise PointNotInDomain(f"z coincides with ideal point {i}")
     m = MobiusMap.identity() if z_inf else MobiusMap(0, 1, 1, -z)
-    faces, edges = _retraction_survivors(hull, z, z_inf)
+    n = m.inverse()
+    faces, edges = _cavity(hull, v)
+    # every vertex of a kept face is an end of one of the kept edges
+    ends = {i for ei in edges for i in hull.edges[ei].v}
+    image = {i: m(pts[i]) for i in ends}
 
     best = None  # (height, priority, point, carrier)
     for fi in faces:
         f = hull.faces[fi]
-        circ = f.circle.mobius_image(m)
+        circ = f.circle.pullback(n)
         if circ.is_line:
             continue  # z on the face circle: contact cannot be interior
         c, rho = circ.center_radius()
-        verts = [m(pts[v]) for v in f.vertices]
-        if any(is_inf(v) for v in verts):
+        verts = [image[i] for i in f.vertices]
+        if any(is_inf(w) for w in verts):
             continue
-        if _point_in_convex_polygon(c, verts):
-            cand = (rho, 1, PointH3(c.real, c.imag, rho), ("face", fi))
-            if best is None or cand[:2] > best[:2]:
-                best = cand
+        if _point_in_convex_polygon(c, verts) and (best is None or (rho, 1) > best[:2]):
+            best = (rho, 1, PointH3(c.real, c.imag, rho), ("face", fi))
     for ei in edges:
         e = hull.edges[ei]
-        a, b = m(pts[e.v[0]]), m(pts[e.v[1]])
+        a, b = image[e.v[0]], image[e.v[1]]
         if is_inf(a) or is_inf(b):
             continue
-        mid = (a + b) / 2.0
         rho = abs(a - b) / 2.0
-        cand = (rho, 0, PointH3(mid.real, mid.imag, rho), ("edge", ei))
-        if best is None or cand[:2] > best[:2]:
-            best = cand
+        if best is None or (rho, 0) > best[:2]:
+            mid = (a + b) / 2.0
+            best = (rho, 0, PointH3(mid.real, mid.imag, rho), ("edge", ei))
     if best is None:
         raise PointNotInDomain("no retraction candidate (degenerate input)")
     height, _, top, carrier = best
-    point = poincare_extension(m.inverse(), top)
+    point = poincare_extension(n, top)
     b_val = math.log(poincare_extension(m, BASEPOINT).t / height)
     return RetractionResult(point, carrier, b_val, None if z_inf else complex(z))
 
@@ -662,19 +636,17 @@ class SurfaceAtlas:
 
     A hull builds one, as `HullPolyhedron.atlas`, so the chart images of
     the edges and the gluing maps computed for one query serve the next.
-    It keeps the hull's points, faces and edges, not the hull, so no
-    reference cycle holds a hull alive.
+    It keeps the hull's points, faces, edges and face edge lists, not the
+    hull, so no reference cycle holds a hull alive.
     """
 
-    def __init__(self, points: tuple, faces: list[Face], edges: list[Edge]):
+    def __init__(self, points: tuple, faces: list[Face], edges: list[Edge],
+                 face_edges: tuple):
         self.points, self.faces, self.edges = points, faces, edges
+        self.face_edges = face_edges
         self.charts: list[MobiusMap] = [
             MobiusMap.to_zero_one_inf(*(points[i] for i in f.vertices[:3]))
             for f in faces]
-        self.face_edges: list[list[int]] = [[] for _ in faces]
-        for ei, e in enumerate(edges):
-            self.face_edges[e.faces[0]].append(ei)
-            self.face_edges[e.faces[1]].append(ei)
         self._chart_edges: list[list | None] = [None] * len(faces)
         self._glue: dict[tuple[int, int], tuple[tuple, int]] = {}
 

@@ -286,8 +286,11 @@ class CircleOrLine:
         return abs(self.evaluate(z)) < tol * scale
 
     def mobius_image(self, m: MobiusMap) -> "CircleOrLine":
-        """Image circle under a Mobius map: the form N* H N, N the inverse map."""
-        n = m.inverse()
+        """Image circle under a Mobius map."""
+        return self.pullback(m.inverse())
+
+    def pullback(self, n: MobiusMap) -> "CircleOrLine":
+        """Image circle under the inverse of n: the form N* H N."""
         a, b, c, d = n.a, n.b, n.c, n.d
         A, B, C = self.A, self.B, self.C
         ac, cc = a.conjugate(), c.conjugate()

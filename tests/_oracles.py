@@ -228,6 +228,27 @@ def retract_oracle(hull, z) -> RetractionResult:
     return RetractionResult(point, carrier, b_val, None if is_inf(z) else complex(z))
 
 
+def ring_ruling_retraction(r: float, theta: float, s: float) -> PointH3:
+    """Retraction of r e^(i theta), 1 < r < e^s, onto the dome of the round
+    annulus 1 < |z| < e^s, in closed form.
+
+    The dome is ruled by the geodesics from e^(i theta) to e^(s + i theta)
+    and is symmetric under reflection in every vertical plane through 0,
+    so the point retracts onto the ruling at angle theta: the H^2
+    projection of r onto the geodesic (1, e^s) of that vertical plane.  It
+    lies at signed distance u = log((r - 1) / (e^s - r)) from the top of
+    the semicircle of centre c = (1 + e^s) / 2 and radius R = (e^s - 1) / 2,
+    at x = c + R tanh u and height R sech u.  A ring dome, k points on each
+    circle at the same angles, is symmetric in the vertical planes of its
+    k rulings, so on those angles it retracts by the same closed form.
+    """
+    es = math.exp(s)
+    c, R = (1.0 + es) / 2.0, (es - 1.0) / 2.0
+    u = math.log((r - 1.0) / (es - r))
+    x = c + R * math.tanh(u)
+    return PointH3(x * math.cos(theta), x * math.sin(theta), R / math.cosh(u))
+
+
 def _separates(polars: np.ndarray, lam: FiniteLamination, m: int, i: int, j: int) -> bool:
     """True when leaf m separates leaves i and j."""
 

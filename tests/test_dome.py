@@ -4,6 +4,7 @@ import math
 import random
 import weakref
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from _oracles import (
     face_cycles_oracle,
     injectivity_radius_oracle,
     retract_oracle,
+    ring_ruling_retraction,
     trace_surface_arc_oracle,
 )
 
@@ -135,26 +137,31 @@ class TestConfiguration:
         assert v is cfg.sphere_vectors is build_hull(cfg).sphere
         assert not v.flags.writeable
 
-    def test_screen_arrays_built_once_and_read_only(self, monkeypatch):
+    def test_face_table_built_once_and_read_only(self, monkeypatch):
         built = []
-        make = dome._screen_arrays
-        monkeypatch.setattr(dome, "_screen_arrays",
+        make = dome._face_table
+        monkeypatch.setattr(dome, "_face_table",
                             lambda *a: built.append(1) or make(*a))
         hull = build_hull(IdealConfiguration([0, 1, INF, 1j, 2 + 1j]))
-        screen = hull.screen
+        table = hull.face_table
         for z in (0.5j, INF, -2.0 + 1j, -math.inf):
             try:
                 retract(hull, z)
             except PointNotInDomain:
                 pass
-        assert len(built) == 1 and hull.screen is screen
-        assert screen.has_inf
-        arrays = [a for a in screen if isinstance(a, np.ndarray)]
-        assert len(arrays) == len(screen) - 1
-        assert not any(a.flags.writeable for a in arrays)
+        assert len(built) == 1 and hull.face_table is table
+        assert hull.atlas.face_edges is table.face_edges
+        assert not table.normals.flags.writeable and not table.offsets.flags.writeable
         with pytest.raises(ValueError):
-            screen.A[0] = 0.0
-        assert not build_hull(regular_ideal_tetrahedron()).screen.has_inf
+            table.normals[0, 0] = 0.0
+        assert all(type(x) is tuple for x in (table.radius_lo, table.radius_hi,
+                                               table.face_edges, *table.face_edges))
+        for fi, f in enumerate(hull.faces):
+            assert table.face_edges[fi] == tuple(
+                ei for ei, e in enumerate(hull.edges) if fi in e.faces)
+            # the bracket holds sqrt(|n|^2 - o^2), in exact arithmetic
+            n2 = sum(Fraction(x) ** 2 for x in f.normal) - Fraction(f.offset) ** 2
+            assert Fraction(table.radius_lo[fi]) ** 2 <= n2 <= Fraction(table.radius_hi[fi]) ** 2
 
     def test_concyclic_detection(self):
         assert IdealConfiguration([0, 1, INF, -1]).is_concyclic()
@@ -387,7 +394,18 @@ def _unit_vectors(rng, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+#: fixed configurations for examples: in "five" the face (0, 1, 1j) has the
+#: circle through 1 + 1j; in "kite", symmetric in the real axis, z = INF
+#: sees two mirror faces with equal image radius
+_FIXED_CONFIGS = {"five": [0, 1, 1j, -1j, 3 + 2j],
+                  "kite": [-1, 1, 0.2 + 0.9j, 0.2 - 0.9j, -3j, 3j]}
+
+
 def _retract_config(kind, n, rng):
+    if kind in _FIXED_CONFIGS:
+        return list(_FIXED_CONFIGS[kind])
+    if kind == "ring":  # k = 3 to 192 aligned points on each circle
+        return _ring(3 + n % 190, rng.uniform(0.5, 4.0))
     if kind == "sphere":
         return [sphere_to_boundary(x) for x in _unit_vectors(rng, n)]
     if kind == "sphere_inf":
@@ -425,17 +443,19 @@ def _outcome(fn, hull, z):
 
 
 class TestRetractMatchesOracle:
-    """The screened retraction equals the scalar loop over every face and
-    edge exactly: point, carrier and Busemann value, or the same error."""
+    """The retraction, which decides only faces and edges visible from z,
+    equals the scalar loop over every face and edge exactly: point, carrier
+    and Busemann value, or the same error."""
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(kind=st.sampled_from(["sphere", "sphere_inf", "concyclic", "annulus"]),
+    @given(kind=st.sampled_from(["sphere", "sphere_inf", "concyclic", "annulus", "ring"]),
            n=st.integers(4, 512), seed=st.integers(0, 2**32 - 1),
            near=st.lists(st.integers(2, 15), min_size=3, max_size=3))
     @example(kind="sphere", n=512, seed=1, near=[4, 11, 13])
     @example(kind="sphere_inf", n=64, seed=2, near=[3, 8, 12])
     @example(kind="concyclic", n=24, seed=3, near=[2, 9, 14])
     @example(kind="annulus", n=32, seed=4, near=[5, 10, 12])
+    @example(kind="ring", n=189, seed=5, near=[3, 9, 14])  # k = 192
     def test_retract_equals_scalar_loop(self, kind, n, seed, near):
         rng = np.random.default_rng(seed)
         hull = build_hull(IdealConfiguration(_retract_config(kind, n, rng)))
@@ -454,18 +474,24 @@ class TestRetractMatchesOracle:
            seed=st.integers(0, 2**32 - 1),
            z=st.one_of(st.just(INF), st.just(-math.inf),
                        st.complex_numbers(max_magnitude=10.0)))
-    # the screen's branches: a finite z with and without an INF ideal point,
-    # z = INF with and without one, and z a real -inf
+    # a finite z with and without an INF ideal point, z = INF with and
+    # without one, and z a real -inf; z on a face circle, so the face's g is
+    # 0 to rounding, and 1e-12 off it; the doubled polygon, whose faces and
+    # edges are all decided; and an exact tie of two visible faces' radii
     @example(kind="sphere", n=64, seed=5, z=0.3 - 0.8j)
     @example(kind="sphere_inf", n=64, seed=6, z=0.3 - 0.8j)
     @example(kind="sphere_inf", n=64, seed=6, z=INF)
     @example(kind="sphere", n=64, seed=7, z=INF)
     @example(kind="sphere", n=64, seed=7, z=-math.inf)
     @example(kind="sphere_inf", n=256, seed=8, z=-math.inf)
-    def test_screen_branches(self, kind, n, seed, z):
+    @example(kind="five", n=5, seed=0, z=1 + 1j)
+    @example(kind="five", n=5, seed=0, z=1 + 1e-12 + 1j)
+    @example(kind="concyclic", n=24, seed=3, z=INF)
+    @example(kind="concyclic", n=9, seed=4, z=0.1 + 0.2j)
+    @example(kind="kite", n=6, seed=0, z=INF)
+    def test_cavity_branches(self, kind, n, seed, z):
         rng = np.random.default_rng(seed)
         hull = build_hull(IdealConfiguration(_retract_config(kind, n, rng)))
-        assert hull.screen.has_inf == (kind == "sphere_inf")
         assert _outcome(retract, hull, z) == _outcome(retract_oracle, hull, z)
 
     def test_ideal_point_message(self):
@@ -875,6 +901,24 @@ class TestSoundValues:
         assert est.exact
         assert dome_injectivity_radius(hull, face, p, depth=16).value == est.value
         _assert_gluings_unbend(hull)
+
+
+class TestRingDomeRulings:
+    """On the angles of its rulings a ring dome retracts like the round
+    annulus's dome, onto the ruling, in closed form (`_oracles`).  Up to 80
+    faces are visible from these queries, far more than on random hulls."""
+
+    @pytest.mark.parametrize("s", [2.0, 4.0])
+    @pytest.mark.parametrize("k", [6, 12, 48, 192])
+    def test_ruling_queries_retract_to_closed_form(self, k, s):
+        hull = build_hull(IdealConfiguration(_ring(k, s)))
+        for j in range(0, k, max(1, k // 5)):
+            theta = 2.0 * math.pi * j / k
+            for lam in (0.1, 0.5, 0.83):
+                r = math.exp(lam * s)
+                res = retract(hull, r * cmath.exp(1j * theta))
+                assert dist_h3(res.point, ring_ruling_retraction(r, theta, s)) <= 1e-12
+                assert _carrier_vertices(hull, res.carrier) == {j, k + j}
 
 
 class TestAnnulusConvergence:
