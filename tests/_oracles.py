@@ -15,6 +15,8 @@ rotation about the edge by its exterior angle, composed as complex Mobius
 maps, and the injectivity search is unpruned and closes loops only on
 returns to the starting face, where the library meets half-paths in the
 middle.  Their values agree with the library's to rounding.
+`arc_end_sides` finds a sampled arc's ends by the complex Mobius map
+that the sampler's real pulled-back forms replace.
 `mobius_matrix`, `is_identity` and `circles_close` are the tests' own
 matrix and tolerance views of `MobiusMap` and `CircleOrLine`.
 """
@@ -177,6 +179,20 @@ def arc_walk_crossing_count(lam, p: complex, q: complex, n: int = 20000) -> floa
         flips = int(np.sum(np.abs(np.diff(np.sign(s))) > 1))
         total += w * (flips % 2)
     return total
+
+
+def arc_end_sides(lam, centers, dirs):
+    """Side values of every leaf at both ends of the unit arcs with these
+    centres c and directions phi: (N, n) arrays at M(r e^{i phi}) and at
+    M(-r e^{i phi}), with M(s) = (s + c)/(1 + conj(c) s) and r = tanh(1/4),
+    taken in complex arithmetic and then through `side_of`."""
+    from domekit.hyperbolic import side_of
+
+    c = np.asarray(centers, dtype=complex)
+    step = math.tanh(0.25) * np.exp(1j * np.asarray(dirs, dtype=float))
+    p = (step + c) / (1.0 + np.conj(c) * step)
+    q = (-step + c) / (1.0 - np.conj(c) * step)
+    return side_of(p[:, None], lam.polars), side_of(q[:, None], lam.polars)
 
 
 def numeric_wirtinger(f, z: complex, h: float = 1e-6):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from domekit import laminations as lam_mod
 from domekit.cli import COMMANDS, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -408,6 +409,22 @@ class TestInputValidation:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and "NonpositiveInput" in err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB", ""])
+    def test_memory_error_is_an_error_line(self, lam_file, capsys, monkeypatch,
+                                           message):
+        # stands in for a sample too large to draw; really allocating one
+        # could exhaust the machine's memory before numpy refuses
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(lam_mod, "roundness_brute_force", refuse)
+        code, out, err = run_cli(
+            ["lamination", "roundness", "--input", lam_file,
+             "--brute-arcs", "100000000000"], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: out of memory{': ' + message if message else ''}\n"
 
     def test_zero_brute_arcs_skips_the_sampler(self, lam_file, capsys):
         code, out, _ = run_cli(

@@ -17,9 +17,10 @@ from domekit.errors import (
     NotTransverse,
     TooManyLeaves,
 )
-from domekit.hyperbolic import GeodesicH2, PointH2
+from domekit.hyperbolic import GeodesicH2, PointH2, point_along
 from domekit import laminations
 from domekit.laminations import (
+    ON_LEAF_TOL,
     FiniteLamination,
     GeodesicArc,
     Nesting,
@@ -34,7 +35,12 @@ from domekit.laminations import (
 from domekit.mobius import random_disk_mobius
 from domekit.pleating import earthquake
 
-from _oracles import angles_interleave, arc_walk_crossing_count, roundness_oracle
+from _oracles import (
+    angles_interleave,
+    arc_end_sides,
+    arc_walk_crossing_count,
+    roundness_oracle,
+)
 from test_hyperbolic import leaf_from_uhp
 
 
@@ -346,13 +352,72 @@ class TestSampler:
                              PINNED)
     def test_pinned_and_identical_across_thread_counts(
             self, n, width, lam_seed, arc_seed, targeted, untargeted):
-        lam = cusp_lamination(n, width, lam_seed)
         assert 300_000 > 4 * laminations._CHUNK_ARCS
+        self.check_pinned(cusp_lamination(n, width, lam_seed), arc_seed,
+                          targeted, untargeted)
+
+    @staticmethod
+    def check_pinned(lam, arc_seed, targeted, untargeted):
         for threads in (None, 1, 2, 3):
             for with_targets, expected in ((True, targeted), (False, untargeted)):
                 got = roundness_brute_force(lam, n_arcs=300_000, seed=arc_seed,
                                             targeted=with_targets, threads=threads)
                 assert got.hex() == expected, (with_targets, threads)
+
+    # fan_lamination(default_rng(seed), spokes, rims), turned to angle 0 or
+    # not, arc seed, then roundness_brute_force(n_arcs=300000) with and
+    # without targeted arcs, as returned when the sampler found each arc's
+    # ends by a complex Mobius map.  Every spoke ends at the hub, so the cusp
+    # probes reach centres with 1 - |c| = 2.7e-6, where the pulled-back
+    # forms' alpha = g(c) cancels most.
+    PINNED_SHARED = [
+        (5, 6, 3, False, 1, "0x1.08b4a4cc827f4p+3", "0x1.08b4a4cc827f4p+3"),
+        (3, 5, 2, True, 2, "0x1.29eba0b0ae134p+2", "0x1.29eba0b0ae134p+2"),
+    ]
+
+    @pytest.mark.parametrize("seed, spokes, rims, zero, arc_seed, targeted, untargeted",
+                             PINNED_SHARED)
+    def test_shared_endpoints_pinned(self, seed, spokes, rims, zero, arc_seed,
+                                     targeted, untargeted):
+        lam = fan_lamination(np.random.default_rng(seed), spokes, rims)
+        self.check_pinned(turned_to_zero(lam) if zero else lam, arc_seed,
+                          targeted, untargeted)
+
+    def test_cos_sin_from_half_angle(self):
+        angles = np.concatenate([np.linspace(-4.0, 8.0, 120_001),
+                                 [math.pi, -math.pi, 3 * math.pi, math.pi / 2]])
+        cos, sin = laminations._cos_sin(angles)
+        assert np.isfinite(cos).all() and np.isfinite(sin).all()
+        assert np.abs(cos - np.cos(angles)).max() <= 2.3e-16
+        assert np.abs(sin - np.sin(angles)).max() <= 2.3e-16
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(lam=oracle_laminations(), seed=st.integers(0, 2**32 - 1))
+    def test_crossings_match_the_arc_ends(self, lam, seed):
+        """The pulled-back forms decide every crossing that the arc's ends,
+        found by the complex Mobius map, put at least ON_LEAF_TOL off both
+        sides of the leaf."""
+        rng = np.random.default_rng(seed)
+        # random centres as the sampler draws them, out to |c| = 0.999
+        rad2 = np.append(rng.uniform(0, 0.999**2, 400), 0.999**2)
+        cos_t, sin_t = laminations._cos_sin(rng.uniform(0, 2 * math.pi, len(rad2)))
+        x, y = np.sqrt(rad2) * cos_t, np.sqrt(rad2) * sin_t
+        # and the cusp probes at every endpoint, out to depth 13.5
+        ends = [t for g in lam.leaves for t in g.angles()]
+        depths = np.arange(1.0, 14.0, 0.5)
+        probes = np.array([point_along(0j, t, s) for t in ends for s in depths])
+        x, y = np.append(x, probes.real), np.append(y, probes.imag)
+        r2 = np.append(rad2, probes.real**2 + probes.imag**2)
+        sampled = np.append(rng.uniform(0, 2 * math.pi, len(rad2)),
+                            np.repeat(ends, len(depths)) + math.pi / 2)
+        for dirs in (sampled, 0.0, math.pi, -math.pi, math.pi / 2):
+            dirs = np.broadcast_to(dirs, x.shape)
+            got = laminations._crossings(np.ascontiguousarray(lam.polars.T),
+                                         x, y, r2, dirs)
+            sp, sq = arc_end_sides(lam, x + 1j * y, dirs)
+            sure = (np.abs(sp) >= ON_LEAF_TOL) & (np.abs(sq) >= ON_LEAF_TOL)
+            assert sure.mean() > 0.9
+            assert np.array_equal(got[sure], (sp * sq < 0)[sure])
 
     @pytest.mark.parametrize("n_arcs", [0, -5])
     def test_nonpositive_n_arcs_rejected(self, n_arcs):
