@@ -220,7 +220,7 @@ def cmd_earthquake_trace(args):
     angles = np.linspace(0.0, 2 * math.pi, args.samples, endpoint=False)
     payload = {"t": t}
     if t.imag == 0:
-        boundary = pleat_mod._quake(lam, t.real, None).boundary_map().apply_complex
+        boundary = pleat_mod._quake(lam, t.real, None).boundary
     else:
         ce = pleat_mod.complex_earthquake(lam, t)
         boundary = ce.boundary

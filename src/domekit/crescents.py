@@ -105,8 +105,8 @@ class AngleScaling:
     """The map z -> z exp(w arg z) on the wedge 0 <= arg z <= theta.
 
     The argument branch is [0, 2 pi), anchored at the positive real axis.
-    When (Im w + 1) theta < 2 pi the map is a homeomorphism onto the wedge
-    of angle (Im w + 1) theta.
+    When Im w > -1 and 0 < (Im w + 1) theta < 2 pi the map is a
+    homeomorphism onto the wedge of angle (Im w + 1) theta.
     """
 
     w: complex
@@ -116,7 +116,7 @@ class AngleScaling:
         return (self.w.imag + 1.0) * self.theta
 
     def is_injective(self) -> bool:
-        return self.w.imag > -1.0 and self.image_angle() < _TAU
+        return self.w.imag > -1.0 and 0.0 < self.image_angle() < _TAU
 
 
 def angle_scale(a: AngleScaling, z: complex) -> complex:
@@ -149,7 +149,7 @@ def scaling_dilatation(a: AngleScaling) -> float:
 
     From the constant Beltrami coefficient mu = e^{2 i phi} i w / (2 - i w):
     K = (1 + |mu|) / (1 - |mu|).  Raises NotInjective when the image wedge
-    closes up or the map degenerates (Im w <= -1).
+    closes up or is empty (theta <= 0) or the map degenerates (Im w <= -1).
     """
     if not a.is_injective():
         raise NotInjective(

@@ -2,6 +2,7 @@
 that turn a malformed input file into one of these errors."""
 import json
 import math
+import numbers
 
 
 class DomekitError(Exception):
@@ -132,7 +133,13 @@ def input_field(data, key: str, parse):
 
 
 def finite_float(x) -> float:
-    """float(x), raising ValueError unless it is finite (JSON NaN included)."""
+    """float(x) for a real number x, an int or a float, numpy's included.
+
+    Raises TypeError for anything else, a bool or a string among them, and
+    ValueError unless x is finite (JSON NaN included).
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{x!r} is not a number")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {x}")

@@ -9,6 +9,7 @@ chains of leaves, which this module computes exactly; a sampling estimator
 """
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import os
@@ -280,7 +281,9 @@ class GapComplex:
     just inside leaf k hangs from the gap just inside its parent leaf, or
     from the outermost gap.  Gap ids are indices into ``gaps``, ordered by
     each gap's first boundary arc; gaps with no boundary arc (ideal
-    polygons) come last, in leaf order.
+    polygons) come last, in leaf order.  ``arc_starts`` lists the boundary
+    arcs' starts, the sorted endpoint angles, and ``arc_gaps`` the gap of
+    each arc; the last arc wraps past 2 pi.
     """
 
     def __init__(self, lam: FiniteLamination):
@@ -297,8 +300,8 @@ class GapComplex:
         ends = sorted(rank) or [0.0]
         arcs: dict[int, list] = {}  # innermost leaf (-1: none) -> gap arcs
         mids = []  # middle of each gap's first arc
-        for start, end in zip(ends, ends[1:] + [ends[0] + 2 * math.pi]):
-            key = owner[rank[start]] if n else -1
+        keys = [owner[rank[start]] if n else -1 for start in ends]
+        for key, start, end in zip(keys, ends, ends[1:] + [ends[0] + 2 * math.pi]):
             if key not in arcs:
                 arcs[key] = []
                 mids.append(0.5 * (start + end))
@@ -306,6 +309,7 @@ class GapComplex:
         samples = self._samples(list(arcs), mids)
         self.gaps = [Gap(z, a) for z, a in zip(samples, arcs.values())]
         gap_id = {key: i for i, key in enumerate(arcs)}
+        self.arc_starts, self.arc_gaps = ends, [gap_id[key] for key in keys]
         for k in range(n):
             if k not in gap_id:
                 gap_id[k] = len(self.gaps)
@@ -365,6 +369,12 @@ class GapComplex:
         if isinstance(z, PointH2):
             z = z.z
         return int(self.gaps_of(z)[0])
+
+    def boundary_gap(self, angle: float) -> int:
+        """Gap whose boundary arc holds the boundary point at ``angle``: the
+        arc of the last start at or below angle mod 2 pi, or, below the
+        first start, the last arc, which wraps past 2 pi."""
+        return self.arc_gaps[bisect.bisect_right(self.arc_starts, angle % (2 * math.pi)) - 1]
 
     def resolve(self, base) -> int:
         if base is None:
@@ -500,7 +510,7 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     """
     if n_arcs < 1:
         raise NonpositiveInput(f"n_arcs must be at least 1, got {n_arcs}")
-    validate(lam)
+    ranks = validate(lam).ranks.tolist()
     if not lam.leaves:
         return 0.0
     rng = np.random.default_rng(seed)
@@ -525,8 +535,10 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
                 if d >= 1.0:
                     continue
                 if f1 is None:
-                    # asymptotic pair: probe ever deeper into the shared cusp
-                    t_shared = _shared_angle(lam.leaves[i], lam.leaves[j])
+                    # asymptotic pair: probe ever deeper into the shared
+                    # cusp, at the first of leaf i's ends that ranks with j's
+                    t_shared = next((t for t, r in zip(lam.leaves[i].angles(), ranks[i])
+                                     if r in ranks[j]), None)
                     if t_shared is None:
                         continue
                     depths = np.arange(1.0, 14.0, 0.5)
@@ -578,14 +590,6 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
         return max(job() for job in jobs)
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return max(ex.map(lambda job: job(), jobs))
-
-
-def _shared_angle(g1: GeodesicH2, g2: GeodesicH2):
-    for t in g1.angles():
-        for s in g2.angles():
-            if abs((t - s + math.pi) % (2 * math.pi) - math.pi) < 1e-12:
-                return t
-    return None
 
 
 def _geodesic_midpoint(z1: complex, z2: complex) -> complex:

@@ -156,8 +156,16 @@ class MobiusMap:
         """Hyperbolic translation with axis (p, q), by dist toward q.
 
         If p, q lie on a circle, that circle (and both disks it bounds)
-        is preserved.
+        is preserved.  Raises DegenerateMobius when e^{|dist|/2}, and so
+        one of the multiplier's factors, is not a finite float: for |dist|
+        beyond about 1419.6, or a dist that is not finite.
         """
+        try:
+            finite = math.exp(abs(dist) / 2.0) < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DegenerateMobius(f"translation by {dist}: e^(|dist|/2) is not a finite float")
         return MobiusMap._about_axis(p, q, math.exp(dist / 2.0))
 
     @staticmethod

@@ -8,7 +8,6 @@ from the base.
 """
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -33,50 +32,12 @@ from .laminations import FiniteLamination, GapComplex, pushforward, validate
 from .mobius import MobiusMap
 
 
-# ---------------------------------------------------------------------------
-# piecewise-Mobius circle maps
-# ---------------------------------------------------------------------------
-
-
-class CircleMap:
-    """Piecewise-Mobius homeomorphism of the circle, one map per boundary arc."""
-
-    def __init__(self, breaks: list[float], maps: list[MobiusMap]):
-        order = np.argsort(breaks)
-        self.breaks = [breaks[i] for i in order]
-        self.maps = [maps[i] for i in order]
-
-    @staticmethod
-    def from_gap_maps(complex_: GapComplex, gap_maps: list[MobiusMap]) -> "CircleMap":
-        breaks, maps = [], []
-        for gid, gap in enumerate(complex_.gaps):
-            for start, _ in gap.arcs:
-                breaks.append(start % (2 * math.pi))
-                maps.append(gap_maps[gid])
-        if not breaks:
-            breaks, maps = [0.0], [gap_maps[0]]
-        return CircleMap(breaks, maps)
-
-    def _map_at(self, angle: float) -> MobiusMap:
-        a = angle % (2 * math.pi)
-        i = bisect.bisect_right(self.breaks, a) - 1
-        return self.maps[i]
-
-    def __call__(self, angle: float) -> float:
-        w = self.apply_complex(angle)
-        return math.atan2(w.imag, w.real) % (2 * math.pi)
-
-    def apply_complex(self, angle: float):
-        """Image of the boundary point as an extended complex number."""
-        return self._map_at(angle)(cmath.exp(1j * (angle % (2 * math.pi))))
-
-
 @dataclass(frozen=True)
 class _GapMaps:
     """One Mobius map per gap of a lamination, the identity on the base gap.
 
-    Frozen, so that the circle map built once from the gap maps stays theirs;
-    subclasses add methods only.
+    Frozen, so that the boundary maps built once from the gap maps stay
+    theirs; subclasses add methods only.
     """
 
     lamination: FiniteLamination
@@ -87,17 +48,24 @@ class _GapMaps:
     def complex_(self) -> GapComplex:
         return self.lamination.gaps
 
-    def boundary_map(self) -> CircleMap:
-        """The gap maps on the circle, built on first use."""
-        return self._circle_map
-
     @cached_property
-    def _circle_map(self) -> CircleMap:
-        return CircleMap.from_gap_maps(self.complex_, self._boundary_gap_maps())
-
-    def _boundary_gap_maps(self) -> list[MobiusMap]:
-        """The maps the circle map applies on each gap's boundary arcs."""
+    def _boundary_maps(self) -> list[MobiusMap]:
+        """The map applied on each gap's boundary arcs, built on first use."""
         return self.gap_maps
+
+    def boundary(self, angle: float):
+        """Image of the disk boundary point at ``angle``, an extended complex
+        number: the boundary map of the gap whose arc holds it."""
+        a = angle % (2 * math.pi)
+        return self._boundary_maps[self.lamination.gaps.boundary_gap(a)](cmath.exp(1j * a))
+
+    def boundary_map(self):
+        """The boundary trace as a callable angle -> angle of its image."""
+        return self._image_angle
+
+    def _image_angle(self, angle: float) -> float:
+        w = self.boundary(angle)
+        return math.atan2(w.imag, w.real) % (2 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +140,12 @@ class PleatedPlane(_GapMaps):
         g = self.complex_.gap_of(p)
         return poincare_extension(self.gap_maps[g], disk_to_halfspace(p.z))
 
-    def _boundary_gap_maps(self) -> list[MobiusMap]:
-        """The gap maps after the Cayley map, which lays the circle on the real line."""
+    @cached_property
+    def _boundary_maps(self) -> list[MobiusMap]:
+        """The gap maps after the Cayley map, which lays the circle on the
+        real line: the boundary trace lands on the sphere."""
         cay = MobiusMap.cayley_disk_to_uhp()
         return [m.compose(cay) for m in self.gap_maps]
-
-    def boundary(self, angle: float):
-        """Ideal boundary trace: image of the disk boundary point on the sphere."""
-        return self._circle_map.apply_complex(angle)
 
 
 def _bend(leaf: GeodesicH2, angle: float, inside: bool) -> MobiusMap:

@@ -17,6 +17,8 @@ returns to the starting face, where the library meets half-paths in the
 middle.  Their values agree with the library's to rounding.
 `arc_end_sides` finds a sampled arc's ends by the complex Mobius map
 that the sampler's real pulled-back forms replace.
+`boundary_gap_oracle` finds the boundary arc holding an angle by interval
+containment, where `GapComplex.boundary_gap` bisects the sorted starts.
 `mobius_matrix`, `is_identity` and `circles_close` are the tests' own
 matrix and tolerance views of `MobiusMap` and `CircleOrLine`.
 """
@@ -193,6 +195,28 @@ def arc_end_sides(lam, centers, dirs):
     p = (step + c) / (1.0 + np.conj(c) * step)
     q = (-step + c) / (1.0 - np.conj(c) * step)
     return side_of(p[:, None], lam.polars), side_of(q[:, None], lam.polars)
+
+
+def boundary_gap_oracle(gc, angle: float) -> int:
+    """Gap of the one boundary arc (start, end) of ``gc`` holding the angle.
+
+    With t the angle mod 2 pi, an arc holds t when start <= t < end; the
+    arc that wraps past 2 pi (end >= 2 pi) holds t from its start on, and
+    below the least start of all arcs.  t is 2 pi itself when a tiny
+    negative angle rounds up, and lies on the wrapping arc then.  Raises
+    ValueError unless exactly one arc holds t.
+    """
+    t = angle % (2 * math.pi)
+    arcs = [(start, end, g) for g, gap in enumerate(gc.gaps) for start, end in gap.arcs]
+    first = min(start for start, _, _ in arcs)
+
+    def holds(start, end):
+        if end >= 2 * math.pi:
+            return start <= t or t < first
+        return start <= t < end
+
+    (gap,) = [g for start, end, g in arcs if holds(start, end)]
+    return gap
 
 
 def numeric_wirtinger(f, z: complex, h: float = 1e-6):

@@ -7,10 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from domekit import laminations as lam_mod
 from domekit.cli import COMMANDS, main
+from domekit.dome import IdealConfiguration, build_hull, hull_to_json
+from domekit.errors import finite_float
+
+from test_dome import _retract_config
+from test_laminations import oracle_laminations
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -256,6 +263,16 @@ class TestEarthquake:
         code, out, _ = run_cli(args + ["--format", "csv"], capsys)
         assert code == 0 and out.splitlines()[1] == "0,,"
 
+    @pytest.mark.parametrize("t", ["1500", "-1500"])
+    def test_huge_shear_is_an_error_line(self, tmp_path, t, capsys):
+        # e^(t/2) overflows at t = 1500 and vanishes at t = -1500
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps({"leaves": [[0.3, 2.2]], "weights": [1]}))
+        code, out, err = run_cli(
+            ["earthquake", "trace", "--input", str(p), f"--t={t}"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: DegenerateMobius: ") and err.count("\n") == 1
+
     def test_complex_trace(self, lam_file, capsys):
         code, out, _ = run_cli(
             ["earthquake", "trace", "--input", lam_file, "--t", "0.4,0.3",
@@ -268,6 +285,13 @@ class TestEarthquake:
 
 
 class TestCrescent:
+    @pytest.mark.parametrize("theta", ["-1", "0"])
+    def test_empty_wedge_is_not_injective(self, theta, capsys):
+        code, out, err = run_cli(
+            ["crescent", "dilatation", "--w", "0,1", f"--theta={theta}"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: NotInjective: ")
+
     def test_dilatation_with_grid(self, capsys):
         code, out, _ = run_cli(
             ["crescent", "dilatation", "--w", "0,2", "--theta", "1.0",
@@ -426,6 +450,27 @@ class TestInputValidation:
         assert code == 1 and out == ""
         assert err == f"error: out of memory{': ' + message if message else ''}\n"
 
+    @pytest.mark.parametrize("command, text", [
+        ("lamination", '{"leaves": [["0.3", "2.2"]], "weights": [1]}'),
+        ("lamination", '{"leaves": [[0.3, 2.2]], "weights": [true]}'),
+        ("lamination", '{"leaves": [[false, 2.2]], "weights": [1]}'),
+        ("dome", '{"points": [["0", "0"], [1, 0], "inf", [0, -1]]}'),
+        ("dome", '{"points": [[0, 0], [1, true], "inf", [0, -1]]}'),
+    ])
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, capsys,
+                                                  command, text):
+        p = tmp_path / "in.json"
+        p.write_text(text)
+        argv = (["lamination", "validate"] if command == "lamination"
+                else ["dome", "build"]) + ["--input", str(p)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: InvalidInput: ") and "is not a number" in err
+
+    @pytest.mark.parametrize("value", [3, -2.5, np.float32(0.5), np.int64(4)])
+    def test_ints_and_floats_are_numbers(self, value):
+        assert finite_float(value) == float(value)
+
     def test_zero_brute_arcs_skips_the_sampler(self, lam_file, capsys):
         code, out, _ = run_cli(
             ["lamination", "roundness", "--input", lam_file,
@@ -433,6 +478,41 @@ class TestInputValidation:
         )
         assert code == 0
         assert "brute_force" not in json.loads(out)
+
+
+_ROUND_TRIPS = settings(max_examples=25, derandomize=True, database=None, deadline=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestJsonRoundTrip:
+    """A file written from a library object reads back, through the CLI, as
+    that object; each example overwrites the one input file."""
+
+    @_ROUND_TRIPS
+    @given(lam=oracle_laminations())
+    def test_lamination_to_json(self, tmp_path, capsys, lam):
+        p = tmp_path / "lam.json"
+        p.write_text(json.dumps(lam.to_json()))
+        assert lam_mod.FiniteLamination.load(p) == lam
+        code, out, _ = run_cli(["lamination", "validate", "--input", str(p)], capsys)
+        assert code == 0 and json.loads(out)["n_leaves"] == len(lam)
+        code, out, _ = run_cli(["lamination", "roundness", "--input", str(p)], capsys)
+        assert code == 0
+        assert json.loads(out)["roundness"].hex() == lam_mod.roundness(lam).hex()
+
+    @_ROUND_TRIPS
+    @given(kind=st.sampled_from(["sphere", "sphere_inf", "concyclic", "annulus",
+                                 "ring", "five", "kite"]),
+           n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1))
+    def test_hull_points(self, tmp_path, capsys, kind, n, seed):
+        points = _retract_config(kind, n, np.random.default_rng(seed))
+        want = json.loads(json.dumps(hull_to_json(build_hull(IdealConfiguration(points)))))
+        p = tmp_path / "points.json"
+        p.write_text(json.dumps({"points": want["points"]}))
+        code, out, _ = run_cli(["dome", "build", "--input", str(p)], capsys)
+        assert code == 0
+        got = json.loads(out)
+        assert (got["faces"], got["edges"]) == (want["faces"], want["edges"])
 
 
 class TestThreadIndependence:

@@ -136,6 +136,11 @@ class TestScalingDilatation:
         with pytest.raises(NotInjective):
             scaling_dilatation(AngleScaling(2j, math.pi))  # image angle 3 pi
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0])
+    def test_not_injective_when_wedge_empty(self, theta):
+        with pytest.raises(NotInjective):
+            scaling_dilatation(AngleScaling(1j, theta))
+
     def test_not_injective_when_degenerate(self):
         with pytest.raises(NotInjective):
             scaling_dilatation(AngleScaling(-1.5j, 0.5))

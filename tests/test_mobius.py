@@ -102,6 +102,15 @@ def test_translation_along_translates_by_dist():
     assert abs(abs(t.trace()) - 2 * math.cosh(0.35)) < 1e-12
 
 
+@pytest.mark.parametrize("dist", [1500.0, -1500.0, -1430.0, math.inf, -math.inf,
+                                  math.nan])
+def test_translation_without_finite_multiplier_is_degenerate(dist):
+    # e^(dist/2) overflows, vanishes, has an infinite reciprocal (-1430) or
+    # is not a number
+    with pytest.raises(DegenerateMobius):
+        MobiusMap.translation_along(1j, -1j, dist)
+
+
 def test_rotation_about_trace():
     r = MobiusMap.rotation_about(0.0, INF, 1.3)
     assert abs(abs(r.trace()) - 2 * math.cos(0.65)) < 1e-12

@@ -30,7 +30,6 @@ from domekit.laminations import (
 )
 from domekit.mobius import MobiusMap
 from domekit.pleating import (
-    CircleMap,
     GapComplex,
     complex_earthquake,
     earthquake,
@@ -40,11 +39,17 @@ from domekit.pleating import (
     shear_reach,
 )
 
-from _oracles import dihedral_angle, embedding_check_oracle, is_identity
+from _oracles import (
+    boundary_gap_oracle,
+    dihedral_angle,
+    embedding_check_oracle,
+    is_identity,
+)
 from test_laminations import (
     cusp_lamination,
     fan_lamination,
     matching_lamination,
+    oracle_laminations,
     turned_to_zero,
 )
 
@@ -239,6 +244,25 @@ class TestGapComplex:
             except NotTransverse:
                 refused = True
             assert refused == bool((np.abs(row) < ON_LEAF_TOL).any())
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(lam=oracle_laminations(), seed=st.integers(0, 2**32 - 1))
+    @example(lam=FiniteLamination([], []), seed=0)
+    @example(lam=turned_to_zero(fan_lamination(np.random.default_rng(3), 5, 2)), seed=1)
+    def test_boundary_gap_equals_oracle(self, lam, seed):
+        # every arc start and its float neighbours, 0, the float below 2 pi,
+        # the same one turn either way, and random angles
+        gc = lam.gaps
+        starts = [start for gap in gc.gaps for start, _ in gap.arcs]
+        assert gc.arc_starts == sorted(starts)
+        angles = [0.0, math.nextafter(2 * math.pi, 0.0)]
+        for start in starts:
+            angles += [start, math.nextafter(start, -math.inf),
+                       math.nextafter(start, math.inf)]
+        angles += np.random.default_rng(seed).uniform(0.0, 2 * math.pi, 50).tolist()
+        angles += [a + turn for a in angles for turn in (-2 * math.pi, 2 * math.pi)]
+        for a in angles:
+            assert gc.boundary_gap(a) == boundary_gap_oracle(gc, a)
 
     def test_endpoint_shared_across_angle_zero(self):
         # 2*pi - 1e-13 and 0 are one ideal point, so leaf 1 bounds the arc
@@ -505,17 +529,60 @@ class TestComplexEarthquake:
                 assert chordal_distance(a, b) < 1e-9
 
 
-class TestCircleMapBuiltOnce:
-    def test_boundary_trace_equals_fresh_circle_map(self):
-        # the old path: a CircleMap built afresh on every call
+def boundary_trace_digest(lam: FiniteLamination) -> str:
+    """sha256 of pleat's and complex_earthquake(0.4+0.3i)'s boundary traces
+    and the earthquake's boundary map, as float.hex, at 256 even angles,
+    every boundary arc start and the float below 2 pi."""
+    plane = pleat(lam)
+    ce = complex_earthquake(lam, 0.4 + 0.3j)
+    quake = earthquake(lam).boundary_map()
+    starts = [a for gap in lam.gaps.gaps for a, _ in gap.arcs]
+    angles = np.linspace(0.0, 2 * math.pi, 256, endpoint=False).tolist()
+    angles += starts + [math.nextafter(2 * math.pi, 0.0)]
+    h = hashlib.sha256()
+    for a in angles:
+        for z in (plane.boundary(a), ce.boundary(a), complex(quake(a))):
+            h.update(f"{z.real.hex()},{z.imag.hex()};".encode())
+    return h.hexdigest()
+
+
+class TestBoundaryTracePinned:
+    # digests recorded while the boundary traces went through a circle map
+    # that sorted the gap complex's arc starts a second time
+    CASES = [
+        ("matching", 11, 16, 0,
+         "137781f1ca82d0020508ba8bf7d7bb117304c1acfc1cad4a695fe9e26de288d3"),
+        ("fan", 5, 6, 3,
+         "1036ddd37c8f51c70dd47cb0040d8f0ecd999907c0589c88bef340f92877a1f0"),
+        ("zero", 3, 5, 2,
+         "876d84f7ea227f4bc6697821073d70e89eb5cabf2df854c75684c551b0cb6388"),
+    ]
+
+    @pytest.mark.parametrize("kind, seed, n, rims, digest", CASES)
+    def test_bit_identical(self, kind, seed, n, rims, digest):
+        rng = np.random.default_rng(seed)
+        if kind == "matching":
+            lam = matching_lamination(rng, n)
+        else:
+            lam = fan_lamination(rng, n, rims)
+            if kind == "zero":
+                lam = turned_to_zero(lam)
+        assert boundary_trace_digest(lam) == digest
+
+
+class TestBoundaryMapsBuiltOnce:
+    def test_boundary_trace_equals_oracle(self):
+        # each angle's gap found by the oracle, its map composed afresh
         cay = MobiusMap.cayley_disk_to_uhp()
 
         def fresh_plane(plane, angle):
-            maps = [m.compose(cay) for m in plane.gap_maps]
-            return CircleMap.from_gap_maps(plane.complex_, maps).apply_complex(angle)
+            m = plane.gap_maps[boundary_gap_oracle(plane.complex_, angle)]
+            return m.compose(cay)(cmath.exp(1j * (angle % (2 * math.pi))))
 
         def fresh_quake(quake, angle):
-            return CircleMap.from_gap_maps(quake.complex_, quake.gap_maps)(angle)
+            m = quake.gap_maps[boundary_gap_oracle(quake.complex_, angle)]
+            w = m(cmath.exp(1j * (angle % (2 * math.pi))))
+            return math.atan2(w.imag, w.real) % (2 * math.pi)
 
         def bits(z):
             return (z.real.hex(), z.imag.hex())
@@ -528,8 +595,25 @@ class TestCircleMapBuiltOnce:
             assert bits(plane.boundary(a)) == bits(fresh_plane(plane, a))
             want = fresh_plane(ce.plane, fresh_quake(ce.quake, a))
             assert bits(ce.boundary(a)) == bits(want)
-        assert plane.boundary_map() is plane.boundary_map()
-        assert ce.quake.boundary_map() is ce.quake.boundary_map()
+
+    def test_boundary_maps_built_once(self, monkeypatch):
+        # a trace composes each gap map with the Cayley map once, not per angle
+        lam = matching_lamination(np.random.default_rng(11), 16)
+        ce = complex_earthquake(lam, 0.4 + 0.3j)
+        calls = []
+        compose = MobiusMap.compose
+
+        def counted(self, other):
+            calls.append(other)
+            return compose(self, other)
+
+        monkeypatch.setattr(MobiusMap, "compose", counted)
+        angles = np.linspace(0.0, 2 * math.pi, 256, endpoint=False).tolist()
+        for _ in range(2):
+            for a in angles:
+                ce.boundary(a)
+        assert len(calls) == len(ce.plane.gap_maps)
+        assert ce.quake._boundary_maps is ce.quake.gap_maps
 
     def test_maps_are_frozen(self):
         lam = random_lamination(np.random.default_rng(2), 3)
