@@ -4,7 +4,9 @@ Subcommands: bounds eval|table, annulus table, dome build|retract|inj-radius,
 lamination roundness|validate, earthquake trace, crescent dilatation,
 qc estimate.  Every subcommand supports --format json|csv; output is
 deterministic for fixed arguments and seed.  The subcommands and their flags
-are the `COMMANDS` table; each handler returns what `_emit` writes.
+are the `COMMANDS` table; each handler returns what `_emit` writes, and
+imports the modules it needs, so a command loads only those (`bounds` and
+`annulus` run without numpy).
 """
 from __future__ import annotations
 
@@ -14,15 +16,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import annulus as annulus_mod
-from . import bounds as bounds_mod
-from . import dome as dome_mod
-from . import laminations as lam_mod
-from . import pleating as pleat_mod
-from . import qc as qc_mod
-from .crescents import AngleScaling, scaling_dilatation
 from .errors import DomekitError, OutOfDomain
 from .mobius import INF, is_inf
 
@@ -41,18 +34,19 @@ def _fmt(x) -> str:
 
 
 def _strict(obj):
-    """``obj`` as JSON values: complex as [re, im], numpy as Python values,
-    and every non-finite float as None, however deeply nested."""
+    """``obj`` as JSON values: complex as [re, im], numpy arrays and scalars
+    as Python values (by their ``tolist``, so numpy need not be loaded), and
+    every non-finite float as None, however deeply nested."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _strict(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [_strict(v) for v in obj]
     if isinstance(obj, complex):
         return [_strict(obj.real), _strict(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return _strict(obj.item())
+    if hasattr(obj, "tolist"):
+        return _strict(obj.tolist())
     return obj
 
 
@@ -126,10 +120,28 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.linspace(start, stop, num)`` as floats, bit for bit: i * step
+    + start with step = (stop - start) / (num - 1), and stop itself last."""
+    div = num - 1
+    delta = stop - start
+    if div <= 0:
+        return [0 * delta + start for _ in range(num)]
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 # Subcommand handlers: each returns the arguments of `_emit` after ``args``.
 
 
 def cmd_bounds_eval(args):
+    from . import bounds as bounds_mod
+
     rep = bounds_mod.BoundReport.evaluate(nu=args.nu, nu_hat=args.nu_hat)
     header = ["nu", "nu_hat"] + sorted(k for k in rep.values
                                        if not k.endswith("_reason"))
@@ -138,6 +150,10 @@ def cmd_bounds_eval(args):
 
 
 def cmd_bounds_table(args):
+    import numpy as np
+
+    from . import bounds as bounds_mod
+
     header = ["nu", "M", "M_relaxed", "roundness_tight", "roundness_relaxed",
               "lipschitz", "g", "lower_bound"]
     for name, nu in (("nu_min", args.nu_min), ("nu_max", args.nu_max)):
@@ -151,13 +167,15 @@ def cmd_bounds_table(args):
 
 
 def cmd_annulus_table(args):
+    from . import annulus as annulus_mod
+
     header = ["s", "modulus", "core_length", "nu", "dome_modulus",
               "dome_core_length", "nu_hat", "K", "mod_ratio",
               "ok_K_le_M", "ok_K_le_N", "ok_lower_le_K"]
     rows = []
-    for s in np.linspace(args.s_min, args.s_max, args.points):
-        g = annulus_mod.annulus_geometry(float(s))
-        rep = annulus_mod.verify_bounds(float(s))
+    for s in _linspace(args.s_min, args.s_max, args.points):
+        g = annulus_mod.annulus_geometry(s)
+        rep = annulus_mod.verify_bounds(s)
         rows.append([g.s, g.modulus, g.core_length, g.nu, g.dome_modulus,
                      g.dome_core_length, g.nu_hat, g.K, g.dome_modulus / g.modulus,
                      rep.K_le_M, rep.K_le_N, rep.lower_le_K])
@@ -165,10 +183,14 @@ def cmd_annulus_table(args):
 
 
 def _hull(args):
+    from . import dome as dome_mod
+
     return dome_mod.build_hull(dome_mod.IdealConfiguration.load(args.input))
 
 
 def cmd_dome_build(args):
+    from . import dome as dome_mod
+
     hull = _hull(args)
     if args.mesh:
         with open(args.mesh, "w") as fh:
@@ -179,6 +201,8 @@ def cmd_dome_build(args):
 
 
 def cmd_dome_retract(args):
+    from . import dome as dome_mod
+
     res = dome_mod.retract(_hull(args), args.z)
     p = res.point
     payload = {"z": None if is_inf(args.z) else args.z,
@@ -189,6 +213,8 @@ def cmd_dome_retract(args):
 
 
 def cmd_dome_inj_radius(args):
+    from . import dome as dome_mod
+
     hull = _hull(args)
     res = dome_mod.retract(hull, args.z)
     kind, index = res.carrier
@@ -200,11 +226,15 @@ def cmd_dome_inj_radius(args):
 
 
 def cmd_lamination_validate(args):
+    from . import laminations as lam_mod
+
     lam = lam_mod.FiniteLamination.load(args.input)
     return {"ok": True, "n_leaves": len(lam)}, ["ok", "n_leaves"]
 
 
 def cmd_lamination_roundness(args):
+    from . import laminations as lam_mod
+
     lam = lam_mod.FiniteLamination.load(args.input)
     payload = {"roundness": lam_mod.roundness(lam)}
     if args.brute_arcs:
@@ -215,6 +245,11 @@ def cmd_lamination_roundness(args):
 
 
 def cmd_earthquake_trace(args):
+    import numpy as np
+
+    from . import laminations as lam_mod
+    from . import pleating as pleat_mod
+
     lam = lam_mod.FiniteLamination.load(args.input)
     t = args.t
     angles = np.linspace(0.0, 2 * math.pi, args.samples, endpoint=False)
@@ -237,6 +272,9 @@ def cmd_earthquake_trace(args):
 
 
 def cmd_crescent_dilatation(args):
+    from . import qc as qc_mod
+    from .crescents import AngleScaling, scaling_dilatation
+
     w = args.w
     scal = AngleScaling(w, args.theta)
     payload = {"w": w, "theta": args.theta,
@@ -252,28 +290,33 @@ def cmd_crescent_dilatation(args):
     return payload, ["w_re", "w_im"] + header, [row]
 
 
-#: qc estimate fixtures: name -> (grid sample, analytic K) of ``args``; the
-#: further fixture "scaling" is `verify_scaling_dilatation` against its closed form
+#: qc estimate fixtures: name -> (grid sample, analytic K) of the qc module
+#: and ``args``; the further fixture "scaling" is `verify_scaling_dilatation`
+#: against its closed form
 _QC_FIXTURES = {
-    "identity": lambda a: (qc_mod.identity_sample(a.grid), 1.0),
-    "affine": lambda a: (qc_mod.affine_sample(a.grid), 2.0),
-    "power": lambda a: (qc_mod.power_map_sample(a.alpha, a.grid),
-                        max(a.alpha, 1.0 / a.alpha)),
-    "mobius-far": lambda a: (
-        qc_mod.mobius_sample(qc_mod.far_pole_mobius(), a.grid), 1.0),
-    "mobius-near": lambda a: (
-        qc_mod.mobius_sample(qc_mod.near_pole_mobius(), a.grid), 1.0),
+    "identity": lambda qc, a: (qc.identity_sample(a.grid), 1.0),
+    "affine": lambda qc, a: (qc.affine_sample(a.grid), 2.0),
+    "power": lambda qc, a: (qc.power_map_sample(a.alpha, a.grid),
+                            max(a.alpha, 1.0 / a.alpha)),
+    "mobius-far": lambda qc, a: (
+        qc.mobius_sample(qc.far_pole_mobius(), a.grid), 1.0),
+    "mobius-near": lambda qc, a: (
+        qc.mobius_sample(qc.near_pole_mobius(), a.grid), 1.0),
 }
 
 
 def cmd_qc_estimate(args):
+    import numpy as np
+
+    from . import qc as qc_mod
+
     payload = {"fixture": args.fixture, "grid": args.grid}
     if args.fixture == "scaling":
         chk = qc_mod.verify_scaling_dilatation(args.w, args.theta, n=args.grid)
         payload.update(analytic_K=chk.analytic_K, sup_K=chk.grid_sup_K,
                        max_abs_deviation=chk.max_abs_deviation)
         return payload, list(payload)
-    grid, analytic = _QC_FIXTURES[args.fixture](args)
+    grid, analytic = _QC_FIXTURES[args.fixture](qc_mod, args)
     field = qc_mod.beltrami_estimate(grid)
     stats = qc_mod.dilatation_stats(field)
     if args.dump_field:

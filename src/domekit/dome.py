@@ -35,8 +35,10 @@ from .hyperbolic import (
     busemann,
     poincare_extension,
     sphere_to_boundary,
+    sphere_xyz,
 )
 from .mobius import (
+    HUGE,
     INF,
     CircleOrLine,
     MobiusMap,
@@ -47,6 +49,7 @@ from .mobius import (
     is_inf,
     to_zero_inf,
 )
+from .spherehull import sphere_hull
 
 COPLANAR_TOL = 1e-10
 BASEPOINT = PointH3(0.0, 0.0, 1.0)
@@ -55,8 +58,11 @@ COINCIDE_TOL = 1e-9
 #: ``chordal_distance`` decides whether they are within ``COINCIDE_TOL``.
 _NEAR = 1e-6
 _EPS = float(np.finfo(float).eps)
-#: Angles (rad) this close to the +-pi cut or to each other send a triangle
-#: from `_order_triangles` back to `_order_cycle`.
+#: the precision of the face planes and angles before their one rounding:
+#: a 64-bit mantissa where the platform's long double has one
+_EXT = np.longdouble
+#: Angles (rad) this close to the +-pi cut count as pi in `_order_cycle`,
+#: and normal components this close to the least tie in `_ref_axis`.
 _ANGLE_TOL = 1e-9
 
 
@@ -85,11 +91,9 @@ class IdealConfiguration:
         n = len(v)
         step = max(1, (1 << 16) // n)
         for i0 in range(0, n, step):
-            rows = np.arange(i0, min(i0 + step, n))
-            near = ~(v[rows] @ v.T < 1.0 - 0.5 * _NEAR * _NEAR)
-            near &= np.arange(n) > rows[:, None]
-            for i, j in zip(*np.nonzero(near)):
-                i, j = int(rows[i]), int(j)
+            i, j = np.nonzero(v[i0:i0 + step] @ v[i0:].T >= 1.0 - 0.5 * _NEAR * _NEAR)
+            i, j = i + i0, j + i0
+            for i, j in zip(i[i < j].tolist(), j[i < j].tolist()):
                 if chordal_distance(self.points[i], self.points[j]) <= COINCIDE_TOL:
                     raise NumericallyCoincident(
                         f"points {i} and {j} numerically coincide"
@@ -98,7 +102,7 @@ class IdealConfiguration:
     @cached_property
     def sphere_vectors(self) -> np.ndarray:
         """(N, 3) read-only array of the points' unit vectors on the sphere."""
-        v = np.stack([boundary_to_sphere(p) for p in self.points])
+        v = np.array([sphere_xyz(p) for p in self.points])
         v.flags.writeable = False
         return v
 
@@ -131,10 +135,15 @@ class Face:
     normal: np.ndarray          # outward unit normal in the Klein model
     offset: float               # plane is {x : normal . x = offset}
     vertices: list[int]         # ideal vertex cycle
-    circle: CircleOrLine        # boundary circle on the sphere
+
+    @cached_property
+    def circle(self) -> CircleOrLine:
+        """The face's boundary circle on the sphere, made on first use."""
+        n1, n2, n3 = (float(x) for x in self.normal)
+        return CircleOrLine(n3 - self.offset, complex(n1, n2), -(n3 + self.offset))
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     v: tuple[int, int]
     faces: tuple[int, int]
@@ -157,20 +166,22 @@ class _FaceTable(NamedTuple):
     face_edges: tuple          # face i's edges, in index order
 
 
-def _face_table(faces: list[Face], edges: list[Edge]) -> _FaceTable:
-    normals = np.array([f.normal for f in faces], dtype=float)
-    offsets = np.array([f.offset for f in faces])
-    nn, oo = np.vecdot(normals, normals), offsets * offsets
+def _face_table(normals, offsets, pairs) -> _FaceTable:
+    """The face table of faces with these planes, edge i joining the two
+    faces pairs[i]."""
+    normals = np.array(normals, dtype=float)
+    offsets = np.array(offsets, dtype=float)
+    nn, oo = _sum3(normals * normals), offsets * offsets
     # |n|^2 - o^2, shifted by err, rounds by at most 5u (|n|^2 + o^2), u =
     # eps / 2, which err = 8u (|n|^2 + o^2) covers; 1 -+ 4 eps covers the
     # rounding of the square root and of the scaling itself
     err = 4.0 * _EPS * (nn + oo)
     radius_lo = np.sqrt(np.maximum(nn - oo - err, 0.0)) * (1.0 - 4.0 * _EPS)
     radius_hi = np.sqrt(nn - oo + err) * (1.0 + 4.0 * _EPS)
-    face_edges: list[list[int]] = [[] for _ in faces]
-    for ei, e in enumerate(edges):
-        face_edges[e.faces[0]].append(ei)
-        face_edges[e.faces[1]].append(ei)
+    face_edges: list[list[int]] = [[] for _ in offsets]
+    for ei, (f, g) in enumerate(pairs):
+        face_edges[f].append(ei)
+        face_edges[g].append(ei)
     normals.flags.writeable = offsets.flags.writeable = False
     return _FaceTable(normals, offsets, tuple(radius_lo.tolist()),
                       tuple(radius_hi.tolist()), tuple(map(tuple, face_edges)))
@@ -183,10 +194,7 @@ class HullPolyhedron:
     edges: list[Edge]
     degenerate: bool
     # built once with the hull
-    face_table: _FaceTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.face_table = _face_table(self.faces, self.edges)
+    face_table: _FaceTable = field(repr=False, compare=False)
 
     @property
     def sphere(self) -> np.ndarray:
@@ -203,41 +211,116 @@ class HullPolyhedron:
         return self.config.points[e.v[0]], self.config.points[e.v[1]]
 
     def convexity_violation(self) -> float:
-        """Largest amount any ideal point sticks out of any face half-space."""
-        worst = 0.0
-        for f in self.faces:
-            worst = max(worst, float((self.sphere @ f.normal - f.offset).max()))
+        """Largest amount n . v - o by which an ideal point v sticks out of a
+        face's half-space n . x <= o, in extended precision, rounded once.
+
+        A float screen computes n . v - o within 8u (|n . v| + |o|) < 4e-15
+        (u = 2^-53); each face's own vertices are within 4e-16 of its plane,
+        so only the pairs above -5e-15 can hold the largest value, and
+        those are evaluated again in extended precision.
+        """
+        t = self.face_table
+        v = self.sphere
+        step = max(1, (1 << 16) // len(v))
+        worst = -math.inf
+        for f0 in range(0, len(t.offsets), step):
+            n, o = t.normals[f0:f0 + step], t.offsets[f0:f0 + step]
+            gap = (v[:, None, 0] * n[:, 0] + v[:, None, 1] * n[:, 1]
+                   + v[:, None, 2] * n[:, 2]) - o
+            i, j = np.nonzero(gap > -5e-15)
+            gap = _sum3(v[i].astype(_EXT) * n[j]) - o[j]
+            worst = max(worst, float(gap.max(initial=-math.inf)))
         return worst
 
     def euler_characteristic(self) -> int:
         return len(self.config.points) - len(self.edges) + len(self.faces)
 
 
-def _face_circle(normal: np.ndarray, offset: float) -> CircleOrLine:
-    n1, n2, n3 = (float(x) for x in normal)
-    return CircleOrLine(n3 - offset, complex(n1, n2), -(n3 + offset))
+def _sum3(x):
+    """Rows of an (M, 3) array summed left to right, without BLAS."""
+    return x[:, 0] + x[:, 1] + x[:, 2]
 
 
-def _klein_polars(normals: np.ndarray, offsets: np.ndarray) -> list[list[float]]:
-    """Each face plane's unit polar (normal, offset) / sqrt(1 - offset^2)."""
-    s = np.sqrt(1.0 - offsets * offsets)
-    return (np.column_stack([normals, offsets]) / s[:, None]).tolist()
+def _sphere_ext(points: tuple, sphere: np.ndarray) -> np.ndarray:
+    """The points' unit vectors on the sphere in extended precision, (N, 3).
+
+    The inverse stereographic image (2x, 2y, n - 1) / (n + 1), n = x^2 +
+    y^2, of the exact inputs; at INF and beyond |z| = HUGE, the float
+    ``sphere`` vectors.
+    """
+    z = np.array(points, dtype=complex)
+    exact = np.abs(z) <= HUGE
+    x = np.where(exact, z.real, 0.0).astype(_EXT)
+    y = np.where(exact, z.imag, 0.0).astype(_EXT)
+    n = x * x + y * y
+    v = np.column_stack([2 * x, 2 * y, n - 1]) / (n + 1)[:, None]
+    v[~exact] = sphere[~exact]
+    return v
 
 
-def _exterior_angle(u1: list[float], u2: list[float]) -> float:
-    """Exterior dihedral angle between two faces, from their polars."""
-    c = u1[0] * u2[0] + u1[1] * u2[1] + u1[2] * u2[2] - u1[3] * u2[3]
-    return math.acos(max(-1.0, min(1.0, c)))
+def _planes(v: np.ndarray, tris: np.ndarray) -> tuple:
+    """Outward unit normals and offsets of the planes of triangles (a, b, c)
+    of rows of v, counterclockwise from outside, and the triangles' doubled
+    areas |(b - a) x (c - a)|, in v's precision."""
+    a = v[tris[:, 0]]
+    u, w = v[tris[:, 1]] - a, v[tris[:, 2]] - a
+    n = np.column_stack([u[:, 1] * w[:, 2] - u[:, 2] * w[:, 1],
+                         u[:, 2] * w[:, 0] - u[:, 0] * w[:, 2],
+                         u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]])
+    size = np.sqrt(_sum3(n * n))
+    n /= size[:, None]
+    return n, _sum3(n * a), size
+
+
+def _exterior_angles(n: np.ndarray, o: np.ndarray, f: np.ndarray,
+                     g: np.ndarray) -> np.ndarray:
+    """Exterior dihedral angles between faces f[i] and g[i] with the planes
+    (n, o), in their precision.
+
+    With the unit polars u = (n, o) / sqrt(1 - o^2) and the Lorentz form
+    <x, x> = x0^2 + x1^2 + x2^2 - x3^2, the angle theta between the faces
+    has <u - w, u - w> = 4 sin^2(theta / 2) and <u + w, u + w> = 4
+    cos^2(theta / 2), so theta = 2 atan2 of their square roots: no
+    cancellation near 0 or pi, where acos of the cosine would lose half
+    the digits.
+    """
+    u = np.column_stack([n, o]) / np.sqrt(1 - o * o)[:, None]
+
+    def norm(x):
+        x = x * x
+        return np.sqrt(np.maximum(_sum3(x) - x[:, 3], 0))
+
+    uf, ug = u[f], u[g]
+    return 2 * np.arctan2(norm(uf - ug), norm(uf + ug))
+
+
+def _ref_axis(normals: np.ndarray) -> np.ndarray:
+    """Each plane's frame axis: the first axis whose |n_i| is within
+    _ANGLE_TOL of the least, so a near tie does not depend on rounding."""
+    m = np.abs(normals)
+    return np.argmax(m <= m.min(axis=1, keepdims=True) + _ANGLE_TOL, axis=1)
 
 
 def _order_cycle(vertex_ids: list[int], pts: np.ndarray, normal: np.ndarray) -> list[int]:
-    """Order coplanar sphere points counterclockwise as seen from outside."""
-    c = pts.mean(axis=0)
-    ref = np.eye(3)[int(np.argmin(np.abs(normal)))]
-    e1 = np.cross(normal, ref)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-    ang = np.arctan2((pts - c) @ e2, (pts - c) @ e1)
+    """Order coplanar sphere points counterclockwise as seen from outside.
+
+    The angles are taken about the centroid in the frame e1 = n x e_k /
+    |n x e_k|, e2 = n x e1 (e_k the `_ref_axis`), from -pi; an angle within
+    _ANGLE_TOL above -pi counts as pi, so a vertex on the cut comes last
+    whichever side of it rounding puts it.
+    """
+    n0, n1, n2 = (float(x) for x in normal)
+    m = (abs(n0), abs(n1), abs(n2))
+    k = next(i for i in range(3) if m[i] <= min(m) + _ANGLE_TOL)  # `_ref_axis`
+    # n x e_k, normalised, and n x e1
+    a0, a1, a2 = ((0.0, n2, -n1), (-n2, 0.0, n0), (n1, -n0, 0.0))[k]
+    r = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    a0, a1, a2 = a0 / r, a1 / r, a2 / r
+    b0, b1, b2 = n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0
+    q = pts - pts.mean(axis=0)
+    ang = np.arctan2(np.einsum("ij,j->i", q, (b0, b1, b2)),
+                     np.einsum("ij,j->i", q, (a0, a1, a2)))
+    ang[ang < _ANGLE_TOL - math.pi] += 2.0 * math.pi
     return [vertex_ids[i] for i in np.argsort(ang)]
 
 
@@ -245,27 +328,20 @@ def _order_triangles(tris: np.ndarray, sphere: np.ndarray,
                      normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_order_cycle` of T triangles at once: (T, 3) cycles and an unsure mask.
 
-    The centroids, frames and angles are `_order_cycle`'s, in arrays; the
-    frames have its bits (`vecdot` is the `dot` that `np.linalg.norm`
-    takes), while the angles' dot products and `arctan2` may round
-    differently, by ~1e-15 rad.  A triangle with an angle within
-    _ANGLE_TOL of the +-pi cut, or two angles within _ANGLE_TOL of each
-    other, is marked unsure, and the caller orders it with `_order_cycle`;
-    every other order is the one `_order_cycle` gives.
+    Each triangle comes counterclockwise from outside, so its cycle is the
+    rotation that starts at its least angle: the vertex below e1's line (y
+    < 0) after one on or above it.  For unit n, e2 = (n_k n - e_k) / |n x
+    e_k|, so a vertex at q from the centroid, in the plane, has y = -q_k /
+    |n x e_k| up to rounding: the sign of -q_k decides.  A triangle with a
+    vertex within 4e-9 of e1's line is marked unsure, and the caller orders
+    it with `_order_cycle`; every other cycle is the one `_order_cycle`
+    gives.
     """
-    pts = sphere[tris]
-    c = pts.mean(axis=1)
-    ref = np.eye(3)[np.argmin(np.abs(normals), axis=1)]
-    e1 = np.cross(normals, ref)
-    e1 /= np.sqrt(np.vecdot(e1, e1))[:, None]
-    e2 = np.cross(normals, e1)
-    q = pts - c[:, None, :]
-    ang = np.arctan2(np.einsum("tij,tj->ti", q, e2), np.einsum("tij,tj->ti", q, e1))
-    order = np.argsort(ang, axis=1)
-    ang = np.take_along_axis(ang, order, axis=1)
-    unsure = ((np.abs(ang).max(axis=1) > math.pi - _ANGLE_TOL)
-              | (np.diff(ang, axis=1).min(axis=1) < _ANGLE_TOL))
-    return np.take_along_axis(tris, order, axis=1), unsure
+    c = sphere[tris, _ref_axis(normals)[:, None]]
+    y = c.mean(axis=1)[:, None] - c
+    first = np.argmax((y < 0) & (y[:, [2, 0, 1]] >= 0), axis=1)
+    cycles = np.take_along_axis(tris, (first[:, None] + np.arange(3)) % 3, axis=1)
+    return cycles, (np.abs(y) <= 4.0 * _ANGLE_TOL).any(axis=1)
 
 
 def _build_degenerate(cfg: IdealConfiguration, sphere: np.ndarray) -> HullPolyhedron:
@@ -276,13 +352,34 @@ def _build_degenerate(cfg: IdealConfiguration, sphere: np.ndarray) -> HullPolyhe
     if offset < 0:
         normal, offset = -normal, -offset
     cycle = _order_cycle(list(range(len(sphere))), sphere, normal)
-    f_top = Face(normal, offset, cycle, _face_circle(normal, offset))
-    f_bot = Face(-normal, -offset, cycle[::-1], _face_circle(-normal, -offset))
+    f_top = Face(normal, offset, cycle)
+    f_bot = Face(-normal, -offset, cycle[::-1])
     edges = [
         Edge((cycle[i], cycle[(i + 1) % len(cycle)]), (0, 1), math.pi, fold=True)
         for i in range(len(cycle))
     ]
-    return HullPolyhedron(cfg, [f_top, f_bot], edges, degenerate=True)
+    table = _face_table([normal, -normal], [offset, -offset], [e.faces for e in edges])
+    return HullPolyhedron(cfg, [f_top, f_bot], edges, True, table)
+
+
+def _coplanar_groups(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label each of n triangles by the least triangle of its connected
+    group, triangles a[i] and b[i] being joined."""
+    label = list(range(n))
+    nbrs: dict[int, list[int]] = {}
+    for s, t in zip(a.tolist(), b.tolist()):
+        nbrs.setdefault(s, []).append(t)
+        nbrs.setdefault(t, []).append(s)
+    for root in sorted(nbrs):
+        if label[root] != root:
+            continue
+        stack = [root]
+        while stack:
+            for t in nbrs[stack.pop()]:
+                if label[t] == t and t != root:
+                    label[t] = root
+                    stack.append(t)
+    return np.array(label)
 
 
 def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
@@ -290,83 +387,75 @@ def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
 
     Concyclic configurations produce the doubled ideal polygon (two
     coincident faces, fold edges of exterior angle pi) flagged degenerate.
+    Otherwise `spherehull.sphere_hull` triangulates the hull, and
+    neighbouring triangles whose planes agree within COPLANAR_TOL merge
+    into one face.  The planes and angles are computed in extended
+    precision and rounded once.  Faces are numbered in the order of their
+    sorted vertex ids, and edges in the order of their (smaller, larger)
+    vertex ids.
     """
     sphere = cfg.sphere_vectors
     if cfg.is_concyclic():
         return _build_degenerate(cfg, sphere)
-    # Imported here, not at module level: it takes about 0.5 s and only the hull
-    # needs it, so the other CLI subcommands start without it.
-    from scipy.spatial import ConvexHull
+    tris, twin = sphere_hull(sphere)
+    ext = _sphere_ext(cfg.points, sphere)
+    n, o, size = _planes(ext, tris)
+    normals = n.astype(float)
+    # each edge once, as its half-edge h < twin[h]; merge across flat ones
+    h = np.flatnonzero(np.arange(len(twin)) < twin)
+    f, g = h // 3, twin[h] // 3
+    flat = ((np.abs(_sum3(normals[f] * normals[g]) - 1.0) < COPLANAR_TOL)
+            & (np.abs(o[f] - o[g]) < COPLANAR_TOL))
+    label = _coplanar_groups(len(tris), f[flat], g[flat])
+    single = np.flatnonzero(np.bincount(label, minlength=len(tris))[label] == 1)
+    slot = np.full(len(tris), -1)
+    slot[single] = np.arange(len(single))
+    keys = [np.sort(tris[single], axis=1)]
 
-    hull = ConvexHull(sphere)
-    simplices = hull.simplices.tolist()
-    nsimp = len(simplices)
-    # union-find over coplanar neighboring simplices
-    parent = list(range(nsimp))
+    # triangles in one batch; unsure ones one by one
+    cycles, unsure = _order_triangles(tris[single], sphere, normals[single])
+    cycles = cycles.tolist()
+    for i in np.flatnonzero(unsure).tolist():
+        ids = sorted(cycles[i])
+        cycles[i] = _order_cycle(ids, sphere[ids], normals[single[i]])
+    # each face's plane is its triangle's, or a merged face's largest one's
+    planes = single.tolist()
+    for root in np.unique(label[slot < 0]).tolist():
+        members = np.flatnonzero(label == root)
+        best = int(members[np.argmax(size[members])])
+        ids = sorted(set(tris[members].ravel().tolist()))
+        slot[members] = len(cycles)
+        cycles.append(_order_cycle(ids, sphere[ids], normals[best]))
+        keys.append([ids[:3]])
+        planes.append(best)
+    n, o = n[planes], o[planes]
+    # number the faces by their sorted vertex ids: two faces share at most
+    # an edge, so their three least ids already tell them apart
+    keys = np.concatenate(keys)
+    order = np.lexsort(keys.T[::-1])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    n, o = n[order], o[order]
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    # edges between distinct faces, in vertex order
+    f, g = rank[slot[f]], rank[slot[g]]
+    keep = f != g
+    h, f, g = h[keep], f[keep], g[keep]
+    va = tris.ravel()[h]
+    vb = tris.ravel()[h - h % 3 + (h + 1) % 3]
+    lo, hi = np.minimum(va, vb), np.maximum(va, vb)
+    f, g = np.minimum(f, g), np.maximum(f, g)
+    by = np.lexsort((hi, lo))
+    lo, hi, f, g = lo[by], hi[by], f[by], g[by]
+    angles = _exterior_angles(n, o, f, g).astype(float)
+    f, g = f.tolist(), g.tolist()
+    edges = [Edge((a, b), (s, t), ang) for a, b, s, t, ang in
+             zip(lo.tolist(), hi.tolist(), f, g, angles.tolist())]
+    table = _face_table(n.astype(float), o.astype(float), zip(f, g))
+    faces = [Face(x, y, cycles[i]) for x, y, i in
+             zip(table.normals, table.offsets.tolist(), order.tolist())]
 
-    eqs = hull.equations  # n . x + b <= 0 inside, n outward
-    # neighbour pairs lo < hi in loop order; `vecdot` rounds as 1-D `@` does
-    lo = np.repeat(np.arange(nsimp), 3)
-    hi = hull.neighbors.ravel()
-    lo, hi = lo[hi > lo], hi[hi > lo]
-    flat = ((np.abs(np.vecdot(eqs[lo, :3], eqs[hi, :3]) - 1.0) < COPLANAR_TOL)
-            & (np.abs(eqs[lo, 3] - eqs[hi, 3]) < COPLANAR_TOL))
-    for a, b in zip(lo[flat].tolist(), hi[flat].tolist()):
-        parent[find(b)] = find(a)
-
-    groups: dict[int, list[int]] = {}
-    for si in range(nsimp):
-        groups.setdefault(find(si), []).append(si)
-
-    group_members = [groups[root] for root in sorted(groups)]
-    first = np.array([members[0] for members in group_members])
-    normals = eqs[first, :3].astype(float)
-    normals /= np.sqrt(np.vecdot(normals, normals))[:, None]  # np.linalg.norm's bits
-    offsets = (-eqs[first, 3]).tolist()
-    polars = _klein_polars(normals, -eqs[first, 3])
-    # triangles in one batch; merged faces and unsure triangles one by one
-    cycles: list = [None] * len(group_members)
-    tris = np.flatnonzero([len(members) == 1 for members in group_members])
-    tri_cycles, unsure = _order_triangles(np.sort(hull.simplices[first[tris]], axis=1),
-                                          sphere, normals[tris])
-    for gid, cycle, redo in zip(tris.tolist(), tri_cycles.tolist(), unsure.tolist()):
-        if not redo:
-            cycles[gid] = cycle
-    faces: list[Face] = []
-    group_of_simplex: dict[int, int] = {}
-    for gid, members in enumerate(group_members):
-        normal, offset, cycle = normals[gid], offsets[gid], cycles[gid]
-        if cycle is None:
-            verts = sorted({v for si in members for v in simplices[si]})
-            cycle = _order_cycle(verts, sphere[verts], normal)
-        faces.append(Face(normal, offset, cycle, _face_circle(normal, offset)))
-        for si in members:
-            group_of_simplex[si] = gid
-
-    # edges between distinct merged faces
-    edge_map: dict[tuple[int, int], set] = {}
-    for si, tri in enumerate(simplices):
-        for a in range(3):
-            key = tuple(sorted((tri[a], tri[(a + 1) % 3])))
-            edge_map.setdefault(key, set()).add(group_of_simplex[si])
-
-    edges = []
-    for (va, vb), fset in sorted(edge_map.items()):
-        fs = sorted(fset)
-        if len(fs) == 1:
-            continue  # interior diagonal of a merged face
-        if len(fs) != 2:
-            raise NumericallyCoincident(f"edge {va},{vb} borders {len(fs)} faces")
-        ang = _exterior_angle(polars[fs[0]], polars[fs[1]])
-        edges.append(Edge((va, vb), (fs[0], fs[1]), ang))
-
-    poly = HullPolyhedron(cfg, faces, edges, degenerate=False)
+    poly = HullPolyhedron(cfg, faces, edges, False, table)
     if poly.euler_characteristic() != 2:
         raise NumericallyCoincident(
             f"Euler characteristic {poly.euler_characteristic()} != 2"
@@ -507,8 +596,9 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
     - Let d' be d plus the rounding of c and of the vertex images, and e
       the distance of W's vertices from its plane, both relative to rho_W.
       Then r_W <= (1 + delta) r_F for every visible F, with delta <= e +
-      d'^2.  On qhull's planes e is below 1e-14, merged k-gons of ring
-      domes included, so delta is below 1e-12 for moderate z.
+      d'^2.  On `build_hull`'s planes e is below 1.2e-14 (sphere hulls of
+      64 to 512 points), 8e-16 on thin annuli and 4.4e-16 on ring domes,
+      merged k-gons included, so delta is below 1e-12 for moderate z.
     - s_F lies in the hull's [radius_lo, radius_hi], and g_F in g^_F -+
       tol.  So every visible face has r_F >= lo_F = radius_lo / (g^_F +
       tol), and r_F <= hi_F = radius_hi / (g^_F - tol) when g^_F > tol.
@@ -871,7 +961,8 @@ def hull_to_json(hull: HullPolyhedron) -> dict:
 
 
 def _klein_to_ball(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + math.sqrt(max(0.0, 1.0 - float(x @ x))))
+    return x / (1.0 + math.sqrt(max(0.0, 1.0 - float(x[0] * x[0] + x[1] * x[1]
+                                                     + x[2] * x[2]))))
 
 
 def export_mesh(hull: HullPolyhedron) -> str:

@@ -42,7 +42,9 @@ class BoundaryPointH2:
     angle: float
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", float(self.angle) % (2 * math.pi))
+        # a tiny negative angle rounds up to 2 pi itself, which is 0
+        angle = float(self.angle) % (2 * math.pi)
+        object.__setattr__(self, "angle", 0.0 if angle == 2 * math.pi else angle)
 
     @property
     def z(self) -> complex:
@@ -296,13 +298,19 @@ def ball_to_halfspace(b: np.ndarray) -> PointH3:
 
 def boundary_to_sphere(z) -> np.ndarray:
     """Extended complex number to a unit vector (inverse stereographic)."""
+    return np.array(sphere_xyz(z))
+
+
+def sphere_xyz(z) -> tuple[float, float, float]:
+    """`boundary_to_sphere` as a tuple of floats."""
     if is_inf(z):
-        return np.array([0.0, 0.0, 1.0])
+        return 0.0, 0.0, 1.0
     r = abs(z)
     if r > HUGE:  # |z|^2 overflows; 1 + |z|^-2 rounds to 1
-        return np.array([2 * (z.real / r) / r, 2 * (z.imag / r) / r, 1.0])
+        return 2 * (z.real / r) / r, 2 * (z.imag / r) / r, 1.0
     n = r ** 2
-    return np.array([2 * z.real, 2 * z.imag, n - 1.0]) / (n + 1.0)
+    d = n + 1.0
+    return 2 * z.real / d, 2 * z.imag / d, (n - 1.0) / d
 
 
 def sphere_to_boundary(v: np.ndarray):

@@ -11,8 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .errors import DegenerateMobius
 
 #: Sentinel for the point at infinity on the Riemann sphere.
@@ -113,6 +111,8 @@ class MobiusMap:
 
     def apply_array(self, z: np.ndarray) -> np.ndarray:
         """Vectorized action on finite complex arrays (poles map to inf)."""
+        import numpy as np  # only array callers need it
+
         num = self.a * z + self.b
         den = self.c * z + self.d
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -19,6 +19,11 @@ middle.  Their values agree with the library's to rounding.
 that the sampler's real pulled-back forms replace.
 `boundary_gap_oracle` finds the boundary arc holding an angle by interval
 containment, where `GapComplex.boundary_gap` bisects the sorted starts.
+`sphere_hull_brute` and `sphere_hull_qhull` build a hull's merged faces
+without `spherehull`: from every triple of points whose plane supports the
+set, in exact arithmetic, and from scipy's qhull with the union-find merge
+that `build_hull` used before; `hull_structure` puts a hull in the same
+form.
 `mobius_matrix`, `is_identity` and `circles_close` are the tests' own
 matrix and tolerance views of `MobiusMap` and `CircleOrLine`.
 """
@@ -26,11 +31,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from domekit.dome import (
     BASEPOINT,
+    COPLANAR_TOL,
     RetractionResult,
     _order_cycle,
     _point_in_convex_polygon,
@@ -501,3 +509,82 @@ def trace_surface_arc_oracle(hull, face: int, p: PointH3, direction: float,
         in_edge = ei
         s_cur = s
     return measure, crossings
+
+
+def hull_structure(faces: list[tuple[list[int], np.ndarray]]) -> tuple[dict, dict]:
+    """Faces as {vertex set: cycle} and edges as {(u, v): {vertex sets}},
+    u < v, for (cycle, normal) pairs, whatever the faces' numbering."""
+    cycles = {frozenset(c): list(c) for c, _ in faces}
+    edges: dict = {}
+    for c, _ in faces:
+        for u, v in zip(c, c[1:] + c[:1]):
+            edges.setdefault((min(u, v), max(u, v)), set()).add(frozenset(c))
+    return cycles, edges
+
+
+def _merged(sphere: np.ndarray, tris: list, planes: list) -> list:
+    """Merge triangles that share an edge and whose unit planes (n, o)
+    agree within COPLANAR_TOL, as `build_hull` does, and order each merged
+    vertex set by `_order_cycle` with its first triangle's normal."""
+    parent = list(range(len(tris)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    by_edge: dict = {}
+    for t, tri in enumerate(tris):
+        for u, v in combinations(sorted(tri), 2):
+            by_edge.setdefault((u, v), []).append(t)
+    for pair in by_edge.values():
+        for s, t in combinations(pair, 2):
+            (n1, o1), (n2, o2) = planes[s], planes[t]
+            if abs(float(n1 @ n2) - 1.0) < COPLANAR_TOL and abs(o1 - o2) < COPLANAR_TOL:
+                parent[find(t)] = find(s)
+    groups: dict = {}
+    for t in range(len(tris)):
+        groups.setdefault(find(t), []).append(t)
+    faces = []
+    for members in groups.values():
+        ids = sorted({v for t in members for v in tris[t]})
+        normal = planes[members[0]][0]
+        faces.append((_order_cycle(ids, sphere[ids], normal), normal))
+    return faces
+
+
+def sphere_hull_brute(sphere: np.ndarray) -> list:
+    """The merged faces of the hull of the rows of ``sphere`` (N <= 12), as
+    (cycle, normal) pairs: every triple whose plane has no point strictly
+    outside, decided in exact `Fraction` arithmetic on the floats, oriented
+    outwards; then `_merged`."""
+    pts = [[Fraction(x) for x in row] for row in sphere.tolist()]
+    tris, planes = [], []
+    for a, b, c in combinations(range(len(pts)), 3):
+        u = [pts[b][i] - pts[a][i] for i in range(3)]
+        w = [pts[c][i] - pts[a][i] for i in range(3)]
+        n = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
+        side = {(s > 0) - (s < 0) for s in (
+            sum(n[i] * (pts[d][i] - pts[a][i]) for i in range(3))
+            for d in range(len(pts)) if d not in (a, b, c))}
+        if side <= {0, -1}:
+            sign = 1
+        elif side <= {0, 1}:
+            sign = -1
+        else:
+            continue
+        unit = np.array([float(sign * x) for x in n])
+        unit /= math.sqrt(float(unit @ unit))
+        tris.append((a, b, c))
+        planes.append((unit, float(unit @ sphere[a])))
+    return _merged(sphere, tris, planes)
+
+
+def sphere_hull_qhull(sphere: np.ndarray) -> list:
+    """The merged faces by scipy's qhull, as (cycle, normal) pairs."""
+    from scipy.spatial import ConvexHull  # a test dependency
+
+    hull = ConvexHull(sphere)
+    normals = hull.equations[:, :3] / np.linalg.norm(hull.equations[:, :3], axis=1)[:, None]
+    planes = list(zip(normals, (-hull.equations[:, 3]).tolist()))
+    return _merged(sphere, hull.simplices.tolist(), planes)

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from domekit import laminations as lam_mod
-from domekit.cli import COMMANDS, main
+from domekit.cli import COMMANDS, _linspace, main
 from domekit.dome import IdealConfiguration, build_hull, hull_to_json
 from domekit.errors import finite_float
 
@@ -330,6 +330,30 @@ class TestQc:
         assert data["analytic_K"] == pytest.approx(2.0, rel=1e-12)
 
 
+def _run_without(module: str, runs: list) -> list:
+    """Exit codes of the CLI on each argv of ``runs``, in one subprocess where
+    ``module`` cannot be imported; each run's stdout must be strict JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"sys.modules[{module!r}] = None\n"
+        "from domekit.cli import main\n"
+        "codes = []\n"
+        f"for argv in {runs!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        codes.append(main(argv))\n"
+        "    json.loads(out.getvalue())\n"
+        "print(json.dumps(codes))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self):
         proc = subprocess.run(
@@ -338,18 +362,38 @@ class TestUsageErrors:
         )
         assert proc.returncode == 2
 
-    def test_dome_only_import_is_lazy(self):
-        # scipy.spatial costs ~0.4 s of import; only the hull build needs it
+    def test_dome_runs_without_scipy(self, tmp_path):
+        # the hull kernel is domekit's own: scipy is a test dependency only
+        five = tmp_path / "five.json"
+        five.write_text(json.dumps(GOLDEN_FILES["five.json"]))
+        codes = _run_without("scipy", [
+            ["dome", "build", "--input", str(five)],
+            ["dome", "retract", "--input", str(five), "--z=-0.5,0.25"],
+            ["dome", "inj-radius", "--input", str(five), "--z", "0.5,0.5", "--depth", "6"],
+        ])
+        assert codes == [0, 0, 0]
+
+    def test_bounds_and_annulus_run_without_numpy(self):
+        codes = _run_without("numpy", [
+            ["bounds", "eval", "--nu", "0.3"],
+            ["annulus", "table", "--s-min", "1", "--s-max", "10", "--points", "4"],
+        ])
+        assert codes == [0, 0]
+
+    def test_package_names_load_on_first_use(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, domekit.cli; print('scipy.spatial' in sys.modules)"],
+             "import sys, domekit; print('domekit.laminations' in sys.modules); "
+             "from domekit import FiniteLamination, INF; "
+             "print(FiniteLamination.__module__, INF, sorted(domekit.__all__)[:2])"],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split("\n")[:2] == [
+            "False", "domekit.laminations (inf+0j) ['BoundaryPointH2', 'CircleOrLine']"]
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(
@@ -515,6 +559,20 @@ class TestJsonRoundTrip:
         assert (got["faces"], got["edges"]) == (want["faces"], want["edges"])
 
 
+class TestLinspace:
+    """`annulus table` spaces its s values without numpy, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(start=st.floats(-1e300, 1e300), stop=st.floats(-1e300, 1e300),
+           num=st.integers(0, 70))
+    @example(start=1.0, stop=1.0, num=5)
+    @example(start=5e-324, stop=1e-323, num=7)
+    @example(start=0.5, stop=30.0, num=50)
+    def test_bits_equal_numpy(self, start, stop, num):
+        got = _linspace(start, stop, num)
+        assert [x.hex() for x in got] == [x.hex() for x in np.linspace(start, stop, num).tolist()]
+
+
 class TestThreadIndependence:
     def test_brute_force_identical_across_thread_counts(self, lam_file, capsys):
         outs = []
@@ -639,13 +697,11 @@ GOLDEN_USAGE = [
 GOLDEN_HELP = [["--help"]] + [[g, "--help"] for g in COMMANDS] + [
     [g, c, "--help"] for g, cmds in COMMANDS.items() for c in cmds]
 
-#: sha256 of the matrix above under CPython 3.11 and numpy 2.4; argparse
-#: wraps and words its help and usage texts differently in other versions.
-#: The transcript is byte-deterministic per BLAS kernel: `dome build` still
-#: uses BLAS dot products, and with OPENBLAS_CORETYPE=Prescott its five.json
-#: record changes and this hash fails.  Circle images do not depend on
-#: the kernel.
-GOLDEN_SHA256 = "73a19cd59b9e072667f081713ab7f8037f460fc6e6a3768c600a30a8c81f924f"
+#: sha256 of the matrix above under CPython 3.11 and numpy 2.4 on x86-64
+#: Linux (an 80-bit long double); argparse wraps and words its help and usage
+#: texts differently in other versions.  No record depends on the BLAS
+#: kernel (`test_dome_build_independent_of_blas_kernel`).
+GOLDEN_SHA256 = "172e180df68ac80e678d924f4e5aa20b82f4a555a20cafc0d181f7facdba35b8"
 
 
 class TestGolden:
@@ -685,6 +741,35 @@ class TestGolden:
                 used = {a.split("=")[0] for case in GOLDEN_CASES
                         if case[:2] == [g, c] for a in case}
                 assert set(flags) <= used, (g, c)
+
+
+_BUILD_DIGEST = """
+import contextlib, hashlib, io, json, pathlib, sys, tempfile
+from domekit.cli import main
+d = pathlib.Path(tempfile.mkdtemp())
+(d / "five.json").write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1], [0, -1], [3, 2]]}))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["dome", "build", "--input", str(d / "five.json"),
+                 "--mesh", str(d / "mesh.obj")]) == 0
+for text in (out.getvalue(), (d / "mesh.obj").read_text()):
+    print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_dome_build_independent_of_blas_kernel():
+    # OpenBLAS picks its kernel by CPU unless OPENBLAS_CORETYPE names one; the
+    # hull's planes, angles, convexity check and mesh use no BLAS call
+    digests = set()
+    for coretype in ("Haswell", "Prescott", "SkylakeX"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        env["OPENBLAS_CORETYPE"] = coretype
+        out = subprocess.run([sys.executable, "-c", _BUILD_DIGEST], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        digests.add(out)
+    assert len(digests) == 1
 
 
 # Nearly cocircular first four points: the hull has an edge of exterior angle

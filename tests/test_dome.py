@@ -16,8 +16,6 @@ from domekit.bounds import arc_for_radius
 from domekit.dome import (
     IdealConfiguration,
     _dist_uhp,
-    _exterior_angle,
-    _klein_polars,
     _order_cycle,
     _order_triangles,
     bending_lamination,
@@ -53,6 +51,9 @@ from _oracles import (
     _RotationAtlas,
     dihedral_angle,
     face_cycles_oracle,
+    hull_structure,
+    sphere_hull_brute,
+    sphere_hull_qhull,
     injectivity_radius_oracle,
     retract_oracle,
     ring_ruling_retraction,
@@ -246,14 +247,14 @@ class TestFaceCycles:
         # a vertex of some face lies at angle +-pi of its frame, where the
         # batched angles may land on the other side of the cut
         hull = build_hull(_on_cut())
-        tris = np.array([sorted(f.vertices) for f in hull.faces])
+        tris = np.array([f.vertices[1:] + f.vertices[:1] for f in hull.faces])
         normals = np.array([f.normal for f in hull.faces])
         cycles, unsure = _order_triangles(tris, hull.sphere, normals)
         assert unsure.any()
         for tri, cycle, redo, normal in zip(tris, cycles, unsure, normals):
             if not redo:
-                assert cycle.tolist() == _order_cycle(tri.tolist(), hull.sphere[tri],
-                                                      normal)
+                ids = sorted(tri.tolist())
+                assert cycle.tolist() == _order_cycle(ids, hull.sphere[ids], normal)
 
 
 class TestBendingLamination:
@@ -814,8 +815,6 @@ def _assert_gluings_unbend(hull):
     the cross-ratio (pa, pb; v, u) of the edge's ends and the two faces'
     off-edge vertices has argument +-(pi minus the exterior angle)."""
     pts = hull.config.points
-    polars = _klein_polars(np.array([f.normal for f in hull.faces]),
-                           np.array([f.offset for f in hull.faces]))
     oracle = _RotationAtlas(hull)
     for ei, e in enumerate(hull.edges):
         pa, pb = pts[e.v[0]], pts[e.v[1]]
@@ -831,11 +830,10 @@ def _assert_gluings_unbend(hull):
             v = next(i for i in hull.faces[face].vertices if i not in e.v)
             u = next(i for i in hull.faces[other].vertices if i not in e.v)
             s = MobiusMap.to_zero_inf(pa, pb)
-            angle = _exterior_angle(polars[face], polars[other])
-            # as cosines: the acos in `_exterior_angle` keeps only about
-            # half the digits of angles near 0 and pi
+            # as cosines: the phase keeps only about half the digits of
+            # angles near 0 and pi
             assert -math.cos(cmath.phase(s(pts[u]) / s(pts[v]))) == pytest.approx(
-                math.cos(angle), abs=1e-10)
+                math.cos(e.angle), abs=1e-10)
 
 
 # Nearly cocircular first four points: an edge of exterior angle 1.7e-7.
@@ -851,6 +849,50 @@ RIGHT_EDGE = [0.8859353559799235 + 0.39989052990172547j,
               0.7158396668178753 + 0.4284355822619864j,
               0.6310316232649529 + 0.3558117112277896j,
               3 + 1j, -4 + 2j, 0.5 - 5j, 6 - 3j, -0.5 + 0.2j]
+
+
+def _hull_config(kind, n, rng):
+    """Inputs for the hull oracles: `_retract_config`'s kinds, a sphere set
+    with a pair 2 COINCIDE_TOL apart (chordally), and the near-cocircular
+    FLAT_EDGE and RIGHT_EDGE."""
+    if kind == "flat_edge":
+        return FLAT_EDGE
+    if kind == "right_edge":
+        return RIGHT_EDGE
+    if kind != "near_pair":
+        return _retract_config(kind, n, rng)
+    pts = [sphere_to_boundary(x) for x in _unit_vectors(rng, n)]
+    z = next(p for p in pts if not is_inf(p) and abs(p) < 1e3)
+    step = dome.COINCIDE_TOL * (1 + abs(z) ** 2) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    return pts + [z + step]
+
+
+class TestHullMatchesOracles:
+    """`build_hull`'s merged faces, their cycles (start vertex included) and
+    edges equal those of the exact brute-force oracle (N <= 12) and of
+    qhull with the union-find merge."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["sphere", "sphere_inf", "ring", "near_pair", "annulus"]),
+           n=st.integers(4, 200), seed=st.integers(0, 2**32 - 1))
+    @example(kind="flat_edge", n=0, seed=0)
+    @example(kind="right_edge", n=0, seed=0)
+    @example(kind="ring", n=3, seed=1)       # k = 6: 12 points, quads and hexagons
+    @example(kind="ring", n=189, seed=2)     # k = 192
+    @example(kind="near_pair", n=10, seed=3)
+    @example(kind="sphere", n=9, seed=4)
+    @example(kind="sphere_inf", n=11, seed=5)
+    def test_equals_oracles(self, kind, n, seed):
+        if kind in ("sphere", "sphere_inf", "near_pair"):
+            n = 4 + n % 60 if seed % 2 else 4 + n % 8
+        cfg = IdealConfiguration(_hull_config(kind, n, np.random.default_rng(seed)))
+        hull = build_hull(cfg)
+        faces, edges = hull_structure([(f.vertices, f.normal) for f in hull.faces])
+        assert {e.v: {frozenset(hull.faces[i].vertices) for i in e.faces}
+                for e in hull.edges} == edges
+        assert hull_structure(sphere_hull_qhull(hull.sphere)) == (faces, edges)
+        if len(cfg.points) <= 12:
+            assert hull_structure(sphere_hull_brute(hull.sphere)) == (faces, edges)
 
 
 def _ring(k, s):

@@ -570,6 +570,19 @@ class TestBoundaryTracePinned:
         assert boundary_trace_digest(lam) == digest
 
 
+class TestTinyNegativeAngle:
+    def test_pleats_as_zero(self):
+        # -1e-17 mod 2 pi rounds up to 2 pi itself, which is the angle 0
+        leaves = [GeodesicH2.from_angles(-1e-17, 1.0), GeodesicH2.from_angles(2.0, 3.0)]
+        assert leaves[0].a.angle == 0.0
+        lam = FiniteLamination(leaves, [0.7, 0.4])
+        zero = FiniteLamination([GeodesicH2.from_angles(0.0, 1.0),
+                                 GeodesicH2.from_angles(2.0, 3.0)], [0.7, 0.4])
+        assert boundary_trace_digest(lam) == boundary_trace_digest(zero)
+        for z in (0j, 0.3 + 0.1j, -0.7j):
+            assert pleat(lam).apply(PointH2(z)) == pleat(zero).apply(PointH2(z))
+
+
 class TestBoundaryMapsBuiltOnce:
     def test_boundary_trace_equals_oracle(self):
         # each angle's gap found by the oracle, its map composed afresh
