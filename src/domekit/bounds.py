@@ -31,8 +31,11 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _positive(name: str, x: float) -> None:
+    """Reject x outside (0, inf); at inf the bounds have limits, not values."""
     if not x > 0:
         raise NonpositiveInput(f"{name} = {x} must be positive")
+    if x == math.inf:
+        raise OutOfDomain(f"{name} = {x} outside (0, inf)")
 
 
 def radius_for_arc(x: float) -> float:

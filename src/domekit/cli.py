@@ -3,7 +3,7 @@
 Subcommands: bounds eval|table, annulus table, dome build|retract|inj-radius,
 lamination roundness|validate, earthquake trace, crescent dilatation,
 qc estimate.  Every subcommand supports --format json|csv; output is
-deterministic for fixed arguments and seed.  The subcommands and their flags
+deterministic for fixed arguments.  The subcommands and their flags
 are the `COMMANDS` table; each handler returns what `_emit` writes, and
 imports the modules it needs, so a command loads only those (`bounds` and
 `annulus` run without numpy).
@@ -14,6 +14,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 
 from .errors import DomekitError, OutOfDomain
@@ -361,7 +362,9 @@ COMMANDS = {
     },
     "lamination": {
         "roundness": (cmd_lamination_roundness, {
-            "--input": _INPUT, "--brute-arcs": {"type": int, "default": 0}}),
+            "--input": _INPUT, "--brute-arcs": {"type": int, "default": 0},
+            "--seed": {"type": _nonnegative_int, "default": 0},
+            "--threads": {"type": _positive_int}}),
         "validate": (cmd_lamination_validate, {"--input": _INPUT}),
     },
     "earthquake": {
@@ -388,13 +391,6 @@ COMMANDS = {
     },
 }
 
-#: flags every command takes
-_COMMON = {
-    "--format": {"choices": ("json", "csv"), "default": "json"},
-    "--seed": {"type": _nonnegative_int, "default": 0},
-    "--threads": {"type": _positive_int},
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -405,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = groups.add_parser(group).add_subparsers(dest="cmd", required=True)
         for name, (handler, flags) in commands.items():
             p = sub.add_parser(name)
-            for flag, kwargs in {**flags, **_COMMON}.items():
+            for flag, kwargs in flags.items():
                 p.add_argument(flag, **kwargs)
+            p.add_argument("--format", choices=("json", "csv"), default="json")
             p.set_defaults(func=handler)
     return ap
 
@@ -415,6 +412,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _emit(args, *args.func(args))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; devnull takes the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except DomekitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     except FileNotFoundError as exc:

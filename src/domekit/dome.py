@@ -310,8 +310,7 @@ def _order_cycle(vertex_ids: list[int], pts: np.ndarray, normal: np.ndarray) -> 
     whichever side of it rounding puts it.
     """
     n0, n1, n2 = (float(x) for x in normal)
-    m = (abs(n0), abs(n1), abs(n2))
-    k = next(i for i in range(3) if m[i] <= min(m) + _ANGLE_TOL)  # `_ref_axis`
+    k = _ref_axis(np.asarray(normal)[None])[0]
     # n x e_k, normalised, and n x e1
     a0, a1, a2 = ((0.0, n2, -n1), (-n2, 0.0, n0), (n1, -n0, 0.0))[k]
     r = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)

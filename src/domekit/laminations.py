@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -377,10 +378,15 @@ class GapComplex:
         return self.arc_gaps[bisect.bisect_right(self.arc_starts, angle % (2 * math.pi)) - 1]
 
     def resolve(self, base) -> int:
+        """The gap a base names: None for the gap of 0, a disk point as
+        PointH2 or complex for its gap, or an integer gap id."""
         if base is None:
             return self.gap_of(0j)
         if isinstance(base, (PointH2, complex)):
             return self.gap_of(base)
+        if isinstance(base, bool) or not isinstance(base, numbers.Integral):
+            raise UnknownGap(f"gap id {base!r} is not an integer; a point goes "
+                             "in as PointH2 or complex")
         base = int(base)
         if not 0 <= base < len(self.gaps):
             raise UnknownGap(f"gap id {base} out of range")

@@ -23,8 +23,6 @@ from .errors import NumericallyCoincident
 
 #: the float filter's error bound, derived at `_plane`
 _ERR = 2.0 ** -43
-#: conflict batches at least this large are screened in arrays
-_BATCH = 32
 #: seeds the insertion order; the hull's faces do not depend on it
 _ORDER_SEED = 0x5EED
 
@@ -117,34 +115,23 @@ def sphere_hull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     def assign(batch: list, first: int, last: int) -> None:
         """Put each point of ``batch`` in the conflict list of a triangle
-        among first, ..., last - 1 that it sees."""
-        if len(batch) >= _BATCH:
-            # the float filter in arrays; the points it leaves go one by one
-            pl = np.array(planes[first:last])
-            q = points[batch]
-            g = (pl[:, 0, None] * q[:, 0] + pl[:, 1, None] * q[:, 1]
-                 + pl[:, 2, None] * q[:, 2]) - pl[:, 3, None]
-            clear = g > _ERR
-            found = np.where(clear.any(axis=0), clear.argmax(axis=0) + first, -1)
-        else:
-            found = [-1] * len(batch)
-        for q, f in zip(batch, found.tolist() if len(batch) >= _BATCH else found):
-            if f < 0:
-                # a triangle that the filter decides, else one decided exactly
-                x, y, z = P[q]
-                band = []
-                for f in range(first, last):
-                    nx, ny, nz, off = planes[f]
-                    g = nx * x + ny * y + nz * z - off
-                    if g > err:
-                        break
-                    if g >= -err:
-                        band.append(f)
-                else:
-                    f = next((f for f in band if exact.sign(
-                        verts[3 * f], verts[3 * f + 1], verts[3 * f + 2], q) > 0), -1)
-                    if f < 0:
-                        raise NumericallyCoincident(f"point {q} is not a vertex of the hull")
+        among first, ..., last - 1 that it sees: the first that the filter
+        clears, else the first that the exact sign decides."""
+        for q in batch:
+            x, y, z = P[q]
+            band = []
+            for f in range(first, last):
+                nx, ny, nz, off = planes[f]
+                g = nx * x + ny * y + nz * z - off
+                if g > err:
+                    break
+                if g >= -err:
+                    band.append(f)
+            else:
+                f = next((f for f in band if exact.sign(
+                    verts[3 * f], verts[3 * f + 1], verts[3 * f + 2], q) > 0), -1)
+                if f < 0:
+                    raise NumericallyCoincident(f"point {q} is not a vertex of the hull")
             waiting[f].append(q)
             home[q] = f
 
@@ -188,19 +175,14 @@ def sphere_hull(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     horizon[verts[h]] = h0 = h
                     n_horizon += 1
         # cone the horizon to p: the new triangles first, first + 1, ... are
-        # (s, t, p) for its half-edges s -> t, in order around it, with
-        # `_plane` inline
+        # (s, t, p) for its half-edges s -> t, in order around it
         first = len(planes)
         h = h0
         for f in range(first, first + n_horizon):
             s, t = verts[h], ends[h]
             verts.extend((s, t, p))
             ends.extend((t, p, s))
-            (ax, ay, az), (bx, by, bz) = P[s], P[t]
-            ux, uy, uz = bx - ax, by - ay, bz - az
-            wx, wy, wz = px - ax, py - ay, pz - az
-            nx, ny, nz = uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx
-            planes.append((nx, ny, nz, nx * ax + ny * ay + nz * az))
+            planes.append(_plane(P, s, t, p))
             waiting.append([])
             mark.append(0)
             out = twin[h]

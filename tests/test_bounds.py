@@ -316,3 +316,17 @@ class TestBoundReport:
         rep = BoundReport.evaluate(nu=0.5)
         assert rep.values["lower_bound"] is None
         assert "0.5" in rep.values["lower_bound_reason"]
+
+
+@pytest.mark.parametrize("fn", [domain_dilatation_bound, dome_dilatation_bound,
+                                roundness_bound_domain, roundness_bound_dome,
+                                retraction_lipschitz_bound, dome_injectivity_lower,
+                                arc_for_radius, annulus_modulus_bounds,
+                                convex_core_length_bound])
+def test_positive_inputs_are_finite(fn):
+    # the bounds have limits as the input goes to inf, not values there
+    with pytest.raises(OutOfDomain, match="outside"):
+        fn(math.inf)
+    for x in (math.nan, 0.0, -1.0, -math.inf):
+        with pytest.raises(NonpositiveInput):
+            fn(x)

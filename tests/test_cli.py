@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from domekit import laminations as lam_mod
-from domekit.cli import COMMANDS, _linspace, main
+from domekit.cli import COMMANDS, _linspace, build_parser, main
 from domekit.dome import IdealConfiguration, build_hull, hull_to_json
 from domekit.errors import finite_float
 
@@ -93,6 +93,13 @@ class TestBounds:
         assert code == 1
         assert "NonpositiveInput" in err
 
+    @pytest.mark.parametrize("argv", [["--nu", "inf", "--nu-hat", "1e400"],
+                                      ["--nu", "inf"], ["--nu-hat", "inf"]])
+    def test_infinite_radius_exits_1(self, argv, capsys):
+        code, out, err = run_cli(["bounds", "eval", *argv], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: OutOfDomain:") and err.count("\n") == 1
+
 
 class TestAnnulus:
     def test_table_shape(self, capsys):
@@ -112,7 +119,7 @@ class TestAnnulus:
 
     def test_determinism(self, capsys):
         args = ["annulus", "table", "--s-min", "0.5", "--s-max", "30",
-                "--points", "40", "--format", "csv", "--seed", "7"]
+                "--points", "40", "--format", "csv"]
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
@@ -394,6 +401,22 @@ class TestUsageErrors:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[:2] == [
             "False", "domekit.laminations (inf+0j) ['BoundaryPointH2', 'CircleOrLine']"]
+
+    def test_closed_stdout_ends_without_traceback(self):
+        # a reader that is gone before the first write, as with `| head -0`
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "domekit.cli", "bounds", "eval", "--nu", "0.5"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(
@@ -701,7 +724,7 @@ GOLDEN_HELP = [["--help"]] + [[g, "--help"] for g in COMMANDS] + [
 #: Linux (an 80-bit long double); argparse wraps and words its help and usage
 #: texts differently in other versions.  No record depends on the BLAS
 #: kernel (`test_dome_build_independent_of_blas_kernel`).
-GOLDEN_SHA256 = "172e180df68ac80e678d924f4e5aa20b82f4a555a20cafc0d181f7facdba35b8"
+GOLDEN_SHA256 = "60f37e3bf9d36d776f8913cb056f6e712109425aa8ad5a13c9023675dff133fb"
 
 
 class TestGolden:
@@ -741,6 +764,20 @@ class TestGolden:
                 used = {a.split("=")[0] for case in GOLDEN_CASES
                         if case[:2] == [g, c] for a in case}
                 assert set(flags) <= used, (g, c)
+
+
+def test_commands_take_only_their_flags_and_format():
+    # --seed and --threads are read by `lamination roundness` alone
+    parser = build_parser()
+    for g, cmds in COMMANDS.items():
+        for c, (_, flags) in cmds.items():
+            case = next(case for case in GOLDEN_CASES if case[:2] == [g, c])
+            args = vars(parser.parse_args(case))
+            assert set(args) - {"group", "cmd", "func"} == {
+                f[2:].replace("-", "_") for f in [*flags, "--format"]}, (g, c)
+            if "--seed" not in flags:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(case + ["--seed", "0"])
 
 
 _BUILD_DIGEST = """

@@ -1,5 +1,7 @@
 import cmath
 import gc
+import hashlib
+import json
 import math
 import random
 import weakref
@@ -893,6 +895,43 @@ class TestHullMatchesOracles:
         assert hull_structure(sphere_hull_qhull(hull.sphere)) == (faces, edges)
         if len(cfg.points) <= 12:
             assert hull_structure(sphere_hull_brute(hull.sphere)) == (faces, edges)
+
+
+#: sha256 of `hull_to_json` (sorted keys) for a seeded family: random sphere
+#: sets, one with inf, a 32 + 32 thin annulus and two ring domes
+HULL_SHA256 = {
+    "sphere-64":
+        "e640fa04190a65447dfe07b89f3f2683750f75d230176045668a48cbe8e02bdf",
+    "sphere-256":
+        "f0f65d7333f41fc0e22222090b63be25991ee05b30ac1a74292bb32c7a5955ca",
+    "sphere_inf-512":
+        "e9b2e0625e2d9857c39eaa0014cffd32e3d14faa824794c76b57bdfae2e58f2f",
+    "annulus-32":
+        "4be90ee601a0637e0194e9419f5f7e123889935b0f63b3a7862ec3243680e2e1",
+    "ring-48":
+        "ed90130d9723d189c4e4d37e3f299e3641d00a886422d8fbf5e2202bd815a534",
+    "ring-192":
+        "420db88238f12df452ec473e3ec8f9758727bc1ed18b9c6e8a4df4a7ba0e4bca",
+}
+
+
+def _pinned_config(name):
+    kind, n = name.rsplit("-", 1)
+    if kind == "ring":
+        return _ring(int(n), 2.0 if n == "48" else 3.0)
+    rng = np.random.default_rng(int(n))
+    return _retract_config(kind, 29 if kind == "annulus" else int(n), rng)
+
+
+class TestHullPinned:
+    """The hull's faces, in order, and every digit of its values: `build_hull`
+    of the family above, as `dome build` writes it."""
+
+    @pytest.mark.parametrize("name", sorted(HULL_SHA256))
+    def test_json_digest(self, name):
+        hull = build_hull(IdealConfiguration(_pinned_config(name)))
+        text = json.dumps(hull_to_json(hull), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == HULL_SHA256[name]
 
 
 def _ring(k, s):

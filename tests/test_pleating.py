@@ -170,6 +170,24 @@ class TestGapComplex:
         with pytest.raises(UnknownGap):
             gc.resolve(99)
 
+    @pytest.mark.parametrize("build", [
+        pleat, earthquake, lambda lam, base: complex_earthquake(lam, 0.4 + 0.3j, base)],
+        ids=["pleat", "earthquake", "complex_earthquake"])
+    def test_base_is_an_integer_id_or_a_point(self, build):
+        # 0.9 lies in gap 1, so a float id truncated to 0 named another gap
+        lam = FiniteLamination.from_json({"leaves": [[0.3, 2.2], [3.0, 5.5]],
+                                          "weights": [0.8, 1.1]})
+
+        def base_gap(base):
+            out = build(lam, base)
+            return (out.quake if hasattr(out, "quake") else out).base_gap
+
+        assert base_gap(np.int64(2)) == base_gap(2) == 2
+        assert base_gap(0.9 + 0j) == base_gap(PointH2(0.9 + 0j)) == 1
+        for base in (0.9, 1.0, np.float64(1.0), True, np.bool_(True), "1"):
+            with pytest.raises(UnknownGap, match="PointH2 or complex"):
+                build(lam, base)
+
     def test_tree_paths_cross_separating_leaves(self, rng):
         lam = random_lamination(rng, 6)
         gc = lam.gaps
