@@ -33,19 +33,25 @@ class AnnulusGeometry:
 
 
 def annulus_geometry(s: float) -> AnnulusGeometry:
+    """The closed forms at s; `OutOfDomain` naming s where one overflows:
+    2 pi^2 / s, the largest form in 1/s, below s of about 1.098e-307, and
+    K above s of about 1418.66 (and at s = inf)."""
     if not s > 0:
         raise NonpositiveModulusParameter(f"s = {s} must be positive")
+    core_length = 2.0 * math.pi**2 / s
+    if math.isinf(core_length):
+        raise OutOfDomain(f"s = {s}: core length 2 pi^2 / s overflows a float")
     try:
         sh = math.sinh(s / 2.0)
     except OverflowError:
         sh = math.inf
     K = math.pi * sh / s
-    if math.isinf(K):
+    if not math.isfinite(K):  # nan at s = inf
         raise OutOfDomain(f"s = {s}: K = pi sinh(s/2) / s overflows a float")
     return AnnulusGeometry(
         s=s,
         modulus=s / (2.0 * math.pi),
-        core_length=2.0 * math.pi**2 / s,
+        core_length=core_length,
         nu=math.pi**2 / s,
         dome_modulus=sh / 2.0,
         dome_core_length=2.0 * math.pi / sh,

@@ -16,7 +16,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -430,21 +430,40 @@ class GapComplex:
 # sampling estimator (independent route used to cross-check `roundness`)
 # ---------------------------------------------------------------------------
 
-def _cos_sin(angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of an angle array from one tan of the half angle t:
-    (1 - t^2)/(1 + t^2) and 2t/(1 + t^2).  numpy's tan is SIMD-vectorised;
-    its cos and sin took 8 times as long per element, and exp(1j x) 20."""
-    t = np.tan(0.5 * angle)
-    t2 = t * t
-    den = 1.0 + t2
-    return (1.0 - t2) / den, 2.0 * t / den
+class _Scratch:
+    """One worker's arrays for scoring chunks of up to ``size`` arcs against
+    ``n_leaves`` leaves, allocated once per sampler call and reused by every
+    chunk.  Rows 0-4 of ``vec`` belong to `_crossings`; rows 5-8 hold a
+    random chunk's x, y, |c|^2 and directions."""
+
+    def __init__(self, n_leaves: int, size: int):
+        self.vec = np.empty((9, size))
+        self.rows = np.empty((2, size, 3))
+        self.prod = np.empty((2, size, n_leaves))
+
+
+def _cos_sin(angle: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of an angle array, into out[0] and out[1], from one tan of
+    the half angle t: (1 - t^2)/(1 + t^2) and 2t/(1 + t^2); out[2] and
+    out[3] are scratch.  numpy's tan is SIMD-vectorised; its cos and sin
+    took 8 times as long per element, and exp(1j x) 20."""
+    cos, sin, t, den = out
+    np.multiply(0.5, angle, out=sin)
+    np.tan(sin, out=t)
+    np.multiply(t, t, out=cos)
+    np.add(1.0, cos, out=den)
+    np.subtract(1.0, cos, out=cos)
+    cos /= den
+    np.multiply(2.0, t, out=sin)
+    sin /= den
+    return cos, sin
 
 
 def _crossings(polars_t: np.ndarray, x: np.ndarray, y: np.ndarray,
-               r2: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """(N, n) mask of the leaves that each unit arc crosses.  The arcs have
-    centres c = x + iy, |c|^2 = ``r2``, and directions ``dirs``;
-    ``polars_t`` is the (3, n) transpose of the polars.
+               r2: np.ndarray, dirs: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """(N, n) mask, 1.0 or 0.0 in ``scratch``, of the leaves that each unit
+    arc crosses.  The arcs have centres c = x + iy, |c|^2 = ``r2``, and
+    directions ``dirs``; ``polars_t`` is the (3, n) transpose of the polars.
 
     Each arc is scored from its centre with real arithmetic only:
 
@@ -461,28 +480,50 @@ def _crossings(polars_t: np.ndarray, x: np.ndarray, y: np.ndarray,
       c^2 = a + ib, B = (cos phi (1 + a) + b sin phi,
       b cos phi + sin phi (1 - a), -2 (x cos phi + y sin phi)).
 
-    The arc crosses a leaf when the two values have opposite signs.
+    The arc crosses a leaf when the two values have opposite signs.  Each
+    step writes into ``scratch`` with the ufunc and operands that the
+    formulas above name, so the mask's bits do not depend on the buffers.
     """
-    cos_d, sin_d = _cos_sin(dirs)
-    a = x * x - y * y
-    b = 2.0 * x * y
-    along = np.stack([2.0 * x, 2.0 * y, -(1.0 + r2)], axis=-1)
-    across = math.tanh(0.5) * np.stack([cos_d * (1.0 + a) + b * sin_d,
-                                        b * cos_d + sin_d * (1.0 - a),
-                                        -2.0 * (x * cos_d + y * sin_d)], axis=-1)
-    sp = (along + across) @ polars_t
-    sq = (along - across) @ polars_t
-    return (sp * sq) < 0
+    m = len(x)
+    vec = scratch.vec[:, :m]
+    cos_d, sin_d = _cos_sin(dirs, vec[:4])
+    a, b, w = vec[2:5]
+    across, ends = scratch.rows[:, :m]
+    # a + ib = c^2, then across = K B column by column
+    np.multiply(2.0, x, out=b)
+    b *= y
+    np.multiply(x, x, out=a)
+    np.multiply(y, y, out=w)
+    a -= w
+    np.add(1.0, a, out=w)
+    w *= cos_d
+    np.multiply(b, sin_d, out=across[:, 0])
+    across[:, 0] += w
+    np.subtract(1.0, a, out=w)
+    w *= sin_d
+    b *= cos_d
+    np.add(b, w, out=across[:, 1])
+    np.multiply(x, cos_d, out=a)
+    np.multiply(y, sin_d, out=w)
+    a += w
+    np.multiply(-2.0, a, out=across[:, 2])
+    across *= math.tanh(0.5)
+    sp, sq = scratch.prod[:, :m]
+    for plus_minus, out in ((np.add, sp), (np.subtract, sq)):
+        # A, made again for each end: one (N, 3) array fewer
+        np.multiply(2.0, x, out=ends[:, 0])
+        np.multiply(2.0, y, out=ends[:, 1])
+        np.add(1.0, r2, out=ends[:, 2])
+        np.negative(ends[:, 2], out=ends[:, 2])
+        plus_minus(ends, across, out=ends)  # A +- K B
+        np.matmul(ends, polars_t, out=out)
+    sp *= sq
+    return np.less(sp, 0.0, out=sq)
 
 
-def _max_measure(polars_t: np.ndarray, weights: np.ndarray, x: np.ndarray,
-                 y: np.ndarray, r2: np.ndarray, dirs: np.ndarray) -> float:
-    """Largest transverse measure over the unit arcs of `_crossings`."""
-    return float((_crossings(polars_t, x, y, r2, dirs) @ weights).max())
-
-
-def _chunks(n: int) -> list[slice]:
-    return [slice(a, min(a + _CHUNK_ARCS, n)) for a in range(0, n, _CHUNK_ARCS)]
+def _chunk(i: int, n: int) -> slice:
+    """The i-th chunk of n arcs."""
+    return slice(i * _CHUNK_ARCS, min((i + 1) * _CHUNK_ARCS, n))
 
 
 def _worker_count(requested: int | None, n_chunks: int) -> int:
@@ -513,6 +554,8 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     The arcs are scored in fixed-size chunks on up to ``threads`` threads
     (by default the usable CPUs; never more than those or the chunks); the
     result, a maximum over chunks, does not depend on the thread count.
+    Each random chunk draws its own arcs, so memory does not grow with
+    ``n_arcs``.
     """
     if n_arcs < 1:
         raise NonpositiveInput(f"n_arcs must be at least 1, got {n_arcs}")
@@ -566,36 +609,59 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     # a C-ordered copy: at 2-8 leaves the products ran 2-3 times as fast
     # against it as against the view lam.polars.T, with the same bits
     polars_t, weights = np.ascontiguousarray(lam.polars.T), np.asarray(lam.weights)
-    jobs = []
-    if centers_list:
+    n_targeted = sum(len(c) for c in centers_list)
+    if n_targeted:
         t_centers = np.concatenate(centers_list)
         t_x, t_y = t_centers.real, t_centers.imag
         t_r2 = t_x * t_x + t_y * t_y
         t_dirs = np.concatenate(dirs_list)
-        jobs += [partial(_max_measure, polars_t, weights, t_x[sl], t_y[sl], t_r2[sl],
-                         t_dirs[sl]) for sl in _chunks(len(t_centers))]
-    n_random = max(n_arcs - sum(len(c) for c in centers_list), 0)
-    if n_random:
-        # sample centers within the hyperbolic radius that covers all feet;
-        # the three draws keep the order and length of one unchunked sample
-        rmax = 0.999
-        rad2 = rng.uniform(0, rmax**2, n_random)
-        theta = rng.uniform(0, 2 * math.pi, n_random)
-        dirs = rng.uniform(0, 2 * math.pi, n_random)
+    n_random = max(n_arcs - n_targeted, 0)
+    # Sample centres within the hyperbolic radius that covers all feet.  The
+    # random arcs are the stream of `state` cut into three draws of n_random
+    # uniforms (|c|^2, arg c, direction).  A chunk draws its slice of each
+    # from a copy advanced to its offset: a double takes one 64-bit output,
+    # and random() * high is uniform(0, high) bit for bit.
+    state = rng.bit_generator.state
+    highs = (0.999**2, 2 * math.pi, 2 * math.pi)
+    # chunks 0 .. t_chunks - 1 are targeted, the rest random; a worker takes
+    # every workers-th, so no list of chunks grows with n_arcs
+    t_chunks = -(-n_targeted // _CHUNK_ARCS)  # ceiling divisions
+    n_chunks = t_chunks + -(-n_random // _CHUNK_ARCS)
 
-        def random_chunk(sl):
-            r = np.sqrt(rad2[sl])
-            cos_t, sin_t = _cos_sin(theta[sl])
-            return _max_measure(polars_t, weights, r * cos_t, r * sin_t, rad2[sl],
-                                dirs[sl])
+    def score(part: range) -> float:
+        """Largest measure over one worker's chunks, all in one scratch."""
+        scratch = _Scratch(n, min(_CHUNK_ARCS, max(n_targeted, n_random)))
+        bits = np.random.PCG64()  # set to `state` and advanced before each draw
+        draw = np.random.Generator(bits).random
+        best = 0.0
+        for i in part:
+            if i < t_chunks:
+                sl = _chunk(i, n_targeted)
+                x, y, r2, dirs = t_x[sl], t_y[sl], t_r2[sl], t_dirs[sl]
+            else:
+                sl = _chunk(i - t_chunks, n_random)
+                # arg c is drawn into y's row, which its sine then overwrites
+                x, y, r2, dirs = scratch.vec[5:, :sl.stop - sl.start]
+                for k, (row, high) in enumerate(zip((r2, y, dirs), highs)):
+                    bits.state = state
+                    bits.advance(k * n_random + sl.start)
+                    draw(out=row)
+                    row *= high
+                np.sqrt(r2, out=x)
+                cos_t, sin_t = _cos_sin(y, scratch.vec[:4, :len(x)])
+                np.multiply(x, sin_t, out=y)
+                x *= cos_t
+            mask = _crossings(polars_t, x, y, r2, dirs, scratch)
+            # the arcs' transverse measures, in vec[0], which is free again
+            measures = np.matmul(mask, weights, out=scratch.vec[0, :len(x)])
+            best = max(best, float(measures.max()))
+        return best
 
-        jobs += [partial(random_chunk, sl) for sl in _chunks(n_random)]
-
-    workers = _worker_count(threads, len(jobs))
+    workers = _worker_count(threads, n_chunks)
     if workers == 1:
-        return max(job() for job in jobs)
+        return score(range(n_chunks))
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return max(ex.map(lambda job: job(), jobs))
+        return max(ex.map(score, [range(w, n_chunks, workers) for w in range(workers)]))
 
 
 def _geodesic_midpoint(z1: complex, z2: complex) -> complex:

@@ -1,10 +1,30 @@
+import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 
 from domekit.annulus import annulus_geometry, asymptotic_ratios, verify_bounds
 from domekit.errors import NonpositiveModulusParameter, OutOfDomain
+
+
+def _smallest_finite_core_length() -> float:
+    """The smallest s at which 2 pi^2 / s, evaluated as the library does,
+    is finite: the lower end of `annulus_geometry`'s domain."""
+    c = 2.0 * math.pi**2
+    s = c / sys.float_info.max
+    while math.isinf(c / s):
+        s = math.nextafter(s, math.inf)
+    while not math.isinf(c / math.nextafter(s, 0.0)):
+        s = math.nextafter(s, 0.0)
+    return s
+
+
+S_MIN = _smallest_finite_core_length()
+# K = pi sinh(s/2) / s overflows just above s = 1418.66
+S_MAX = 1418.6
 
 
 class TestClosedForms:
@@ -37,13 +57,45 @@ class TestClosedForms:
 
     def test_overflow_is_out_of_domain(self):
         assert math.isfinite(annulus_geometry(1418.0).K)
-        for s in (1420.0, 1422.0, 1e5):
+        for s in (1420.0, 1422.0, 1e5, math.inf):
             with pytest.raises(OutOfDomain):
+                annulus_geometry(s)
+
+    def test_small_s_overflow_is_out_of_domain(self):
+        t = S_MIN
+        assert 1.0980e-307 < t < 1.0981e-307
+        assert all(math.isfinite(v) for v in dataclasses.astuple(annulus_geometry(t)))
+        for s in (math.nextafter(t, 0.0), 5.5e-308, 1e-310, 5e-324):
+            with pytest.raises(OutOfDomain, match=re.escape(f"s = {s}: core length")):
                 annulus_geometry(s)
 
     def test_small_s_limit(self):
         g = annulus_geometry(1e-8)
         assert g.K == pytest.approx(math.pi / 2, rel=1e-8)
+
+
+class TestMatchesMpmath:
+    # no field is off by more than 1.28 ulp on this grid
+    ULPS = 2.0
+
+    def test_every_field_on_a_log_grid(self):
+        mpmath = pytest.importorskip("mpmath")
+        grid = np.geomspace(S_MIN, S_MAX, 100).tolist()
+        grid[0], grid[-1] = S_MIN, S_MAX
+        with mpmath.workdps(50):
+            pi = mpmath.mp.pi
+            for s in grid:
+                x = mpmath.mpf(s)
+                sh = mpmath.sinh(x / 2)
+                exact = {"s": x, "modulus": x / (2 * pi), "core_length": 2 * pi**2 / x,
+                         "nu": pi**2 / x, "dome_modulus": sh / 2,
+                         "dome_core_length": 2 * pi / sh, "nu_hat": pi / sh,
+                         "K": pi * sh / x}
+                g = annulus_geometry(s)
+                assert set(exact) == {f.name for f in dataclasses.fields(g)}
+                for name, want in exact.items():
+                    ulps = abs(getattr(g, name) - want) / math.ulp(float(want))
+                    assert ulps <= self.ULPS, (s, name, float(ulps))
 
 
 class TestVerifyBounds:

@@ -124,6 +124,16 @@ class TestAnnulus:
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize("s_min, s_max", [("8e-308", "9e-308"), ("1e-310", "1e-309"),
+                                              ("5e-324", "1")])
+    def test_s_below_a_float_core_length_exits_1(self, capsys, s_min, s_max):
+        # 2 pi^2 / s overflows a float, and at 5e-324 sinh(s/2) is 0 too
+        code, out, err = run_cli(["annulus", "table", "--s-min", s_min,
+                                  "--s-max", s_max, "--points", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err == (f"error: OutOfDomain: s = {s_min}: core length 2 pi^2 / s "
+                       "overflows a float\n")
+
 
 class TestDome:
     def test_build_json_roundtrip(self, tetra_file, capsys):
@@ -504,8 +514,8 @@ class TestInputValidation:
     @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB", ""])
     def test_memory_error_is_an_error_line(self, lam_file, capsys, monkeypatch,
                                            message):
-        # stands in for a sample too large to draw; really allocating one
-        # could exhaust the machine's memory before numpy refuses
+        # stands in for any allocation numpy refuses; the sampler's memory
+        # no longer grows with --brute-arcs, so a huge one only takes long
         def refuse(*args, **kwargs):
             raise MemoryError(message)
 

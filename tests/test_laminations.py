@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -383,10 +384,40 @@ class TestSampler:
         self.check_pinned(turned_to_zero(lam) if zero else lam, arc_seed,
                           targeted, untargeted)
 
+    # the benchmark's scale, 10**6 arcs, on matching_lamination(default_rng(n),
+    # n) and on cusp_lamination(12, 0.01, 7), whose untargeted maximum
+    # depends on the exact sample (arc seeds 1, 2 and 3 give three values);
+    # as returned when the random arcs were drawn as three full-length arrays
+    PINNED_MILLION = [
+        ("matching", 1, 91, "0x1.ec89a3c854180p-2", "0x1.ec89a3c854180p-2"),
+        ("matching", 4, 94, "0x1.9586ef84bbd9cp+0", "0x1.9586ef84bbd9cp+0"),
+        ("matching", 8, 98, "0x1.fcca3af3fb0a4p+0", "0x1.fcca3af3fb0a4p+0"),
+        ("cusp", 12, 3, "0x1.8d5760f1629a2p+3", "0x1.5b50fadc83a8bp+3"),
+    ]
+
+    @pytest.mark.parametrize("kind, n, arc_seed, targeted, untargeted", PINNED_MILLION)
+    def test_pinned_at_a_million_arcs(self, kind, n, arc_seed, targeted, untargeted):
+        lam = (matching_lamination(np.random.default_rng(n), n) if kind == "matching"
+               else cusp_lamination(n, 0.01, 7))
+        for threads in (1, 2):
+            for with_targets, expected in ((True, targeted), (False, untargeted)):
+                got = roundness_brute_force(lam, n_arcs=10**6, seed=arc_seed,
+                                            targeted=with_targets, threads=threads)
+                assert got.hex() == expected, (with_targets, threads)
+
+    def test_pinned_wide_with_a_short_last_chunk(self):
+        # 64 leaves make the widest products; the fourth chunk holds 5 arcs
+        lam = matching_lamination(np.random.default_rng(64), 64)
+        n_arcs = 3 * laminations._CHUNK_ARCS + 5
+        for threads in (1, 2):
+            got = roundness_brute_force(lam, n_arcs=n_arcs, seed=64, targeted=False,
+                                        threads=threads)
+            assert got.hex() == "0x1.57b544f703e17p+1", threads
+
     def test_cos_sin_from_half_angle(self):
         angles = np.concatenate([np.linspace(-4.0, 8.0, 120_001),
                                  [math.pi, -math.pi, 3 * math.pi, math.pi / 2]])
-        cos, sin = laminations._cos_sin(angles)
+        cos, sin = laminations._cos_sin(angles, np.empty((4, len(angles))))
         assert np.isfinite(cos).all() and np.isfinite(sin).all()
         assert np.abs(cos - np.cos(angles)).max() <= 2.3e-16
         assert np.abs(sin - np.sin(angles)).max() <= 2.3e-16
@@ -400,7 +431,8 @@ class TestSampler:
         rng = np.random.default_rng(seed)
         # random centres as the sampler draws them, out to |c| = 0.999
         rad2 = np.append(rng.uniform(0, 0.999**2, 400), 0.999**2)
-        cos_t, sin_t = laminations._cos_sin(rng.uniform(0, 2 * math.pi, len(rad2)))
+        cos_t, sin_t = laminations._cos_sin(rng.uniform(0, 2 * math.pi, len(rad2)),
+                                            np.empty((4, len(rad2))))
         x, y = np.sqrt(rad2) * cos_t, np.sqrt(rad2) * sin_t
         # and the cusp probes at every endpoint, out to depth 13.5
         ends = [t for g in lam.leaves for t in g.angles()]
@@ -410,10 +442,11 @@ class TestSampler:
         r2 = np.append(rad2, probes.real**2 + probes.imag**2)
         sampled = np.append(rng.uniform(0, 2 * math.pi, len(rad2)),
                             np.repeat(ends, len(depths)) + math.pi / 2)
+        scratch = laminations._Scratch(len(lam), len(x))
         for dirs in (sampled, 0.0, math.pi, -math.pi, math.pi / 2):
             dirs = np.broadcast_to(dirs, x.shape)
             got = laminations._crossings(np.ascontiguousarray(lam.polars.T),
-                                         x, y, r2, dirs)
+                                         x, y, r2, dirs, scratch)
             sp, sq = arc_end_sides(lam, x + 1j * y, dirs)
             sure = (np.abs(sp) >= ON_LEAF_TOL) & (np.abs(sq) >= ON_LEAF_TOL)
             assert sure.mean() > 0.9
@@ -439,6 +472,21 @@ class TestSampler:
         for requested in (0, -3, 1):
             assert wc(requested, 10) == 1
         assert wc(8, 0) == 1
+
+    def test_memory_does_not_grow_with_n_arcs(self):
+        # tracemalloc sees numpy's data buffers; drawing the arcs as three
+        # full-length arrays made the peak grow by 24 bytes per arc
+        lam = matching_lamination(np.random.default_rng(8), 8)
+        peaks = []
+        for n_arcs in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                roundness_brute_force(lam, n_arcs=n_arcs, seed=1, targeted=False,
+                                      threads=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 1 << 20, peaks
 
     def test_executor_gets_clamped_workers(self, monkeypatch):
         started = []
