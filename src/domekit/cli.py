@@ -173,6 +173,9 @@ def cmd_annulus_table(args):
     header = ["s", "modulus", "core_length", "nu", "dome_modulus",
               "dome_core_length", "nu_hat", "K", "mod_ratio",
               "ok_K_le_M", "ok_K_le_N", "ok_lower_le_K"]
+    for name, s in (("s_min", args.s_min), ("s_max", args.s_max)):
+        if not math.isfinite(s):
+            raise OutOfDomain(f"{name} = {s} is not finite")
     rows = []
     for s in _linspace(args.s_min, args.s_max, args.points):
         g = annulus_mod.annulus_geometry(s)

@@ -419,7 +419,8 @@ def build_hull(cfg: IdealConfiguration) -> HullPolyhedron:
         cycles[i] = _order_cycle(ids, sphere[ids], normals[single[i]])
     # each face's plane is its triangle's, or a merged face's largest one's
     planes = single.tolist()
-    for root in np.unique(label[slot < 0]).tolist():
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    for root in sorted(set(label[slot < 0].tolist())):
         members = np.flatnonzero(label == root)
         best = int(members[np.argmax(size[members])])
         ids = sorted(set(tris[members].ravel().tolist()))

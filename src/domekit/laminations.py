@@ -14,7 +14,6 @@ import cmath
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -660,6 +659,10 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     workers = _worker_count(threads, n_chunks)
     if workers == 1:
         return score(range(n_chunks))
+    # imported here: concurrent.futures loads logging, which a single worker
+    # or a command without the sampler does not need
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return max(ex.map(score, [range(w, n_chunks, workers) for w in range(workers)]))
 

@@ -23,12 +23,28 @@ from .mobius import MobiusMap
 
 DEGENERATE_REL_TOL = 1e-10
 
+#: Least number of cells in a band of grid rows (see `_bands`).  numpy
+#: computes a temporary in place only from 256 KiB on, and then swaps the
+#: operands of a commutative op; its complex multiply rounds differently
+#: with them swapped (`angle_scale_array`'s ``z * np.exp(...)``).  At 2^15
+#: cells every float64 and complex128 band temporary reaches 256 KiB, so a
+#: band computes in place wherever the whole grid did, and keeps its bits.
+BAND_CELLS = 1 << 15
+
 
 def _grid_step(span: float, n: int) -> float:
     """Spacing of ``n`` grid columns across ``span``; a grid needs two."""
     if n < 2:
         raise TooFewPoints(f"a grid needs at least 2 columns, got {n}")
     return span / (n - 1)
+
+
+def _bands(ny: int, nx: int) -> list[slice]:
+    """Row slices of an ny x nx grid, each of at least BAND_CELLS cells: the
+    remainder joins the last band, and a smaller grid is one band."""
+    rows = -(-BAND_CELLS // max(nx, 1))  # ceiling division
+    starts = list(range(0, ny - rows + 1, rows)) or [0]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [ny])]
 
 
 @dataclass
@@ -55,15 +71,24 @@ class GridSample:
     @staticmethod
     def from_function(f, x0: float, x1: float, y0: float, y1: float,
                       n: int, mask_fn=None) -> "GridSample":
-        """Sample f on an n-column grid with square cells."""
+        """Sample f on an n-column grid with square cells.
+
+        f and mask_fn act cell by cell: they are called on one band of rows
+        at a time (see `_bands`), never on the whole grid.
+        """
         h = _grid_step(x1 - x0, n)
         ny = int(round((y1 - y0) / h)) + 1
         xs = x0 + h * np.arange(n)
         ys = y0 + h * np.arange(ny)
-        Z = xs[None, :] + 1j * ys[:, None]
-        values = f(Z)
-        mask = mask_fn(Z) if mask_fn is not None else np.ones(Z.shape, bool)
-        return GridSample(x0, y0, h, np.asarray(values, complex), mask)
+        iys = 1j * ys[:, None]
+        values = np.empty((ny, n), complex)
+        mask = np.ones((ny, n), bool)
+        for rows in _bands(ny, n):
+            Z = xs[None, :] + iys[rows]
+            values[rows] = f(Z)
+            if mask_fn is not None:
+                mask[rows] = mask_fn(Z)
+        return GridSample(x0, y0, h, values, mask)
 
 
 @dataclass
@@ -83,15 +108,28 @@ class BeltramiField:
         return self.valid & ~self.degenerate & ~self.orientation_reversing
 
 
+def _differences(v: np.ndarray, h: float, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences f_x, f_y on one band of rows; NaN where one is missing."""
+    ny, nx = v.shape
+    a, b = rows.start, rows.stop
+    fx = np.full((b - a, nx), np.nan, complex)
+    fy = np.full((b - a, nx), np.nan, complex)
+    fx[:, 1:-1] = (v[rows, 2:] - v[rows, :-2]) / (2 * h)
+    lo, hi = max(a, 1), min(b, ny - 1)
+    fy[lo - a:hi - a] = (v[lo + 1:hi + 1] - v[lo - 1:hi - 1]) / (2 * h)
+    return fx, fy
+
+
 def beltrami_estimate(grid: GridSample) -> BeltramiField:
-    """Second-order central differences; boundary and mask-adjacent cells drop."""
+    """Second-order central differences; boundary and mask-adjacent cells drop.
+
+    Two passes over bands of rows: the first finds the largest |f_z|, which
+    sets the degeneracy threshold; the second writes mu, K and the masks.
+    Only the field's own arrays span the grid.
+    """
     v = grid.values
     h = grid.h
     ny, nx = v.shape
-    fx = np.full_like(v, np.nan)
-    fy = np.full_like(v, np.nan)
-    fx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
-    fy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
     m = grid.mask
     valid = np.zeros_like(m)
     valid[1:-1, 1:-1] = (
@@ -99,15 +137,33 @@ def beltrami_estimate(grid: GridSample) -> BeltramiField:
         & m[1:-1, 2:] & m[1:-1, :-2]
         & m[2:, 1:-1] & m[:-2, 1:-1]
     )
-    fz = (fx - 1j * fy) / 2.0
-    fzb = (fx + 1j * fy) / 2.0
-    scale = np.nanmax(np.abs(np.where(valid, fz, np.nan))) if valid.any() else 1.0
-    degenerate = valid & (np.abs(fz) < DEGENERATE_REL_TOL * max(scale, 1e-300))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = np.where(valid & ~degenerate, fzb / np.where(fz == 0, 1, fz), np.nan)
-        orientation_reversing = valid & ~degenerate & (np.abs(mu) >= 1.0)
-        orientation_reversing |= degenerate & (np.abs(fzb) > 0)
-        K = (1.0 + np.abs(mu)) / (1.0 - np.abs(mu))
+    bands = _bands(ny, nx)
+    scale = 1.0
+    if valid.any():
+        # NaN when every valid |f_z| is NaN, as numpy.nanmax gives
+        scale = np.nan
+        for rows in bands:
+            fx, fy = _differences(v, h, rows)
+            fz = (fx - 1j * fy) / 2.0
+            scale = np.fmax.reduce(np.abs(np.where(valid[rows], fz, np.nan)),
+                                   axis=None, initial=scale)
+    tol = DEGENERATE_REL_TOL * max(scale, 1e-300)
+    mu = np.empty(v.shape, complex)
+    K = np.empty(v.shape)
+    degenerate = np.empty(v.shape, bool)
+    orientation_reversing = np.empty(v.shape, bool)
+    for rows in bands:
+        fx, fy = _differences(v, h, rows)
+        fz = (fx - 1j * fy) / 2.0
+        fzb = (fx + 1j * fy) / 2.0
+        ok = valid[rows]
+        deg = ok & (np.abs(fz) < tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            band_mu = np.where(ok & ~deg, fzb / np.where(fz == 0, 1, fz), np.nan)
+            rev = ok & ~deg & (np.abs(band_mu) >= 1.0)
+            rev |= deg & (np.abs(fzb) > 0)
+            K[rows] = (1.0 + np.abs(band_mu)) / (1.0 - np.abs(band_mu))
+        mu[rows], degenerate[rows], orientation_reversing[rows] = band_mu, deg, rev
     return BeltramiField(grid, mu, K, valid, degenerate, orientation_reversing)
 
 
@@ -121,21 +177,31 @@ class DilatationStats:
     n_cells: int
 
 
+_QUANTILES = (0.5, 0.9, 0.99)
+
+
 def dilatation_stats(field: BeltramiField) -> DilatationStats:
     """Statistics of K over usable cells; the sup comes with its location."""
     usable = field.usable
-    if not usable.any():
-        raise EmptyField("no usable cells")
-    K = np.where(usable, field.K, -np.inf)
-    j, i = np.unravel_index(int(np.argmax(K)), K.shape)
     vals = field.K[usable]
+    if not vals.size:
+        raise EmptyField("no usable cells")
+    # the sup is the k-th usable cell in C order; its row is the first whose
+    # running count of usable cells passes k
+    k = int(np.argmax(vals))
+    counts = np.cumsum(usable.sum(axis=1))
+    j = int(np.searchsorted(counts, k, side="right"))
+    i = int(np.flatnonzero(usable[j])[k - (int(counts[j - 1]) if j else 0)])
+    sup, mean = float(vals[k]), float(vals.mean())
+    # partitions vals in place, so it comes after the sup and the mean
+    quantiles = np.quantile(vals, _QUANTILES, overwrite_input=True).tolist()
     return DilatationStats(
-        sup=float(K[j, i]),
-        sup_cell=(int(j), int(i)),
-        sup_location=field.grid.cell_location(int(j), int(i)),
-        mean=float(vals.mean()),
-        quantiles={q: float(np.quantile(vals, q)) for q in (0.5, 0.9, 0.99)},
-        n_cells=int(usable.sum()),
+        sup=sup,
+        sup_cell=(j, i),
+        sup_location=field.grid.cell_location(j, i),
+        mean=mean,
+        quantiles=dict(zip(_QUANTILES, quantiles)),
+        n_cells=vals.size,
     )
 
 

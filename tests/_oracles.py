@@ -24,6 +24,9 @@ without `spherehull`: from every triple of points whose plane supports the
 set, in exact arithmetic, and from scipy's qhull with the union-find merge
 that `build_hull` used before; `hull_structure` puts a hull in the same
 form.
+`grid_sample_oracle`, `beltrami_estimate_oracle` and
+`dilatation_stats_oracle` are the whole-grid sampler and estimator that
+`qc` replaced by bands of rows; the banded ones must equal them bit for bit.
 `mobius_matrix`, `is_identity` and `circles_close` are the tests' own
 matrix and tolerance views of `MobiusMap` and `CircleOrLine`.
 """
@@ -43,7 +46,7 @@ from domekit.dome import (
     _order_cycle,
     _point_in_convex_polygon,
 )
-from domekit.errors import DepthTooSmall, DevelopmentFailed, PointNotInDomain
+from domekit.errors import DepthTooSmall, DevelopmentFailed, EmptyField, PointNotInDomain
 from domekit.hyperbolic import (
     PointH2,
     PointH3,
@@ -59,6 +62,13 @@ from domekit.hyperbolic import (
 from domekit.laminations import FiniteLamination, validate
 from domekit.mobius import INF, MobiusMap, chordal_distance, is_inf
 from domekit.pleating import EmbeddingReport
+from domekit.qc import (
+    DEGENERATE_REL_TOL,
+    BeltramiField,
+    DilatationStats,
+    GridSample,
+    _grid_step,
+)
 
 
 def mobius_matrix(m: MobiusMap) -> np.ndarray:
@@ -588,3 +598,62 @@ def sphere_hull_qhull(sphere: np.ndarray) -> list:
     normals = hull.equations[:, :3] / np.linalg.norm(hull.equations[:, :3], axis=1)[:, None]
     planes = list(zip(normals, (-hull.equations[:, 3]).tolist()))
     return _merged(sphere, hull.simplices.tolist(), planes)
+
+
+def grid_sample_oracle(f, x0: float, x1: float, y0: float, y1: float,
+                       n: int, mask_fn=None) -> GridSample:
+    """Sample f on an n-column grid with square cells."""
+    h = _grid_step(x1 - x0, n)
+    ny = int(round((y1 - y0) / h)) + 1
+    xs = x0 + h * np.arange(n)
+    ys = y0 + h * np.arange(ny)
+    Z = xs[None, :] + 1j * ys[:, None]
+    values = f(Z)
+    mask = mask_fn(Z) if mask_fn is not None else np.ones(Z.shape, bool)
+    return GridSample(x0, y0, h, np.asarray(values, complex), mask)
+
+
+def beltrami_estimate_oracle(grid: GridSample) -> BeltramiField:
+    """Second-order central differences; boundary and mask-adjacent cells drop."""
+    v = grid.values
+    h = grid.h
+    ny, nx = v.shape
+    fx = np.full_like(v, np.nan)
+    fy = np.full_like(v, np.nan)
+    fx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
+    fy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
+    m = grid.mask
+    valid = np.zeros_like(m)
+    valid[1:-1, 1:-1] = (
+        m[1:-1, 1:-1]
+        & m[1:-1, 2:] & m[1:-1, :-2]
+        & m[2:, 1:-1] & m[:-2, 1:-1]
+    )
+    fz = (fx - 1j * fy) / 2.0
+    fzb = (fx + 1j * fy) / 2.0
+    scale = np.nanmax(np.abs(np.where(valid, fz, np.nan))) if valid.any() else 1.0
+    degenerate = valid & (np.abs(fz) < DEGENERATE_REL_TOL * max(scale, 1e-300))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = np.where(valid & ~degenerate, fzb / np.where(fz == 0, 1, fz), np.nan)
+        orientation_reversing = valid & ~degenerate & (np.abs(mu) >= 1.0)
+        orientation_reversing |= degenerate & (np.abs(fzb) > 0)
+        K = (1.0 + np.abs(mu)) / (1.0 - np.abs(mu))
+    return BeltramiField(grid, mu, K, valid, degenerate, orientation_reversing)
+
+
+def dilatation_stats_oracle(field: BeltramiField) -> DilatationStats:
+    """Statistics of K over usable cells; the sup comes with its location."""
+    usable = field.usable
+    if not usable.any():
+        raise EmptyField("no usable cells")
+    K = np.where(usable, field.K, -np.inf)
+    j, i = np.unravel_index(int(np.argmax(K)), K.shape)
+    vals = field.K[usable]
+    return DilatationStats(
+        sup=float(K[j, i]),
+        sup_cell=(int(j), int(i)),
+        sup_location=field.grid.cell_location(int(j), int(i)),
+        mean=float(vals.mean()),
+        quantiles={q: float(np.quantile(vals, q)) for q in (0.5, 0.9, 0.99)},
+        n_cells=int(usable.sum()),
+    )

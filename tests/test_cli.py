@@ -135,6 +135,18 @@ class TestAnnulus:
                        "overflows a float\n")
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--s-min", "1", "--s-max", "inf"], "s_max = inf"),
+        (["--s-min=-inf", "--s-max", "1"], "s_min = -inf"),
+        (["--s-min", "nan", "--s-max", "1"], "s_min = nan"),
+    ])
+    def test_nonfinite_endpoint_names_its_flag(self, capsys, flags, message):
+        # not the s = nan that the spacing of an infinite range would give
+        code, out, err = run_cli(["annulus", "table", *flags, "--points", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: OutOfDomain: {message} is not finite\n"
+
+
 class TestDome:
     def test_build_json_roundtrip(self, tetra_file, capsys):
         code, out, _ = run_cli(
@@ -389,6 +401,33 @@ class TestUsageErrors:
             ["dome", "inj-radius", "--input", str(five), "--z", "0.5,0.5", "--depth", "6"],
         ])
         assert codes == [0, 0, 0]
+
+    def test_dome_runs_without_numpy_ma(self, tmp_path):
+        # np.unique loads numpy.ma; the hull build numbers merged faces
+        # without it, on five.json and on four concyclic points
+        five, ring = tmp_path / "five.json", tmp_path / "ring.json"
+        five.write_text(json.dumps(GOLDEN_FILES["five.json"]))
+        ring.write_text(json.dumps({"points": [[1, 0], [0, 1], [-1, 0], [0, -1], [0, 0]]}))
+        codes = _run_without("numpy.ma", [
+            ["dome", "build", "--input", str(five)],
+            ["dome", "build", "--input", str(ring)],
+            ["dome", "retract", "--input", str(five), "--z=-0.5,0.25"],
+            ["dome", "inj-radius", "--input", str(five), "--z", "0.5,0.5", "--depth", "6"],
+        ])
+        assert codes == [0, 0, 0, 0]
+
+    def test_one_worker_runs_without_concurrent_futures(self, tmp_path):
+        # the thread pool, and the logging it loads, only start for two workers
+        lam = tmp_path / "lam.json"
+        lam.write_text(json.dumps(GOLDEN_FILES["lam.json"]))
+        codes = _run_without("concurrent.futures", [
+            ["lamination", "validate", "--input", str(lam)],
+            ["lamination", "roundness", "--input", str(lam)],
+            ["lamination", "roundness", "--input", str(lam), "--brute-arcs", "40000",
+             "--threads", "1"],
+            ["earthquake", "trace", "--input", str(lam), "--t", "0.5", "--samples", "4"],
+        ])
+        assert codes == [0, 0, 0, 0]
 
     def test_bounds_and_annulus_run_without_numpy(self):
         codes = _run_without("numpy", [
@@ -849,6 +888,9 @@ class TestMalformedInput:
         (["bounds", "eval", "--nu", "1e-300"], 0),
         (["bounds", "eval", "--nu", "1e-300", "--format", "csv"], 0),
         (["annulus", "table", "--s-min", "1", "--s-max", "1e5"], 1),
+        (["annulus", "table", "--s-min", "1", "--s-max", "inf", "--points", "2"], 1),
+        (["annulus", "table", "--s-min=-inf", "--s-max", "1", "--points", "2"], 1),
+        (["annulus", "table", "--s-min", "nan", "--s-max", "1", "--points", "2"], 1),
         (["dome", "inj-radius", "--input", "{flat.json}", "--z=-1.35,0.1",
           "--depth", "12"], 0),
         (["bounds", "table", "--nu-min", "0", "--nu-max", "1", "--points", "3"], 1),

@@ -1,4 +1,5 @@
 import cmath
+import concurrent.futures
 import json
 import math
 import os
@@ -506,7 +507,8 @@ class TestSampler:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(laminations, "ThreadPoolExecutor", SerialExecutor)
+        # roundness_brute_force imports the pool from here when it starts one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
                             raising=False)
         lam = random_lamination(np.random.default_rng(2), 4)

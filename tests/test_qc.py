@@ -1,9 +1,18 @@
+import dataclasses
 import math
+import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import beltrami_estimate_oracle, dilatation_stats_oracle, grid_sample_oracle
+from domekit import qc
+from domekit.cli import main
 from domekit.errors import EmptyField, NotInjective, TooFewPoints
+from domekit.mobius import MobiusMap
 from domekit.qc import (
     GridSample,
     affine_sample,
@@ -171,3 +180,198 @@ class TestGridSample:
         g = GridSample.from_function(lambda z: z, 0.0, 2.0, 0.0, 1.0, 21)
         assert g.h == pytest.approx(0.1)
         assert g.values.shape == (11, 21)
+
+
+# ---------------------------------------------------------------------------
+# bands of rows against the whole-grid references
+# ---------------------------------------------------------------------------
+
+FIELD_ARRAYS = ("mu", "K", "valid", "degenerate", "orientation_reversing")
+
+#: every analytic fixture of the qc module, as a function of the grid size
+FIXTURES = {
+    "identity": identity_sample,
+    "affine": affine_sample,
+    "conjugation": conjugation_sample,
+    "power-0.5": lambda n: power_map_sample(0.5, n),
+    "power-2": lambda n: power_map_sample(2.0, n),
+    "power-3": lambda n: power_map_sample(3.0, n),
+    "mobius-far": lambda n: mobius_sample(far_pole_mobius(), n),
+    "mobius-near": lambda n: mobius_sample(near_pole_mobius(), n),
+}
+
+#: the checks against closed forms, each of which samples its own grid
+CHECKS = {
+    "scaling-anchor": lambda n: verify_scaling_dilatation(2j, math.pi / 2, n,
+                                                          t=1j, t0=1j / 3),
+    "scaling-oblique": lambda n: verify_scaling_dilatation(1.5 + 0.5j, 0.8, n),
+    "annulus-extremal": lambda n: annulus_extremal_check(3.0, extremal_alpha(3.0), n),
+}
+
+#: one band (24, 127, 128, 129), and several with a longer last band (512, 1000)
+BAND_GRIDS = (24, 127, 128, 129, 512, 1000)
+
+
+def _bits(x):
+    """``x`` with every float as its bytes, so -0.0 counts, and NaN as "nan"
+    (see `_same_bits`)."""
+    if isinstance(x, complex):
+        return [_bits(x.real), _bits(x.imag)]
+    if isinstance(x, float):
+        return "nan" if math.isnan(x) else struct.pack("<d", x)
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [_bits(v) for v in x]
+    if dataclasses.is_dataclass(x):
+        return _bits(dataclasses.asdict(x))
+    return x
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and bits, the sign bit included, except that a NaN
+    equals any NaN: numpy's complex add and multiply give a NaN of either
+    sign, depending on whether a cell falls in their vector loop or its tail."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype == bool:
+        return bool((a == b).all())
+    a, b = a.view(float), b.view(float)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.where(nan, 0.0, a).tobytes() == np.where(nan, 0.0, b).tobytes())
+
+
+def _stats_of(grid):
+    """The bits of the grid's statistics, or the EmptyField they raise."""
+    try:
+        return _bits(qc.dilatation_stats(qc.beltrami_estimate(grid)))
+    except EmptyField as exc:
+        return repr(exc)
+
+
+def _recorded(make, whole: bool):
+    """``make()`` and every field it estimated: by bands of rows, or with the
+    whole-grid sampler, estimator and statistics in their place."""
+    fields = []
+    estimate = beltrami_estimate_oracle if whole else qc.beltrami_estimate
+
+    def recording(grid):
+        fields.append(estimate(grid))
+        return fields[-1]
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(qc, "beltrami_estimate", recording)
+        if whole:
+            # numpy.nanmax warns on an all-NaN set; the bands may not warn,
+            # as pytest turns a RuntimeWarning into an error
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mp.setattr(GridSample, "from_function", staticmethod(grid_sample_oracle))
+            mp.setattr(qc, "dilatation_stats", dilatation_stats_oracle)
+        return make(), fields
+
+
+def _assert_same(make):
+    result, fields = _recorded(make, whole=False)
+    ref_result, ref_fields = _recorded(make, whole=True)
+    assert _bits(result) == _bits(ref_result)
+    assert len(fields) == len(ref_fields) > 0
+    for field, ref in zip(fields, ref_fields):
+        for name in ("values", "mask"):
+            assert _same_bits(getattr(field.grid, name), getattr(ref.grid, name)), name
+        for name in FIELD_ARRAYS:
+            assert _same_bits(getattr(field, name), getattr(ref, name)), name
+
+
+class TestBandsMatchWholeGrid:
+    """Sampling and estimating by bands of rows keeps every bit of the
+    whole-grid computation: grid, mu, K, masks and statistics."""
+
+    @pytest.mark.parametrize("n", BAND_GRIDS)
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_fixture(self, fixture, n):
+        _assert_same(lambda: _stats_of(FIXTURES[fixture](n)))
+
+    @pytest.mark.parametrize("n", BAND_GRIDS)
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_check(self, check, n):
+        _assert_same(lambda: CHECKS[check](n))
+
+    def test_bands_cover_the_rows(self):
+        rows = -(-qc.BAND_CELLS // 1000)
+        bands = qc._bands(1000, 1000)
+        assert [b.start for b in bands] == list(range(0, 1000 - rows, rows))
+        assert bands[-1].stop == 1000 and rows <= len(range(1000)[bands[-1]]) < 2 * rows
+        assert qc._bands(5, 7) == [slice(0, 5)]
+
+    def test_mobius_pole_on_a_grid_node(self):
+        # -1 / (z - (1 + 1j)/2), determinant 1 as given: the pole is node
+        # (256, 256), on the first row of a band
+        m = MobiusMap(0.0, -1.0, 1.0, -0.5 - 0.5j)
+        n = 513
+        assert 256 in [b.start for b in qc._bands(n, n)]
+        grid = mobius_sample(m, n)
+        assert not np.isfinite(grid.values[256, 256])
+        with np.errstate(all="ignore"):
+            _assert_same(lambda: _stats_of(mobius_sample(m, n)))
+
+    @pytest.mark.parametrize("nan_rows", [slice(None), slice(None, 150), slice(149, 151)])
+    def test_nan_values_do_not_warn(self, nan_rows):
+        # an all-NaN valid set, an all-NaN band and NaN across a band boundary;
+        # pytest turns a RuntimeWarning into an error
+        grid = identity_sample(300)
+        grid.values[nan_rows] = np.nan
+        assert len(qc._bands(300, 300)) == 2
+        _assert_same(lambda: _stats_of(grid))
+        assert qc.beltrami_estimate(grid).valid.any() and isinstance(_stats_of(grid), dict)
+
+    def test_degeneracy_scale_spans_the_bands(self):
+        # |f_z| is 1e-11 in the first band and 1 in the second: the first
+        # band's cells are degenerate against the whole grid's largest |f_z|
+        grid = identity_sample(300)
+        grid.values[:110] *= 1e-11
+        assert qc._bands(300, 300)[0] == slice(0, 110)
+        _assert_same(lambda: _stats_of(grid))
+        field = qc.beltrami_estimate(grid)
+        assert field.degenerate[1:108, 1:-1].all() and not field.degenerate[112:].any()
+
+    def test_no_valid_cell(self):
+        grid = GridSample(0.0, 0.0, 0.5, np.zeros((300, 300), complex),
+                          np.zeros((300, 300), bool))
+        _assert_same(lambda: _stats_of(grid))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), ny=st.integers(1, 60), nx=st.integers(1, 60),
+           band_cells=st.sampled_from([1, 5, 64, 700, qc.BAND_CELLS]),
+           h=st.sampled_from([1.0, 0.1, 1e-200, 1e200]),
+           special=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           masked=st.sampled_from([0.0, 0.1, 0.9]))
+    def test_random_grid(self, seed, ny, nx, band_cells, h, special, masked):
+        # the grid is below 2^14 cells, so neither side computes a temporary in
+        # place, and any band size keeps the bits
+        rng = np.random.default_rng(seed)
+        parts = rng.normal(size=(2, ny, nx)) * 10.0 ** rng.integers(-3, 4, (2, ny, nx))
+        odd = rng.random(parts.shape) < special
+        parts[odd] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300], odd.sum())
+        values = np.empty((ny, nx), complex)
+        values.real, values.imag = parts
+        # ties in K: many cells share a value
+        values[rng.random((ny, nx)) < 0.3] = 2 + 1j
+        grid = GridSample(0.0, 0.0, h, values, rng.random((ny, nx)) >= masked)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(qc, "BAND_CELLS", band_cells)
+            _assert_same(lambda: _stats_of(grid))
+
+
+def test_estimate_memory_is_its_arrays(capsys):
+    # the grid keeps values and mask, the field mu, K and three masks: 44
+    # bytes per cell; the whole-grid estimator peaked 80 MiB above that
+    kept = 44 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        code = main(["qc", "estimate", "--fixture", "mobius-near", "--grid", "1024"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and '"n_cells": 1044484' in capsys.readouterr().out
+    assert kept <= peak <= kept + 16 * 2**20
