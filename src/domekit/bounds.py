@@ -218,6 +218,12 @@ def convex_core_length_bound(length: float) -> float:
     return 45.0 * length * math.exp(length / 2.0)
 
 
+def _verdict(holds: bool, *compared: float) -> bool | None:
+    """``holds``, or None where a value it compared overflowed: inf = 6 inf
+    says nothing about the bounds."""
+    return holds if all(map(math.isfinite, compared)) else None
+
+
 @dataclass
 class BoundReport:
     """Every bound evaluated at the given injectivity radii."""
@@ -245,16 +251,15 @@ class BoundReport:
             else:
                 v["lower_bound"] = None
                 v["lower_bound_reason"] = "nu outside (0, 0.5)"
-            # isclose also holds when both sides overflow to inf
-            rep.verdicts["M_is_6x_tight_roundness"] = math.isclose(
-                v["M"], 6.0 * tight, rel_tol=1e-12)
-            rep.verdicts["tight_le_relaxed"] = tight <= relaxed
+            rep.verdicts["M_is_6x_tight_roundness"] = _verdict(
+                math.isclose(v["M"], 6.0 * tight, rel_tol=1e-12), v["M"], tight)
+            rep.verdicts["tight_le_relaxed"] = _verdict(tight <= relaxed, tight, relaxed)
         if nu_hat is not None:
             exact, relaxed = roundness_bound_dome(nu_hat)
             v["N"] = dome_dilatation_bound(nu_hat)
             v["dome_roundness_exact"] = exact
             v["dome_roundness_relaxed"] = relaxed
-            rep.verdicts["N_is_6x_relaxed_roundness"] = math.isclose(
-                v["N"], 6.0 * relaxed, rel_tol=1e-12)
-            rep.verdicts["exact_le_relaxed"] = exact <= relaxed
+            rep.verdicts["N_is_6x_relaxed_roundness"] = _verdict(
+                math.isclose(v["N"], 6.0 * relaxed, rel_tol=1e-12), v["N"], relaxed)
+            rep.verdicts["exact_le_relaxed"] = _verdict(exact <= relaxed, exact, relaxed)
         return rep

@@ -223,9 +223,8 @@ def cmd_dome_inj_radius(args):
     res = dome_mod.retract(hull, args.z)
     kind, index = res.carrier
     face = index if kind == "face" else hull.edges[index].faces[0]
-    est = dome_mod.dome_injectivity_radius(hull, face, res.point, depth=args.depth)
-    payload = {"value": est.value, "exact": est.exact,
-               "loops_found": est.loops_found, "depth": est.depth}
+    est = dome_mod.dome_injectivity_radius(hull, face, res.point)
+    payload = {"value": est.value, "loops_found": est.loops_found}
     return payload, list(payload)
 
 
@@ -295,8 +294,7 @@ def cmd_crescent_dilatation(args):
 
 
 #: qc estimate fixtures: name -> (grid sample, analytic K) of the qc module
-#: and ``args``; the further fixture "scaling" is `verify_scaling_dilatation`
-#: against its closed form
+#: and ``args``
 _QC_FIXTURES = {
     "identity": lambda qc, a: (qc.identity_sample(a.grid), 1.0),
     "affine": lambda qc, a: (qc.affine_sample(a.grid), 2.0),
@@ -309,30 +307,35 @@ _QC_FIXTURES = {
 }
 
 
-def cmd_qc_estimate(args):
+def _write_field(fh, field) -> None:
+    """The usable cells' K as CSV rows x,y,K in C order: each x and y is
+    `GridSample.cell_location`'s, formatted once per column and row."""
     import numpy as np
 
+    grid = field.grid
+    usable = field.usable
+    xs = [f"{grid.x0 + i * grid.h:.17g}," for i in range(usable.shape[1])]
+    fh.write("x,y,K\n")
+    for j, row in enumerate(usable):
+        cols = np.flatnonzero(row)
+        y = f"{grid.y0 + j * grid.h:.17g},"
+        fh.write("".join(f"{xs[i]}{y}{k:.17g}\n"
+                         for i, k in zip(cols.tolist(), field.K[j, cols].tolist())))
+
+
+def cmd_qc_estimate(args):
     from . import qc as qc_mod
 
-    payload = {"fixture": args.fixture, "grid": args.grid}
-    if args.fixture == "scaling":
-        chk = qc_mod.verify_scaling_dilatation(args.w, args.theta, n=args.grid)
-        payload.update(analytic_K=chk.analytic_K, sup_K=chk.grid_sup_K,
-                       max_abs_deviation=chk.max_abs_deviation)
-        return payload, list(payload)
     grid, analytic = _QC_FIXTURES[args.fixture](qc_mod, args)
     field = qc_mod.beltrami_estimate(grid)
     stats = qc_mod.dilatation_stats(field)
     if args.dump_field:
         with open(args.dump_field, "w") as fh:
-            fh.write("x,y,K\n")
-            for j, i in zip(*np.nonzero(field.usable)):
-                loc = grid.cell_location(int(j), int(i))
-                fh.write(f"{loc.real:.17g},{loc.imag:.17g},"
-                         f"{field.K[j, i]:.17g}\n")
-    payload.update(sup_K=stats.sup, mean_K=stats.mean,
-                   quantiles=stats.quantiles, n_cells=stats.n_cells,
-                   analytic_K=analytic, sup_location=stats.sup_location)
+            _write_field(fh, field)
+    payload = {"fixture": args.fixture, "grid": args.grid, "sup_K": stats.sup,
+               "mean_K": stats.mean, "quantiles": stats.quantiles,
+               "n_cells": stats.n_cells, "analytic_K": analytic,
+               "sup_location": stats.sup_location}
     return payload, ["fixture", "grid", "sup_K", "mean_K", "n_cells", "analytic_K"]
 
 
@@ -359,9 +362,8 @@ COMMANDS = {
     "dome": {
         "build": (cmd_dome_build, {"--input": _INPUT, "--mesh": {}}),
         "retract": (cmd_dome_retract, {"--input": _INPUT, "--z": _REQUIRED_COMPLEX}),
-        "inj-radius": (cmd_dome_inj_radius, {
-            "--input": _INPUT, "--z": _REQUIRED_COMPLEX,
-            "--depth": {"type": int, "default": 10}}),
+        "inj-radius": (cmd_dome_inj_radius, {"--input": _INPUT,
+                                             "--z": _REQUIRED_COMPLEX}),
     },
     "lamination": {
         "roundness": (cmd_lamination_roundness, {
@@ -385,11 +387,9 @@ COMMANDS = {
     },
     "qc": {
         "estimate": (cmd_qc_estimate, {
-            "--fixture": {"required": True, "choices": (*_QC_FIXTURES, "scaling")},
+            "--fixture": {"required": True, "choices": tuple(_QC_FIXTURES)},
             "--grid": {"type": int, "default": 512},
             "--alpha": {"type": _finite_float, "default": 2.0},
-            "--w": {"type": _finite_complex, "default": "0,1"},
-            "--theta": {"type": _finite_float, "default": math.pi / 2},
             "--dump-field": {"help": "write the per-cell K field to this CSV path"}}),
     },
 }

@@ -742,7 +742,8 @@ class SurfaceAtlas:
 
     def chart_point(self, face: int, p: PointH3) -> complex:
         q = poincare_extension(self.charts[face], p)
-        if abs(q.y) > 1e-6:
+        # |y| / t is sinh of the point's distance from the face's plane
+        if abs(q.y) > 1e-6 * q.t:
             raise DevelopmentFailed(f"point is not on face {face} (y = {q.y})")
         return complex(q.x, q.t)
 
@@ -791,7 +792,11 @@ class SurfaceAtlas:
             s_other = to_zero_inf(a, b)
             k = -r * apply(s_face, x) / apply(s_other, y)
             g = compose(inverse(s_face), compose((k, 0.0, 0.0, 1.0), s_other))
-            n = math.sqrt(g[0] * g[3] - g[1] * g[2])
+            det = g[0] * g[3] - g[1] * g[2]
+            if not det > 0.0:  # gluings keep orientation: rounding moved a vertex image
+                raise DevelopmentFailed(
+                    f"gluing across edge {edge} out of face {face} has determinant {det}")
+            n = math.sqrt(det)
             got = self._glue[key] = (tuple(c / n for c in g), other)
         return got
 
@@ -799,27 +804,38 @@ class SurfaceAtlas:
 @dataclass
 class InjectivityEstimate:
     value: float                # half the shortest essential loop found
-    exact: bool                 # the frontier emptied before the depth cap
+    exact: bool                 # the frontier emptied: ``value`` is certified
     loops_found: int            # pairs of half-paths closed into a loop
-    depth: int
     expanded: int               # nodes whose edges were developed
     pruned: int                 # edges skipped as farther than best / 2
-    frontier: int               # nodes left at the depth cap; 0 iff exact
+    frontier: int               # nodes left at a finite depth; 0 iff exact
 
 
 def dome_injectivity_radius(hull: HullPolyhedron, face: int, p: PointH3,
-                            depth: int = 10) -> InjectivityEstimate:
+                            depth: float = math.inf) -> InjectivityEstimate:
     """Injectivity radius of the dome surface at a face point.
 
-    Develops non-backtracking face paths (half-paths) of at most ``depth``
-    crossings out of the starting face, breadth first, and keeps for each
-    face the base point w0 pulled back along every half-path that reaches
-    it.  Two pull-backs in one face close a loop, of length their
-    distance.  An edge is pruned once it is at least half the best loop
-    from the pull-back: each half of a shortest loop stays within half
-    its length of w0, and the two halves meet in the face of its
-    midpoint, so ``exact`` (the frontier emptied before the depth cap)
-    certifies the value.
+    Develops non-backtracking face paths (half-paths) out of the starting
+    face, breadth first, and keeps for each face the base point w0 pulled
+    back along every half-path that reaches it.  Two pull-backs in one face
+    close a loop, of length their distance.  An edge is pruned once it is
+    at least half the best loop from the pull-back: each half of a shortest
+    loop stays within half its length of w0, and the two halves meet in the
+    face of its midpoint, so an empty frontier certifies the value.
+
+    The search needs no depth cap.  A half-path is a tile of the universal
+    cover, whose dual graph is a tree, so two half-paths that reach one
+    face close an essential loop; among the first (number of faces) + 1
+    nodes some face repeats, and ``best`` is finite.  From then on every
+    developed edge lies within best / 2 of w0, in a compact ball that meets
+    finitely many tiles, so the frontier empties.  The value, best / 2 at
+    the end, is at most acosh(N - 1) for N ideal points: a ball of radius
+    r about p that embeds has area 2 pi (cosh r - 1), at most the dome's
+    2 pi (N - 2).
+
+    A finite ``depth`` leaves the nodes at that many crossings unexpanded;
+    then ``exact`` is false if any was left, and the value only an upper
+    bound.
     """
     atlas = hull.atlas
     w0 = atlas.chart_point(face, p)
@@ -851,8 +867,8 @@ def dome_injectivity_radius(hull: HullPolyhedron, face: int, p: PointH3,
             queue.append((nxt, ndev, nq, ei, d + 1))
     if not math.isfinite(best):
         raise DepthTooSmall(f"no essential loop closed within depth {depth}")
-    return InjectivityEstimate(best / 2.0, frontier == 0, loops, depth,
-                               expanded, pruned, frontier)
+    return InjectivityEstimate(best / 2.0, frontier == 0, loops, expanded,
+                               pruned, frontier)
 
 
 @dataclass

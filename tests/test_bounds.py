@@ -307,10 +307,21 @@ class TestBoundReport:
         assert rep.values["M"] > 0 and rep.values["N"] > 0
         assert all(rep.verdicts.values())
 
-    def test_identities_hold_when_both_sides_overflow(self):
+    def test_no_verdict_between_overflowed_values(self):
+        # inf = 6 inf and inf <= inf say nothing about the bounds
         rep = BoundReport.evaluate(nu=1e-300, nu_hat=1e-310)
         assert math.isinf(rep.values["M"]) and math.isinf(rep.values["N"])
-        assert all(rep.verdicts.values())
+        assert set(rep.verdicts.values()) == {None}
+
+    def test_verdicts_between_finite_values_stand(self):
+        # M and both domain roundness bounds overflow at nu = 0.0069, the
+        # dome's do not at nu_hat = 0.5
+        rep = BoundReport.evaluate(nu=0.0069, nu_hat=0.5)
+        assert rep.values["M"] == rep.values["roundness_tight"] == math.inf
+        assert rep.verdicts == {"M_is_6x_tight_roundness": None,
+                                "tight_le_relaxed": None,
+                                "N_is_6x_relaxed_roundness": True,
+                                "exact_le_relaxed": True}
 
     def test_lower_bound_excluded_at_half(self):
         rep = BoundReport.evaluate(nu=0.5)

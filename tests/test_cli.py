@@ -12,11 +12,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from domekit import laminations as lam_mod
+from domekit import qc as qc_mod
 from domekit.cli import COMMANDS, _linspace, build_parser, main
 from domekit.dome import IdealConfiguration, build_hull, hull_to_json
 from domekit.errors import finite_float
 
-from test_dome import _retract_config
+from test_dome import _retract_config, _ring
 from test_laminations import oracle_laminations
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -188,8 +189,7 @@ class TestDome:
 
     def test_inj_radius(self, tetra_file, capsys):
         code, out, _ = run_cli(
-            ["dome", "inj-radius", "--input", tetra_file, "--z", "0.4,0.8",
-             "--depth", "8"], capsys
+            ["dome", "inj-radius", "--input", tetra_file, "--z", "0.4,0.8"], capsys
         )
         assert code == 0
         data = json.loads(out)
@@ -207,11 +207,36 @@ class TestDome:
                                 f"--z={z.real!r},{z.imag!r}"], capsys)
         assert code == 0 and json.loads(out)["carrier"][0] == "edge"
         code, out, _ = run_cli(["dome", "inj-radius", "--input", str(path),
-                                f"--z={z.real!r},{z.imag!r}", "--depth", "14"], capsys)
+                                f"--z={z.real!r},{z.imag!r}"], capsys)
         assert code == 0
         data = json.loads(out)
-        assert data["exact"] is True
         assert data["value"] == pytest.approx(2.6219, abs=1e-4)
+
+    @pytest.mark.parametrize("s, k", [(3.0, 48), (5.0, 96)])
+    def test_inj_radius_on_ring_is_the_core_loop(self, tmp_path, capsys, s, k):
+        # a loop about the core crosses k edges; the search goes as deep as
+        # the geometry needs, and finds half the core loop, pi / sinh(s / 2)
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({"points": [[p.real, p.imag] for p in _ring(k, s)]}))
+        z = math.exp(s / 2.0) * cmath.exp(0.37j)
+        code, out, _ = run_cli(["dome", "inj-radius", "--input", str(path),
+                                f"--z={z.real!r},{z.imag!r}"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert set(data) == {"schema", "command", "value", "loops_found"}
+        assert data["value"] == pytest.approx(math.pi / math.sinh(s / 2.0), abs=0.01)
+
+    def test_inj_radius_near_a_vertex(self, tmp_path, capsys):
+        # z retracts onto face 6 at height 5.9e-7; the face's chart scales
+        # it up to t = 1.2e6, and its rounding error y to 1.1e-4, so the
+        # chart tests y against t
+        path = tmp_path / "cusp.json"
+        path.write_text(json.dumps(
+            {"points": [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [2, 2], [1e-6, 1e-6]]}))
+        code, out, err = run_cli(["dome", "inj-radius", "--input", str(path),
+                                  "--z", "1.414214e-06,1.414214e-06"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["value"] == pytest.approx(0.4032, abs=1e-4)
 
     def test_retract_at_ideal_point_errors(self, tetra_file, capsys):
         code, _, err = run_cli(
@@ -338,6 +363,26 @@ class TestCrescent:
         )
         assert code == 1 and "NotInjective" in err
 
+    def test_scaling_check_at_w_i(self, capsys):
+        # the check `qc estimate --fixture scaling` ran at its defaults, bit for bit
+        code, out, _ = run_cli(
+            ["crescent", "dilatation", "--w", "0,1", "--theta", "1.5707963267948966",
+             "--grid", "32"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["analytic_K"] == pytest.approx(2.0, rel=1e-12)
+        assert data["grid_sup_K"] == 1.9987486434812047
+        assert data["max_abs_deviation"] == 0.008978543107170056
+
+    def test_scaling_check_narrow_wedge(self, capsys):
+        code, out, _ = run_cli(
+            ["crescent", "dilatation", "--w", "0,1", "--theta", "0.8",
+             "--grid", "256"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["analytic_K"] == pytest.approx(2.0, rel=1e-12)
+        assert abs(data["grid_sup_K"] - 2.0) < 1e-4
+
 
 class TestQc:
     def test_affine_fixture(self, capsys):
@@ -348,15 +393,6 @@ class TestQc:
         assert code == 0
         data = json.loads(out)
         assert data["sup_K"] == pytest.approx(2.0, abs=1e-10)
-
-    def test_scaling_fixture(self, capsys):
-        code, out, _ = run_cli(
-            ["qc", "estimate", "--fixture", "scaling", "--w", "0,1",
-             "--theta", "0.8", "--grid", "256"], capsys
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert data["analytic_K"] == pytest.approx(2.0, rel=1e-12)
 
 
 def _run_without(module: str, runs: list) -> list:
@@ -391,6 +427,15 @@ class TestUsageErrors:
         )
         assert proc.returncode == 2
 
+    def test_inj_radius_takes_no_depth(self, tetra_file, capsys):
+        # the search runs until its frontier is empty: there is no cap to set
+        with pytest.raises(SystemExit) as exc:
+            main(["dome", "inj-radius", "--input", tetra_file, "--z", "0.4,0.8",
+                  "--depth", "6"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.splitlines()[-1].endswith("unrecognized arguments: --depth 6")
+
     def test_dome_runs_without_scipy(self, tmp_path):
         # the hull kernel is domekit's own: scipy is a test dependency only
         five = tmp_path / "five.json"
@@ -398,7 +443,7 @@ class TestUsageErrors:
         codes = _run_without("scipy", [
             ["dome", "build", "--input", str(five)],
             ["dome", "retract", "--input", str(five), "--z=-0.5,0.25"],
-            ["dome", "inj-radius", "--input", str(five), "--z", "0.5,0.5", "--depth", "6"],
+            ["dome", "inj-radius", "--input", str(five), "--z", "0.5,0.5"],
         ])
         assert codes == [0, 0, 0]
 
@@ -412,7 +457,7 @@ class TestUsageErrors:
             ["dome", "build", "--input", str(five)],
             ["dome", "build", "--input", str(ring)],
             ["dome", "retract", "--input", str(five), "--z=-0.5,0.25"],
-            ["dome", "inj-radius", "--input", str(five), "--z", "0.5,0.5", "--depth", "6"],
+            ["dome", "inj-radius", "--input", str(five), "--z", "0.5,0.5"],
         ])
         assert codes == [0, 0, 0, 0]
 
@@ -672,6 +717,22 @@ class TestFieldDump:
         assert len(lines) == 1 + 30 * 30
         assert all(abs(float(l.split(",")[2]) - 2.0) < 1e-9 for l in lines[1:])
 
+    def test_masked_field_matches_per_cell_rows(self, tmp_path, capsys):
+        # the annulus 1 < |z| < 2 leaves whole rows and parts of rows out
+        path = tmp_path / "field.csv"
+        code, _, _ = run_cli(
+            ["qc", "estimate", "--fixture", "power", "--grid", "64",
+             "--dump-field", str(path)], capsys)
+        assert code == 0
+        grid = qc_mod.power_map_sample(2.0, 64)
+        field = qc_mod.beltrami_estimate(grid)
+        want = ["x,y,K\n"]
+        for j, i in zip(*np.nonzero(field.usable)):
+            loc = grid.cell_location(int(j), int(i))
+            want.append(f"{loc.real:.17g},{loc.imag:.17g},{field.K[j, i]:.17g}\n")
+        assert 1 < len(want) < 1 + 62 * 62
+        assert path.read_text() == "".join(want)
+
 
 GOLDEN_FILES = {
     "lam.json": {"leaves": [[0.3, 2.2], [3.0, 5.5]], "weights": [0.8, 1.1]},
@@ -717,8 +778,7 @@ GOLDEN_CASES = [
     ["dome", "retract", "--input", "{five.json}", "--z=-0.5,0.25"],
     ["dome", "retract", "--input", "{five.json}", "--z", "inf"],
     ["dome", "inj-radius", "--input", "{tetra.json}", "--z", "0.4,0.8"],
-    ["dome", "inj-radius", "--input", "{five.json}", "--z", "0.5,0.5",
-     "--depth", "6"],
+    ["dome", "inj-radius", "--input", "{five.json}", "--z", "0.5,0.5"],
     ["lamination", "validate", "--input", "{lam.json}"],
     ["lamination", "validate", "--input", "{cross.json}"],
     ["lamination", "validate", "--input", "{short.json}"],
@@ -744,9 +804,6 @@ GOLDEN_CASES = [
     ["qc", "estimate", "--fixture", "power", "--alpha", "3", "--grid", "32"],
     ["qc", "estimate", "--fixture", "mobius-far", "--grid", "24"],
     ["qc", "estimate", "--fixture", "mobius-near", "--grid", "24"],
-    ["qc", "estimate", "--fixture", "scaling", "--grid", "32"],
-    ["qc", "estimate", "--fixture", "scaling", "--w", "0,1", "--theta", "0.8",
-     "--grid", "32"],
     ["qc", "estimate", "--fixture", "power", "--alpha", "-1", "--grid", "16"],
 ]
 
@@ -773,7 +830,7 @@ GOLDEN_HELP = [["--help"]] + [[g, "--help"] for g in COMMANDS] + [
 #: Linux (an 80-bit long double); argparse wraps and words its help and usage
 #: texts differently in other versions.  No record depends on the BLAS
 #: kernel (`test_dome_build_independent_of_blas_kernel`).
-GOLDEN_SHA256 = "60f37e3bf9d36d776f8913cb056f6e712109425aa8ad5a13c9023675dff133fb"
+GOLDEN_SHA256 = "abb07282adc8d079bbbccdccc7413258a3d60707f11ff97eba14a0355c5706b0"
 
 
 class TestGolden:
@@ -875,15 +932,13 @@ class TestMalformedInput:
         (["dome", "retract", "--input", "{tetra.json}", "--z", "abc"], 2),
         (["dome", "retract", "--input", "{tetra.json}", "--z", "1,2,3"], 2),
         (["dome", "retract", "--input", "{tetra.json}", "--z", "nan,0"], 2),
-        (["qc", "estimate", "--fixture", "scaling", "--w", "nan,1",
-          "--grid", "16"], 2),
+        (["crescent", "dilatation", "--w", "nan,1", "--theta", "1"], 2),
         (["bounds", "table", "--nu-min", "0.1", "--nu-max", "1",
           "--points", "-3"], 2),
         (["annulus", "table", "--s-min", "1", "--s-max", "2", "--points", "-1"], 2),
         (["earthquake", "trace", "--input", "{lam.json}", "--t", "0.5",
           "--samples", "-2"], 2),
         (["qc", "estimate", "--fixture", "identity", "--grid", "1"], 1),
-        (["qc", "estimate", "--fixture", "scaling", "--grid", "1"], 1),
         (["crescent", "dilatation", "--w", "0,2", "--theta", "1", "--grid", "1"], 1),
         (["bounds", "eval", "--nu", "1e-300"], 0),
         (["bounds", "eval", "--nu", "1e-300", "--format", "csv"], 0),
@@ -891,8 +946,7 @@ class TestMalformedInput:
         (["annulus", "table", "--s-min", "1", "--s-max", "inf", "--points", "2"], 1),
         (["annulus", "table", "--s-min=-inf", "--s-max", "1", "--points", "2"], 1),
         (["annulus", "table", "--s-min", "nan", "--s-max", "1", "--points", "2"], 1),
-        (["dome", "inj-radius", "--input", "{flat.json}", "--z=-1.35,0.1",
-          "--depth", "12"], 0),
+        (["dome", "inj-radius", "--input", "{flat.json}", "--z=-1.35,0.1"], 0),
         (["bounds", "table", "--nu-min", "0", "--nu-max", "1", "--points", "3"], 1),
         (["bounds", "table", "--nu-min=-1", "--nu-max", "1", "--points", "3"], 1),
         (["bounds", "table", "--nu-min", "0.1", "--nu-max=-2", "--points", "3"], 1),
@@ -907,8 +961,9 @@ class TestMalformedInput:
         (["crescent", "dilatation", "--w", "inf", "--theta", "1"], 2),
         (["crescent", "dilatation", "--w", "0,2", "--theta", "inf"], 2),
         (["qc", "estimate", "--fixture", "power", "--alpha", "inf", "--grid", "16"], 2),
-        (["qc", "estimate", "--fixture", "scaling", "--w=-inf,1", "--grid", "16"], 2),
-        (["qc", "estimate", "--fixture", "scaling", "--theta", "nan", "--grid", "16"], 2),
+        (["crescent", "dilatation", "--w=-inf,1", "--theta", "1"], 2),
+        (["crescent", "dilatation", "--w", "0,2", "--theta", "nan"], 2),
+        (["qc", "estimate", "--fixture", "scaling", "--grid", "16"], 2),
         (["dome", "retract", "--input", "{flat.json}", "--z", "inf"], 0),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_ends_cleanly(self, tmp_path, capsys, argv, expected):

@@ -1021,6 +1021,87 @@ class TestAnnulusConvergence:
             assert 3.5 <= coarse / fine <= 4.5
 
 
+class TestDefaultSearch:
+    """With no depth given, the search runs until its frontier is empty."""
+
+    @pytest.mark.parametrize("s, k", [(3.0, 48), (5.0, 96)])
+    def test_exact_on_rings(self, s, k):
+        # a loop about the core crosses k edges: a depth cap of 10 certified
+        # 4.8685 and 6.6059 here, against the core loop's 1.4754 and 0.5193
+        hull = build_hull(IdealConfiguration(_ring(k, s)))
+        face, p = _start(hull, math.exp(s / 2.0) * cmath.exp(0.37j))
+        est = dome_injectivity_radius(hull, face, p)
+        assert est.exact and est.frontier == 0
+        assert 0.0 < math.pi / math.sinh(s / 2.0) - est.value < 0.1 / k
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(4, 128), seed=st.integers(0, 2**32 - 1))
+    def test_equals_depth_12_where_that_is_exact(self, n, seed):
+        rng = np.random.default_rng(seed)
+        hull = build_hull(IdealConfiguration(_retract_config("sphere", n, rng)))
+        for x in _unit_vectors(rng, 4):
+            res = retract(hull, sphere_to_boundary(x))
+            if res.carrier[0] != "face":
+                continue
+            capped = dome_injectivity_radius(hull, res.carrier[1], res.point, depth=12)
+            full = dome_injectivity_radius(hull, res.carrier[1], res.point)
+            assert full.exact
+            if capped.exact:
+                assert full == capped
+
+
+def _clustered(seed, query):
+    """16 points, 3 to 15 of them within a cluster of scale 1e-9 to 1e-3,
+    and the query-th of 30 points drawn about the cluster."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-9, -3)
+    center = complex(*rng.normal(0, 3, 2))
+    k = int(rng.integers(3, 16))
+    cluster = center + scale * (rng.normal(0, 1, k) + 1j * rng.normal(0, 1, k))
+    spread = rng.normal(0, 1, 16 - k) + 1j * rng.normal(0, 1, 16 - k)
+    zs = [center + scale * complex(*rng.normal(0, 1.5, 2)) for _ in range(30)]
+    return list(cluster) + list(spread), zs[query]
+
+
+class TestChartTolerance:
+    """A point is on a face when its distance asinh(|y| / t) from the face's
+    plane in the face's chart is within 1e-6; |y| alone grows with the chart."""
+
+    @pytest.mark.parametrize("seed, query", [(64, 9), (318, 20), (557, 11)])
+    def test_faces_of_an_edge_carrier_agree(self, seed, query):
+        points, z = _clustered(seed, query)
+        hull = build_hull(IdealConfiguration(points))
+        res = retract(hull, z)
+        assert res.carrier[0] == "edge"
+        faces = hull.edges[res.carrier[1]].faces
+        charted = [poincare_extension(hull.atlas.charts[f], res.point) for f in faces]
+        assert max(abs(q.y) for q in charted) > 1e-6  # an absolute test rejects it
+        a, b = (dome_injectivity_radius(hull, f, res.point) for f in faces)
+        assert a.exact and b.exact
+        assert a.value == pytest.approx(b.value, rel=1e-9)
+
+    def test_off_face_point_raises(self):
+        hull = build_hull(regular_ideal_tetrahedron())
+        chart = hull.atlas.charts[0]
+        q = poincare_extension(chart, face_point(hull, 0))
+        for d, on_face in ((1e-8, True), (1e-5, False)):
+            p = poincare_extension(chart.inverse(), PointH3(q.x, q.t * math.sinh(d), q.t))
+            if on_face:
+                assert hull.atlas.chart_point(0, p) == pytest.approx(complex(q.x, q.t))
+            else:
+                with pytest.raises(DevelopmentFailed, match="not on face 0"):
+                    hull.atlas.chart_point(0, p)
+
+    def test_reversed_gluing_is_development_failed(self):
+        # a face on three cluster points has rounded chart images, and the
+        # gluing out of it a determinant < 0: an error, not a sqrt traceback
+        points, z = _clustered(748, 18)
+        hull = build_hull(IdealConfiguration(points))
+        face, p = _start(hull, z)
+        with pytest.raises(DevelopmentFailed, match="gluing across edge"):
+            dome_injectivity_radius(hull, face, p)
+
+
 class TestDistance:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(x=st.floats(-10.0, 10.0), y=st.floats(1e-3, 10.0),
