@@ -308,19 +308,20 @@ _QC_FIXTURES = {
 
 
 def _write_field(fh, field) -> None:
-    """The usable cells' K as CSV rows x,y,K in C order: each x and y is
-    `GridSample.cell_location`'s, formatted once per column and row."""
+    """The usable cells' K as CSV rows x,y,K in C order, one band of rows at a
+    time: each x and y is `GridSample.cell_location`'s, formatted once per
+    column and row."""
     import numpy as np
 
     grid = field.grid
-    usable = field.usable
-    xs = [f"{grid.x0 + i * grid.h:.17g}," for i in range(usable.shape[1])]
+    xs = [f"{grid.x0 + i * grid.h:.17g}," for i in range(grid.shape[1])]
     fh.write("x,y,K\n")
-    for j, row in enumerate(usable):
-        cols = np.flatnonzero(row)
-        y = f"{grid.y0 + j * grid.h:.17g},"
-        fh.write("".join(f"{xs[i]}{y}{k:.17g}\n"
-                         for i, k in zip(cols.tolist(), field.K[j, cols].tolist())))
+    for band in field.bands():
+        for j, row, K in zip(range(band.rows.start, band.rows.stop), band.usable, band.K):
+            cols = np.flatnonzero(row)
+            y = f"{grid.y0 + j * grid.h:.17g},"
+            fh.write("".join(f"{xs[i]}{y}{k:.17g}\n"
+                             for i, k in zip(cols.tolist(), K[cols].tolist())))
 
 
 def cmd_qc_estimate(args):

@@ -27,6 +27,7 @@ form.
 `grid_sample_oracle`, `beltrami_estimate_oracle` and
 `dilatation_stats_oracle` are the whole-grid sampler and estimator that
 `qc` replaced by bands of rows; the banded ones must equal them bit for bit.
+The estimator returns a `WholeGridField`, whose arrays span the grid.
 `mobius_matrix`, `is_identity` and `circles_close` are the tests' own
 matrix and tolerance views of `MobiusMap` and `CircleOrLine`.
 """
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -64,7 +66,6 @@ from domekit.mobius import INF, MobiusMap, chordal_distance, is_inf
 from domekit.pleating import EmbeddingReport
 from domekit.qc import (
     DEGENERATE_REL_TOL,
-    BeltramiField,
     DilatationStats,
     GridSample,
     _grid_step,
@@ -613,7 +614,27 @@ def grid_sample_oracle(f, x0: float, x1: float, y0: float, y1: float,
     return GridSample(x0, y0, h, np.asarray(values, complex), mask)
 
 
-def beltrami_estimate_oracle(grid: GridSample) -> BeltramiField:
+@dataclass
+class WholeGridField:
+    """A Beltrami field as whole-grid arrays."""
+
+    grid: GridSample
+    mu: np.ndarray
+    K: np.ndarray
+    valid: np.ndarray
+    degenerate: np.ndarray
+    orientation_reversing: np.ndarray
+
+    @property
+    def usable(self) -> np.ndarray:
+        return self.valid & ~self.degenerate & ~self.orientation_reversing
+
+    @property
+    def usable_K(self) -> np.ndarray:
+        return self.K[self.usable]
+
+
+def beltrami_estimate_oracle(grid: GridSample) -> WholeGridField:
     """Second-order central differences; boundary and mask-adjacent cells drop."""
     v = grid.values
     h = grid.h
@@ -638,10 +659,10 @@ def beltrami_estimate_oracle(grid: GridSample) -> BeltramiField:
         orientation_reversing = valid & ~degenerate & (np.abs(mu) >= 1.0)
         orientation_reversing |= degenerate & (np.abs(fzb) > 0)
         K = (1.0 + np.abs(mu)) / (1.0 - np.abs(mu))
-    return BeltramiField(grid, mu, K, valid, degenerate, orientation_reversing)
+    return WholeGridField(grid, mu, K, valid, degenerate, orientation_reversing)
 
 
-def dilatation_stats_oracle(field: BeltramiField) -> DilatationStats:
+def dilatation_stats_oracle(field: WholeGridField) -> DilatationStats:
     """Statistics of K over usable cells; the sup comes with its location."""
     usable = field.usable
     if not usable.any():
@@ -656,4 +677,7 @@ def dilatation_stats_oracle(field: BeltramiField) -> DilatationStats:
         mean=float(vals.mean()),
         quantiles={q: float(np.quantile(vals, q)) for q in (0.5, 0.9, 0.99)},
         n_cells=int(usable.sum()),
+        n_masked=int((~field.grid.mask).sum()),
+        n_degenerate=int(field.degenerate.sum()),
+        n_orientation_reversing=int(field.orientation_reversing.sum()),
     )

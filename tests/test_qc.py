@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -281,6 +284,10 @@ def _assert_same(make):
             assert _same_bits(getattr(field.grid, name), getattr(ref.grid, name)), name
         for name in FIELD_ARRAYS:
             assert _same_bits(getattr(field, name), getattr(ref, name)), name
+        # the counts summed over the bands, against the whole-grid arrays
+        assert (field.n_masked, field.n_degenerate, field.n_orientation_reversing) == (
+            np.count_nonzero(~ref.grid.mask), np.count_nonzero(ref.degenerate),
+            np.count_nonzero(ref.orientation_reversing))
 
 
 class TestBandsMatchWholeGrid:
@@ -319,8 +326,10 @@ class TestBandsMatchWholeGrid:
     def test_nan_values_do_not_warn(self, nan_rows):
         # an all-NaN valid set, an all-NaN band and NaN across a band boundary;
         # pytest turns a RuntimeWarning into an error
-        grid = identity_sample(300)
-        grid.values[nan_rows] = np.nan
+        g = identity_sample(300)
+        values = g.values.copy()
+        values[nan_rows] = np.nan
+        grid = GridSample(g.x0, g.y0, g.h, values, g.mask)
         assert len(qc._bands(300, 300)) == 2
         _assert_same(lambda: _stats_of(grid))
         assert qc.beltrami_estimate(grid).valid.any() and isinstance(_stats_of(grid), dict)
@@ -328,12 +337,30 @@ class TestBandsMatchWholeGrid:
     def test_degeneracy_scale_spans_the_bands(self):
         # |f_z| is 1e-11 in the first band and 1 in the second: the first
         # band's cells are degenerate against the whole grid's largest |f_z|
-        grid = identity_sample(300)
-        grid.values[:110] *= 1e-11
+        g = identity_sample(300)
+        values = g.values.copy()
+        values[:110] *= 1e-11
+        grid = GridSample(g.x0, g.y0, g.h, values, g.mask)
         assert qc._bands(300, 300)[0] == slice(0, 110)
         _assert_same(lambda: _stats_of(grid))
         field = qc.beltrami_estimate(grid)
         assert field.degenerate[1:108, 1:-1].all() and not field.degenerate[112:].any()
+
+    def test_map_sampled_once_per_band(self):
+        # one pass samples each band once.  With |f_z| growing as e^(40 y), the
+        # first band's cells pass the threshold of its own largest |f_z| but
+        # not the whole grid's, and the estimate takes a second pass
+        for growth, passes in ((0.0, 1), (40.0, 2)):
+            calls = []
+
+            def f(z, growth=growth):
+                calls.append(len(z))
+                return z * np.exp(growth * z.imag)
+
+            grid = GridSample.from_function(f, 0.0, 1.0, 0.0, 1.0, 300, mask_fn=f)
+            field = qc.beltrami_estimate(grid)
+            assert calls == [110, 110, 190, 190] * passes
+            assert field.n_degenerate == np.count_nonzero(beltrami_estimate_oracle(grid).degenerate)
 
     def test_no_valid_cell(self):
         grid = GridSample(0.0, 0.0, 0.5, np.zeros((300, 300), complex),
@@ -363,15 +390,82 @@ class TestBandsMatchWholeGrid:
             _assert_same(lambda: _stats_of(grid))
 
 
-def test_estimate_memory_is_its_arrays(capsys):
-    # the grid keeps values and mask, the field mu, K and three masks: 44
-    # bytes per cell; the whole-grid estimator peaked 80 MiB above that
-    kept = 44 * 1024 * 1024
+def _traced_peak(argv):
+    """The traced peak of ``main(argv)``, and the usable cells of the one
+    field it estimated."""
+    fields, estimate = [], qc.beltrami_estimate
+
+    def recording(grid):
+        fields.append(estimate(grid))
+        return fields[-1]
+
     tracemalloc.start()
     try:
-        code = main(["qc", "estimate", "--fixture", "mobius-near", "--grid", "1024"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qc, "beltrami_estimate", recording)
+            assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and '"n_cells": 1044484' in capsys.readouterr().out
-    assert kept <= peak <= kept + 16 * 2**20
+    [field] = fields
+    return peak, field.usable_K.size
+
+
+def _assert_keeps_usable_K(argv):
+    """Run ``argv``: the traced peak lies within 16 MiB above the 8 bytes per
+    usable cell that the field keeps (the estimator that kept the grid's
+    values and mask and the field's mu, K and three masks peaked 44 bytes
+    per cell above that).  Returns the number of usable cells."""
+    peak, n_cells = _traced_peak(argv)
+    assert 8 * n_cells <= peak <= 8 * n_cells + 16 * 2**20
+    return n_cells
+
+
+def test_estimate_memory_is_its_arrays(capsys):
+    _assert_keeps_usable_K(["qc", "estimate", "--fixture", "mobius-near", "--grid", "1024"])
+    assert '"n_cells": 1044484' in capsys.readouterr().out
+
+
+def test_dump_field_memory_is_one_band(tmp_path, capsys):
+    # the annulus fixture leaves 4 in 10 cells out, which keeps the dump short
+    path = tmp_path / "K.csv"
+    n_cells = _assert_keeps_usable_K(["qc", "estimate", "--fixture", "power", "--grid", "1024",
+                                      "--dump-field", str(path)])
+    assert len(path.read_text().splitlines()) == 1 + n_cells
+    capsys.readouterr()
+
+
+def test_crescent_memory_is_its_arrays(capsys):
+    _assert_keeps_usable_K(["crescent", "dilatation", "--w", "0,2", "--theta", "1",
+                            "--grid", "1024"])
+    capsys.readouterr()
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: prints its own peak RSS in KiB (Linux), after the CLI command it is given
+_RSS_CHILD = """
+import resource, sys
+from domekit import qc
+if sys.argv[1:]:
+    from domekit.cli import main
+    assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_estimate_rss_above_import():
+    # the estimator that kept 44 bytes per cell peaked about 56 MiB above
+    # the import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def maxrss(*argv):
+        proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, *argv], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        return int(proc.stderr.split()[-1])
+
+    base = maxrss()
+    run = maxrss("qc", "estimate", "--fixture", "mobius-near", "--grid", "1024")
+    assert run - base <= 24 * 1024
