@@ -5,8 +5,11 @@ lamination roundness|validate, earthquake trace, crescent dilatation,
 qc estimate.  Every subcommand supports --format json|csv; output is
 deterministic for fixed arguments.  The subcommands and their flags
 are the `COMMANDS` table; each handler returns what `_emit` writes, and
-imports the modules it needs, so a command loads only those (`bounds` and
-`annulus` run without numpy).
+imports the modules it needs, so a command loads only those (`bounds eval`
+and `annulus table` run without numpy).  `bounds table` loads numpy for
+`np.geomspace`, whose last bits a pure-Python grid did not reproduce:
+10 ** y over the `_linspace` of the logs differed in 6.7% of 85,008
+values on random ranges.
 """
 from __future__ import annotations
 

@@ -724,41 +724,57 @@ class SurfaceAtlas:
     maps (a, b, c, d) of determinant 1, tuples of Python floats that
     `mobius`'s tuple kernel composes and applies.
 
-    A hull builds one, as `HullPolyhedron.atlas`, so the chart images of
-    the edges and the gluing maps computed for one query serve the next.
-    It keeps the hull's points, faces, edges and face edge lists, not the
-    hull, so no reference cycle holds a hull alive.
+    A hull builds one, as `HullPolyhedron.atlas`, so the charts, the chart
+    images of the edges and the gluing maps computed for one query serve
+    the next.  Each is computed on its first use: a development touches
+    few of a large hull's faces.  The atlas keeps the hull's points, faces,
+    edges and face edge lists, not the hull, so no reference cycle holds a
+    hull alive.
     """
 
     def __init__(self, points: tuple, faces: list[Face], edges: list[Edge],
                  face_edges: tuple):
         self.points, self.faces, self.edges = points, faces, edges
         self.face_edges = face_edges
-        self.charts: list[MobiusMap] = [
-            MobiusMap.to_zero_one_inf(*(points[i] for i in f.vertices[:3]))
-            for f in faces]
+        self._charts: list[MobiusMap | None] = [None] * len(faces)
+        self._images: list[dict[int, float] | None] = [None] * len(faces)
         self._chart_edges: list[list | None] = [None] * len(faces)
         self._glue: dict[tuple[int, int], tuple[tuple, int]] = {}
 
+    def chart(self, face: int) -> MobiusMap:
+        """The chart of ``face``."""
+        got = self._charts[face]
+        if got is None:
+            got = self._charts[face] = MobiusMap.to_zero_one_inf(
+                *(self.points[i] for i in self.faces[face].vertices[:3]))
+        return got
+
     def chart_point(self, face: int, p: PointH3) -> complex:
-        q = poincare_extension(self.charts[face], p)
+        q = poincare_extension(self.chart(face), p)
         # |y| / t is sinh of the point's distance from the face's plane
         if abs(q.y) > 1e-6 * q.t:
             raise DevelopmentFailed(f"point is not on face {face} (y = {q.y})")
         return complex(q.x, q.t)
 
-    def _vertex_image(self, face: int, i: int) -> float:
-        """Image of ideal point i in the chart of ``face``, a real or inf."""
-        z = self.charts[face](self.points[i])
-        return math.inf if is_inf(z) else z.real
+    def _vertex_images(self, face: int) -> dict[int, float]:
+        """Image of each ideal vertex of ``face`` in its chart, a real or inf."""
+        got = self._images[face]
+        if got is None:
+            chart = self.chart(face)
+            got = self._images[face] = {}
+            for i in self.faces[face].vertices:
+                z = chart(self.points[i])
+                got[i] = math.inf if is_inf(z) else z.real
+        return got
 
     def chart_edges(self, face: int) -> list[tuple[int, float, float]]:
         """(edge, a, b) for each edge of ``face``, a and b the chart images
-        of the edge's ends; computed on the face's first use."""
+        of the edge's ends."""
         got = self._chart_edges[face]
         if got is None:
+            images = self._vertex_images(face)
             got = self._chart_edges[face] = [
-                (ei, *(self._vertex_image(face, i) for i in self.edges[ei].v))
+                (ei, *(images[i] for i in self.edges[ei].v))
                 for ei in self.face_edges[face]]
         return got
 
@@ -786,9 +802,11 @@ class SurfaceAtlas:
             # S sends the edge's ends to 0 and inf in either chart, and the
             # gluing is S_face^-1 o (x -> k x) o S_other, k < 0 taking u
             # across the edge from v
-            a, b, x = (self._vertex_image(face, i) for i in (*e.v, v))
+            images = self._vertex_images(face)
+            a, b, x = (images[i] for i in (*e.v, v))
             s_face = to_zero_inf(a, b)
-            a, b, y = (self._vertex_image(other, i) for i in (*e.v, u))
+            images = self._vertex_images(other)
+            a, b, y = (images[i] for i in (*e.v, u))
             s_other = to_zero_inf(a, b)
             k = -r * apply(s_face, x) / apply(s_other, y)
             g = compose(inverse(s_face), compose((k, 0.0, 0.0, 1.0), s_other))

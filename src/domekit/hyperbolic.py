@@ -230,6 +230,13 @@ def geodesic_distance(g1: GeodesicH2, g2: GeodesicH2):
         raise CrossingLeaves(0, 1, "geodesics intersect")
     if abs(c) < 1.0 + 1e-12:
         return 0.0, None, None
+    z1, z2 = perpendicular_feet(u1, u2)
+    return math.acosh(abs(c)), PointH2(z1), PointH2(z2)
+
+
+def perpendicular_feet(u1: np.ndarray, u2: np.ndarray) -> tuple[complex, complex]:
+    """Disk points where the common perpendicular of two ultraparallel
+    geodesics, given by their polars, meets each of them."""
     # polar of the common perpendicular
     v = np.cross(u1, u2)
     v[2] = -v[2]
@@ -238,8 +245,7 @@ def geodesic_distance(g1: GeodesicH2, g2: GeodesicH2):
     f1[2] = -f1[2]
     f2 = np.cross(u2, v)
     f2[2] = -f2[2]
-    z1, z2 = _vec_to_disk(f1), _vec_to_disk(f2)
-    return math.acosh(abs(c)), PointH2(z1), PointH2(z2)
+    return _vec_to_disk(f1), _vec_to_disk(f2)
 
 
 def point_along(z: complex, direction: float, dist: float) -> complex:

@@ -38,9 +38,9 @@ from .hyperbolic import (
     PointH2,
     dist_h2,
     foot_on_geodesic,
-    geodesic_distance,
     geodesic_polar,
     geodesic_polars,
+    perpendicular_feet,
     point_along,
     side_of,
     _mink_dot,
@@ -50,9 +50,13 @@ MAX_LEAVES = 64
 ON_LEAF_TOL = 1e-9
 #: endpoint angles this close, also across angle 0, are one ideal point
 SHARED_TOL = 1e-12
-# arcs per sampler chunk; fastest per arc when measured at 1-8 leaves, where
-# 2**15 took twice as long per arc (its temporaries no longer stay in cache)
+# arcs per sampler chunk and batch; 2**15 sampled 1-8 leaves about 10%
+# faster at 2 threads, but its buffers took 7.7 MiB more RSS (at 6 leaves)
 _CHUNK_ARCS = 1 << 14
+# sinh of the farthest a random arc's centre may lie from a leaf and still
+# be scored: sinh(1/2), the farthest a crossing unit arc's centre lies, and
+# a 1% margin (see `_reaching`)
+_NEAR = 1.01 * math.sinh(0.5)
 
 
 @dataclass(frozen=True)
@@ -430,15 +434,27 @@ class GapComplex:
 # ---------------------------------------------------------------------------
 
 class _Scratch:
-    """One worker's arrays for scoring chunks of up to ``size`` arcs against
+    """One worker's arrays for scoring batches of up to ``size`` arcs against
     ``n_leaves`` leaves, allocated once per sampler call and reused by every
-    chunk.  Rows 0-4 of ``vec`` belong to `_crossings`; rows 5-8 hold a
-    random chunk's x, y, |c|^2 and directions."""
+    batch.  Rows 0-4 of ``vec`` belong to `_crossings`; rows 5-7 hold a
+    random chunk's x, y and |c|^2, and ``cand`` the x, y, |c|^2 and
+    directions of the random arcs waiting to be scored.  Two of these
+    share memory with arrays that hold nothing live meanwhile:
+
+    - the directions in ``cand`` are the first ``size`` doubles of
+      ``rows``, which only `_crossings` writes, after its first step has
+      read them;
+    - ``keep``, the mask of a chunk's arcs that can cross a leaf, is a
+      bool view of row 1 of ``vec``, free from the mask's making to its
+      reading.
+    """
 
     def __init__(self, n_leaves: int, size: int):
-        self.vec = np.empty((9, size))
+        self.vec = np.empty((8, size))
         self.rows = np.empty((2, size, 3))
         self.prod = np.empty((2, size, n_leaves))
+        self.cand = (*np.empty((3, size)), self.rows.reshape(-1)[:size])
+        self.keep = self.vec[1].view(bool)
 
 
 def _cos_sin(angle: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -520,6 +536,51 @@ def _crossings(polars_t: np.ndarray, x: np.ndarray, y: np.ndarray,
     return np.less(sp, 0.0, out=sq)
 
 
+def _reaching(polars_a: np.ndarray, m: int, scratch: _Scratch) -> np.ndarray:
+    """Indices of the arcs of the random chunk of ``m`` arcs in
+    ``scratch.vec`` (rows 5-7: x, y and |c|^2 of each centre c = x + iy)
+    that can cross a leaf.  ``polars_a`` holds the polars' rows (-u2, 2 u0,
+    2 u1).
+
+    An arc is kept when its centre lies within distance asinh(_NEAR) of
+    some leaf u, that is when |A . u| <= _NEAR (1 - |c|^2), with the A of
+    `_crossings`: A . u = g(c) is sinh(dist(c, u)) (1 - |c|^2), signed.
+
+    A dropped arc crosses nothing, and `_crossings` would give it an
+    all-zero row, so the sampler's maximum does not move:
+
+    - Its centre lies farther than asinh(1.01 sinh(1/2)) = 1/2 + 0.0046
+      from every leaf, and every point of the arc within 1/2 of the centre.
+      So both ends lie at least 0.0046 off each leaf, on the centre's side.
+    - `_crossings` gives an end e the value sinh(dist(e, u)) (1 - |c|^2) /
+      cosh(1/2): its isometry M scales 1 - |s|^2 by (1 - |c|^2) / |1 +
+      conj(c) s|^2, and (1 - r^2) / (1 + r^2) = 1 / cosh(1/2).  So both
+      values exceed 0.0041 (1 - |c|^2) in size and have the centre's sign.
+    - The rounding of A . u, of the bound and of the end values is a few
+      ulps of three terms each at most 4 (1 + |u2|) in size: under 100 u
+      (1 + |u2|) for the unit roundoff u.  Random centres have |c| < 0.999, at
+      distance rho < 7.6 from 0 with e^rho < 4 / (1 - |c|^2), and |u2| =
+      sinh(dist(0, u)) < e^(rho + dist(c, u)).  Near the bound, where
+      dist(c, u) < 0.51, that rounding is below 3e-8 (1 - |c|^2): far under
+      the bound's 1% margin, 0.0052 (1 - |c|^2), and the ends' 0.0041 (1 -
+      |c|^2).  Farther out the values outgrow their rounding.
+
+    The products and the minimum are taken in ``scratch.prod`` and rows 2-4
+    of ``scratch.vec``, which hold nothing live between batches.
+    """
+    vec, n = scratch.vec, len(polars_a)
+    r2 = vec[7, :m]
+    # A . u = (1 + |c|^2, x, y) . (-u2, 2 u0, 2 u1), with x and y in rows 5, 6
+    np.add(1.0, r2, out=vec[4, :m])
+    alpha = scratch.prod.reshape(-1)[:n * m].reshape(n, m)
+    np.matmul(polars_a, vec[4:7, :m], out=alpha)
+    np.abs(alpha, out=alpha)
+    nearest = np.minimum.reduce(alpha, axis=0, out=vec[3, :m])
+    bound = np.subtract(1.0, r2, out=vec[2, :m])
+    bound *= _NEAR
+    return np.flatnonzero(np.less_equal(nearest, bound, out=scratch.keep[:m]))
+
+
 def _chunk(i: int, n: int) -> slice:
     """The i-th chunk of n arcs."""
     return slice(i * _CHUNK_ARCS, min((i + 1) * _CHUNK_ARCS, n))
@@ -550,11 +611,13 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     direction, pulled back from the leaves' side form (see `_crossings`),
     with no complex arithmetic and no end point computed.
 
-    The arcs are scored in fixed-size chunks on up to ``threads`` threads
+    The arcs are taken in fixed-size chunks on up to ``threads`` threads
     (by default the usable CPUs; never more than those or the chunks); the
-    result, a maximum over chunks, does not depend on the thread count.
-    Each random chunk draws its own arcs, so memory does not grow with
-    ``n_arcs``.
+    result, a maximum over arcs, does not depend on the thread count.  Each
+    random chunk draws its own arcs, so memory does not grow with
+    ``n_arcs``.  Of the random arcs, only those whose centre lies near
+    enough to a leaf to cross it (see `_reaching`) are scored, in full
+    batches of a chunk's size; the others' measure is 0.
     """
     if n_arcs < 1:
         raise NonpositiveInput(f"n_arcs must be at least 1, got {n_arcs}")
@@ -568,21 +631,18 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     dirs_list = []
 
     if targeted:
+        # |<u_i, u_j>| for every pair: cosh of the distance of disjoint leaves
+        cs = np.abs(_mink_dot(lam.polars[:, None], lam.polars)).tolist()
         for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    # arcs through the point of the leaf closest to the origin
-                    onleaf = foot_on_geodesic(0j, lam.polars[i])
-                    centers_list.append(np.full(64, onleaf))
-                    dirs_list.append(rng.uniform(0, 2 * math.pi, 64))
+            # arcs through the point of the leaf closest to the origin
+            onleaf = foot_on_geodesic(0j, lam.polars[i])
+            centers_list.append(np.full(64, onleaf))
+            dirs_list.append(rng.uniform(0, 2 * math.pi, 64))
+            for j in range(i + 1, n):
+                c = cs[i][j]
+                if c < 1.0 - 1e-12:  # crossing by the polars: no witness
                     continue
-                try:
-                    d, f1, f2 = geodesic_distance(lam.leaves[i], lam.leaves[j])
-                except CrossingLeaves:
-                    continue
-                if d >= 1.0:
-                    continue
-                if f1 is None:
+                if c < 1.0 + 1e-12:
                     # asymptotic pair: probe ever deeper into the shared
                     # cusp, at the first of leaf i's ends that ranks with j's
                     t_shared = next((t for t, r in zip(lam.leaves[i].angles(), ranks[i])
@@ -594,8 +654,11 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
                     centers_list.append(zs)
                     dirs_list.append(np.full(len(zs), t_shared + math.pi / 2.0))
                     continue
-                mid = _geodesic_midpoint(f1.z, f2.z)
-                direction = _initial_direction(mid, f2.z)
+                if math.acosh(c) >= 1.0:
+                    continue
+                f1, f2 = perpendicular_feet(lam.polars[i], lam.polars[j])
+                mid = _geodesic_midpoint(f1, f2)
+                direction = _initial_direction(mid, f2)
                 # exact witness plus jittered copies
                 centers_list.append(np.array([mid]))
                 dirs_list.append(np.array([direction]))
@@ -608,6 +671,8 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     # a C-ordered copy: at 2-8 leaves the products ran 2-3 times as fast
     # against it as against the view lam.polars.T, with the same bits
     polars_t, weights = np.ascontiguousarray(lam.polars.T), np.asarray(lam.weights)
+    # the rows (-u2, 2 u0, 2 u1) that `_reaching` takes
+    polars_a = lam.polars[:, [2, 0, 1]] * np.array([-1.0, 2.0, 2.0])
     n_targeted = sum(len(c) for c in centers_list)
     if n_targeted:
         t_centers = np.concatenate(centers_list)
@@ -629,31 +694,62 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
 
     def score(part: range) -> float:
         """Largest measure over one worker's chunks, all in one scratch."""
-        scratch = _Scratch(n, min(_CHUNK_ARCS, max(n_targeted, n_random)))
+        size = min(_CHUNK_ARCS, max(n_targeted, n_random))
+        scratch = _Scratch(n, size)
         bits = np.random.PCG64()  # set to `state` and advanced before each draw
         draw = np.random.Generator(bits).random
-        best = 0.0
+
+        def uniforms(row, k: int, start: int) -> None:
+            """Uniforms start, start + 1, ... of draw k into row."""
+            bits.state = state
+            bits.advance(k * n_random + start)
+            draw(out=row)
+            row *= highs[k]
+
+        def measure(x, y, r2, dirs) -> float:
+            mask = _crossings(polars_t, x, y, r2, dirs, scratch)
+            # the arcs' transverse measures, in vec[0], which is free again
+            return float(np.matmul(mask, weights, out=scratch.vec[0, :len(x)]).max())
+
+        best, fill = 0.0, 0
         for i in part:
             if i < t_chunks:
                 sl = _chunk(i, n_targeted)
-                x, y, r2, dirs = t_x[sl], t_y[sl], t_r2[sl], t_dirs[sl]
-            else:
-                sl = _chunk(i - t_chunks, n_random)
-                # arg c is drawn into y's row, which its sine then overwrites
-                x, y, r2, dirs = scratch.vec[5:, :sl.stop - sl.start]
-                for k, (row, high) in enumerate(zip((r2, y, dirs), highs)):
-                    bits.state = state
-                    bits.advance(k * n_random + sl.start)
-                    draw(out=row)
-                    row *= high
-                np.sqrt(r2, out=x)
-                cos_t, sin_t = _cos_sin(y, scratch.vec[:4, :len(x)])
-                np.multiply(x, sin_t, out=y)
-                x *= cos_t
-            mask = _crossings(polars_t, x, y, r2, dirs, scratch)
-            # the arcs' transverse measures, in vec[0], which is free again
-            measures = np.matmul(mask, weights, out=scratch.vec[0, :len(x)])
-            best = max(best, float(measures.max()))
+                best = max(best, measure(t_x[sl], t_y[sl], t_r2[sl], t_dirs[sl]))
+                continue
+            sl = _chunk(i - t_chunks, n_random)
+            # arg c is drawn into y's row, which its sine then overwrites
+            x, y, r2 = drawn = scratch.vec[5:, :sl.stop - sl.start]
+            uniforms(r2, 0, sl.start)
+            uniforms(y, 1, sl.start)
+            np.sqrt(r2, out=x)
+            cos_t, sin_t = _cos_sin(y, scratch.vec[:4, :len(x)])
+            np.multiply(x, sin_t, out=y)
+            x *= cos_t
+            # The arcs that can cross a leaf join the batch in cand, which
+            # is scored when full; a clipped take writes into out unbuffered.
+            # The directions wait in row 0, and are drawn again from the
+            # first arc left over when a full batch is scored mid-chunk.
+            kept = _reaching(polars_a, len(x), scratch)
+            dirs = scratch.vec[0, :len(x)]
+            uniforms(dirs, 2, sl.start)
+            done = 0
+            while done < len(kept):
+                if done:
+                    first = int(kept[done])
+                    uniforms(dirs[first:], 2, sl.start + first)
+                step = min(len(kept) - done, size - fill)
+                for row, batch in zip((*drawn, dirs), scratch.cand):
+                    np.take(row, kept[done:done + step], out=batch[fill:fill + step],
+                            mode="clip")
+                done += step
+                fill += step
+                if fill == size:
+                    best = max(best, measure(*scratch.cand))
+                    fill = 0
+            del kept  # before the next chunk's indices are made
+        if fill:
+            best = max(best, measure(*(row[:fill] for row in scratch.cand)))
         return best
 
     workers = _worker_count(threads, n_chunks)

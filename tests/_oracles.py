@@ -17,6 +17,9 @@ returns to the starting face, where the library meets half-paths in the
 middle.  Their values agree with the library's to rounding.
 `arc_end_sides` finds a sampled arc's ends by the complex Mobius map
 that the sampler's real pulled-back forms replace.
+`roundness_brute_force_oracle` is the sampler before it scored only the
+random arcs that can reach a leaf, which the filtered one must equal bit
+for bit.
 `boundary_gap_oracle` finds the boundary arc holding an angle by interval
 containment, where `GapComplex.boundary_gap` bisects the sorted starts.
 `sphere_hull_brute` and `sphere_hull_qhull` build a hull's merged faces
@@ -48,7 +51,13 @@ from domekit.dome import (
     _order_cycle,
     _point_in_convex_polygon,
 )
-from domekit.errors import DepthTooSmall, DevelopmentFailed, EmptyField, PointNotInDomain
+from domekit.errors import (
+    CrossingLeaves,
+    DepthTooSmall,
+    DevelopmentFailed,
+    EmptyField,
+    PointNotInDomain,
+)
 from domekit.hyperbolic import (
     PointH2,
     PointH3,
@@ -56,12 +65,24 @@ from domekit.hyperbolic import (
     boundary_side,
     dist_h2,
     dist_h3,
+    foot_on_geodesic,
+    geodesic_distance,
     ideal_to_lightcone,
     mink4_dot,
     poincare_extension,
+    point_along,
     point_to_hyperboloid,
 )
-from domekit.laminations import FiniteLamination, validate
+from domekit.laminations import (
+    _CHUNK_ARCS,
+    FiniteLamination,
+    _Scratch,
+    _cos_sin,
+    _crossings,
+    _geodesic_midpoint,
+    _initial_direction,
+    validate,
+)
 from domekit.mobius import INF, MobiusMap, chordal_distance, is_inf
 from domekit.pleating import EmbeddingReport
 from domekit.qc import (
@@ -346,6 +367,70 @@ def roundness_oracle(lam: FiniteLamination) -> float:
                 if m != i and m != j and _separates(polars, lam, m, i, j):
                     total += weights[m]
             best = max(best, float(total))
+    return best
+
+
+def roundness_brute_force_oracle(lam: FiniteLamination, n_arcs: int, seed: int,
+                                 targeted: bool) -> float:
+    """The sampler as it was before it dropped the random arcs that reach no
+    leaf: every arc scored, in chunks, by `laminations._crossings`.  The
+    targeted arcs come pair by pair from `geodesic_distance`, and the
+    random ones from three full-length `uniform` draws after them."""
+    ranks = validate(lam).ranks.tolist()
+    n = len(lam)
+    if n == 0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    centers, dirs = [], []
+    for i in range(n) if targeted else ():
+        for j in range(i, n):
+            if i == j:
+                centers.append(np.full(64, foot_on_geodesic(0j, lam.polars[i])))
+                dirs.append(rng.uniform(0, 2 * math.pi, 64))
+                continue
+            try:
+                d, f1, f2 = geodesic_distance(lam.leaves[i], lam.leaves[j])
+            except CrossingLeaves:
+                continue
+            if d >= 1.0:
+                continue
+            if f1 is None:
+                t_shared = next((t for t, r in zip(lam.leaves[i].angles(), ranks[i])
+                                 if r in ranks[j]), None)
+                if t_shared is None:
+                    continue
+                zs = np.array([point_along(0j, t_shared, s)
+                               for s in np.arange(1.0, 14.0, 0.5)])
+                centers.append(zs)
+                dirs.append(np.full(len(zs), t_shared + math.pi / 2.0))
+                continue
+            mid = _geodesic_midpoint(f1.z, f2.z)
+            direction = _initial_direction(mid, f2.z)
+            centers.append(np.array([mid]))
+            dirs.append(np.array([direction]))
+            jz = mid + (rng.normal(0, 0.02, 120) + 1j * rng.normal(0, 0.02, 120))
+            centers.append(np.where(np.abs(jz) < 0.995, jz, mid))
+            dirs.append(direction + rng.normal(0, 0.05, 120))
+    arcs = []
+    if centers:
+        c = np.concatenate(centers)
+        arcs.append((c.real, c.imag, c.real * c.real + c.imag * c.imag,
+                     np.concatenate(dirs)))
+    n_random = max(n_arcs - sum(len(c) for c in centers), 0)
+    if n_random:
+        r2 = rng.uniform(0, 0.999**2, n_random)
+        cos_t, sin_t = _cos_sin(rng.uniform(0, 2 * math.pi, n_random),
+                                np.empty((4, n_random)))
+        rho = np.sqrt(r2)
+        arcs.append((rho * cos_t, rho * sin_t, r2, rng.uniform(0, 2 * math.pi, n_random)))
+    polars_t, weights = np.ascontiguousarray(lam.polars.T), np.asarray(lam.weights)
+    scratch = _Scratch(n, _CHUNK_ARCS)
+    best = 0.0
+    for x, y, r2, dirs in arcs:
+        for i in range(0, len(x), _CHUNK_ARCS):
+            chunk = slice(i, i + _CHUNK_ARCS)
+            mask = _crossings(polars_t, x[chunk], y[chunk], r2[chunk], dirs[chunk], scratch)
+            best = max(best, float((mask @ weights).max()))
     return best
 
 

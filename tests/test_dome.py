@@ -1074,7 +1074,7 @@ class TestChartTolerance:
         res = retract(hull, z)
         assert res.carrier[0] == "edge"
         faces = hull.edges[res.carrier[1]].faces
-        charted = [poincare_extension(hull.atlas.charts[f], res.point) for f in faces]
+        charted = [poincare_extension(hull.atlas.chart(f), res.point) for f in faces]
         assert max(abs(q.y) for q in charted) > 1e-6  # an absolute test rejects it
         a, b = (dome_injectivity_radius(hull, f, res.point) for f in faces)
         assert a.exact and b.exact
@@ -1082,7 +1082,7 @@ class TestChartTolerance:
 
     def test_off_face_point_raises(self):
         hull = build_hull(regular_ideal_tetrahedron())
-        chart = hull.atlas.charts[0]
+        chart = hull.atlas.chart(0)
         q = poincare_extension(chart, face_point(hull, 0))
         for d, on_face in ((1e-8, True), (1e-5, False)):
             p = poincare_extension(chart.inverse(), PointH3(q.x, q.t * math.sinh(d), q.t))
@@ -1143,7 +1143,7 @@ class TestAtlasLifetime:
         finally:
             gc.enable()
         assert freed
-        assert atlas.charts  # the atlas outlives the hull it was built from
+        assert atlas.chart(0)  # the atlas outlives the hull it was built from
 
 
 class TestExports:

@@ -19,7 +19,7 @@ from domekit.errors import (
     NotTransverse,
     TooManyLeaves,
 )
-from domekit.hyperbolic import GeodesicH2, PointH2, point_along
+from domekit.hyperbolic import GeodesicH2, PointH2, point_along, side_of
 from domekit import laminations
 from domekit.laminations import (
     ON_LEAF_TOL,
@@ -37,10 +37,12 @@ from domekit.laminations import (
 from domekit.mobius import random_disk_mobius
 from domekit.pleating import earthquake
 
+import _oracles
 from _oracles import (
     angles_interleave,
     arc_end_sides,
     arc_walk_crossing_count,
+    roundness_brute_force_oracle,
     roundness_oracle,
 )
 from test_hyperbolic import leaf_from_uhp
@@ -314,6 +316,32 @@ def fan_lamination(rng: np.random.Generator, spokes: int, rims: int) -> FiniteLa
                             rng.uniform(0.1, 2.0, len(pairs)).tolist())
 
 
+def short_leaves(rng: np.random.Generator, n: int, width: float) -> FiniteLamination:
+    """n leaves whose endpoints lie ``width`` rad apart, at stratified angles:
+    each close to the boundary, about asinh(2 / width) from the origin."""
+    starts = 2.0 * math.pi * (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n
+    return FiniteLamination([GeodesicH2.from_angles(t, t + width) for t in starts],
+                            rng.uniform(0.1, 2.0, n).tolist())
+
+
+def scored_arcs(module, run) -> tuple[float, dict]:
+    """run() while ``module._crossings`` records what it scores: run's result
+    and {an arc's x, y, |c|^2 and direction: the leaves it crosses}, as
+    bytes."""
+    arcs = {}
+    crossings = module._crossings
+
+    def recording(polars_t, x, y, r2, dirs, scratch):
+        rows = np.stack([x, y, r2, dirs], axis=1)
+        mask = crossings(polars_t, x, y, r2, dirs, scratch)
+        arcs.update(zip((row.tobytes() for row in rows), (m.tobytes() for m in mask)))
+        return mask
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_crossings", recording)
+        return run(), arcs
+
+
 @st.composite
 def oracle_laminations(draw):
     kind = draw(st.sampled_from(["matching", "random", "cusp", "fan", "zero"]))
@@ -453,6 +481,66 @@ class TestSampler:
             assert sure.mean() > 0.9
             assert np.array_equal(got[sure], (sp * sq < 0)[sure])
 
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(lam=oracle_laminations(), seed=st.integers(0, 2**32 - 1),
+           extra=st.integers(1, laminations._CHUNK_ARCS - 1), targeted=st.booleans())
+    @example(lam=matching_lamination(np.random.default_rng(64), 64), seed=64,
+             extra=5, targeted=True)
+    @example(lam=cusp_lamination(12, 0.01, 7), seed=3, extra=777, targeted=False)
+    @example(lam=short_leaves(np.random.default_rng(2), 8, 1e-3), seed=2, extra=1,
+             targeted=True)
+    def test_equals_unfiltered_oracle(self, lam, seed, extra, targeted):
+        """Dropping the random arcs that reach no leaf, and scoring the rest in
+        full batches, returns the unfiltered per-chunk maximum bit for bit,
+        and scores every arc that crosses a leaf, with the same crossings."""
+        n_arcs = 4 * laminations._CHUNK_ARCS + extra
+        want, oracle_arcs = scored_arcs(
+            _oracles, lambda: roundness_brute_force_oracle(lam, n_arcs, seed, targeted))
+        none = bytes(8 * len(lam))
+        crossing = {arc: m for arc, m in oracle_arcs.items() if m != none}
+        for threads in (1, 2):
+            got, arcs = scored_arcs(laminations, lambda: roundness_brute_force(
+                lam, n_arcs=n_arcs, seed=seed, targeted=targeted, threads=threads))
+            assert got.hex() == want.hex(), threads
+            assert {arc: m for arc, m in arcs.items() if m != none} == crossing, threads
+            assert arcs.keys() <= oracle_arcs.keys(), threads
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(lam=oracle_laminations(), seed=st.integers(0, 2**32 - 1))
+    @example(lam=short_leaves(np.random.default_rng(1), 12, 1e-3), seed=1)
+    @example(lam=short_leaves(np.random.default_rng(3), 1, 1e-3), seed=3)
+    def test_dropped_arcs_cross_nothing(self, lam, seed):
+        """Every arc that `_reaching` drops has an all-zero `_crossings` row,
+        for centres out to |c| = 0.999, near short leaves too."""
+        rng = np.random.default_rng(seed)
+        # centres as the sampler draws them, and as many within 0.05 rad of
+        # an endpoint and out at |c|^2 in [0.99^2, 0.999^2]
+        m = laminations._CHUNK_ARCS
+        ends = np.array([t for g in lam.leaves for t in g.angles()])
+        rad2 = np.concatenate([rng.uniform(0, 0.999**2, m // 2),
+                               rng.uniform(0.99**2, 0.999**2, m // 2 - 1), [0.999**2]])
+        theta = np.concatenate([rng.uniform(0, 2 * math.pi, m // 2),
+                                rng.choice(ends, m // 2) + rng.uniform(-0.05, 0.05, m // 2)])
+        scratch = laminations._Scratch(len(lam), m)
+        x, y, r2 = scratch.vec[5:]
+        r2[:] = rad2
+        cos_t, sin_t = laminations._cos_sin(theta, np.empty((4, m)))
+        x[:] = np.sqrt(rad2) * cos_t
+        y[:] = np.sqrt(rad2) * sin_t
+        polars_a = lam.polars[:, [2, 0, 1]] * np.array([-1.0, 2.0, 2.0])
+        kept = laminations._reaching(polars_a, m, scratch)
+        dropped = np.ones(m, dtype=bool)
+        dropped[kept] = False
+        assert dropped.any()
+        # kept exactly when sinh of the centre's distance from the nearest
+        # leaf, by `side_of`, is at most _NEAR, outside a band of rounding
+        near = np.abs(side_of((x + 1j * y)[:, None], lam.polars)).min(axis=1)
+        assert not dropped[near < laminations._NEAR * (1 - 1e-6)].any()
+        assert dropped[near > laminations._NEAR * (1 + 1e-6)].all()
+        mask = laminations._crossings(np.ascontiguousarray(lam.polars.T), x, y, r2,
+                                      rng.uniform(0, 2 * math.pi, m), scratch)
+        assert not mask[dropped].any()
+
     @pytest.mark.parametrize("n_arcs", [0, -5])
     def test_nonpositive_n_arcs_rejected(self, n_arcs):
         lam = random_lamination(np.random.default_rng(1), 3)
@@ -488,6 +576,11 @@ class TestSampler:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 1 << 20, peaks
+        # the unfiltered sampler's scratch, rows of one chunk: 9 of vec, 6 of
+        # rows and 2 per leaf of prod (31 here, 4.1 MB traced); the filter
+        # may add no more than the 4 rows of the candidates, and 64 KiB
+        row = 8 * laminations._CHUNK_ARCS
+        assert max(peaks) <= (9 + 6 + 2 * len(lam) + 4) * row + (1 << 16), peaks
 
     def test_executor_gets_clamped_workers(self, monkeypatch):
         started = []
