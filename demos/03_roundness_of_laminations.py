@@ -22,9 +22,9 @@ from domekit.laminations import (
 def two_leaves(d, w1, w2):
     import cmath
 
-    from domekit.mobius import MobiusMap
+    from domekit.mobius import CAYLEY
 
-    inv = MobiusMap.cayley_disk_to_uhp().inverse()
+    inv = CAYLEY.inverse()
 
     def leaf(a, b):
         return GeodesicH2.from_angles(cmath.phase(inv(a)), cmath.phase(inv(b)))

@@ -35,7 +35,12 @@ class AnnulusGeometry:
 def annulus_geometry(s: float) -> AnnulusGeometry:
     """The closed forms at s; `OutOfDomain` naming s where one overflows:
     2 pi^2 / s, the largest form in 1/s, below s of about 1.098e-307, and
-    K above s of about 1418.66 (and at s = inf)."""
+    sinh(s/2), which K and the dome's forms take, above s of about
+    1420.95 (and at s = inf).
+
+    K is pi sinh(s/2) / s, and pi (sinh(s/2) / s) only where pi sinh(s/2)
+    overflows, above s of about 1418.66.
+    """
     if not s > 0:
         raise NonpositiveModulusParameter(f"s = {s} must be positive")
     core_length = 2.0 * math.pi**2 / s
@@ -45,9 +50,11 @@ def annulus_geometry(s: float) -> AnnulusGeometry:
         sh = math.sinh(s / 2.0)
     except OverflowError:
         sh = math.inf
+    if math.isinf(sh):
+        raise OutOfDomain(f"s = {s}: sinh(s/2) overflows a float")
     K = math.pi * sh / s
-    if not math.isfinite(K):  # nan at s = inf
-        raise OutOfDomain(f"s = {s}: K = pi sinh(s/2) / s overflows a float")
+    if math.isinf(K):
+        K = math.pi * (sh / s)
     return AnnulusGeometry(
         s=s,
         modulus=s / (2.0 * math.pi),

@@ -558,7 +558,9 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
     contact point is the highest point of the transformed hull: the top of
     a face hemisphere when that top lies over the face polygon, or the top
     of an edge semicircle.  Candidates are compared by height; ties prefer
-    the face carrier.
+    the face carrier.  Raises NumericallyCoincident, naming the face, when
+    a kept face's rounded plane or its image under m misses the sphere
+    (points of a cluster far below the hull's scale give such faces).
 
     Only the faces and edges that `_cavity` keeps are decided, by the
     scalar expressions below, in the order faces then edges.  So the
@@ -632,7 +634,11 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
     best = None  # (height, priority, point, carrier)
     for fi in faces:
         f = hull.faces[fi]
-        circ = f.circle.pullback(n)
+        try:
+            circ = f.circle.pullback(n)
+        except ValueError:  # the rounded plane, or its image, misses the sphere
+            raise NumericallyCoincident(
+                f"face {fi}: its circle or the circle's image has no real locus") from None
         if circ.is_line:
             continue  # z on the face circle: contact cannot be interior
         c, rho = circ.center_radius()

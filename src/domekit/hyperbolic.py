@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossingLeaves
-from .mobius import HUGE, INF, MobiusMap, is_inf
+from .mobius import CAYLEY, HUGE, INF, MobiusMap, is_inf
 
 #: points closer than this to the unit circle are rejected as interior points
 BOUNDARY_TOL = 1e-9
@@ -142,6 +142,29 @@ def geodesic_polar(g: GeodesicH2) -> np.ndarray:
 def side_of(z, polar: np.ndarray):
     """Signed sinh(distance) of disk point(s) z from the geodesic with this polar."""
     return _mink_dot(point_vec(z), polar)
+
+
+def side_values(zs: np.ndarray, polars: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(N, n) side values of N disk points against n polars, written into
+    ``out`` when given: ``side_of(zs[:, None], polars)`` bit for bit.
+
+    The points' Minkowski coordinates x, y, t are taken as `point_vec`
+    takes them, as contiguous columns, and each entry is
+    (x u0 + y u1) - t u2 in `_mink_dot`'s order, with one temporary.  The
+    work runs on the (n, N) transpose, a row of N points per leaf; without
+    ``out`` the result is the transpose of a C-ordered (n, N) array.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    r2 = np.square(np.abs(zs))
+    d = 1.0 - r2
+    x, y, t = 2 * zs.real / d, 2 * zs.imag / d, (1 + r2) / d
+    u0, u1, u2 = (np.asarray(polars, dtype=float)[:, k, None] for k in range(3))
+    rows = np.empty((len(u0), len(zs))) if out is None else out.T
+    np.multiply(x, u0, out=rows)
+    tmp = np.multiply(y, u1)
+    rows += tmp
+    rows -= np.multiply(t, u2, out=tmp)
+    return rows.T
 
 
 def boundary_side(angle, polar: np.ndarray):
@@ -328,13 +351,13 @@ def sphere_to_boundary(v: np.ndarray):
 
 def disk_to_halfspace(z: complex) -> PointH3:
     """Embed the disk model of H^2 as the vertical plane {y = 0} of H^3."""
-    w = MobiusMap.cayley_disk_to_uhp()(z)
+    w = CAYLEY(z)
     return PointH3(w.real, 0.0, w.imag)
 
 
 def disk_boundary_to_real(angle: float):
     """Boundary angle of the disk to a point of R union {inf} via Cayley."""
-    return MobiusMap.cayley_disk_to_uhp()(cmath.exp(1j * angle))
+    return CAYLEY(cmath.exp(1j * angle))
 
 
 # ---------------------------------------------------------------------------

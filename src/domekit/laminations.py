@@ -42,7 +42,7 @@ from .hyperbolic import (
     geodesic_polars,
     perpendicular_feet,
     point_along,
-    side_of,
+    side_values,
     _mink_dot,
 )
 
@@ -205,7 +205,7 @@ def transverse_measure(lam: FiniteLamination, arc: GeodesicArc) -> float:
     """
     if not lam.leaves:
         return 0.0
-    sp, sq = side_of(np.array([[arc.p.z], [arc.q.z]]), lam.polars)
+    sp, sq = side_values([arc.p.z, arc.q.z], lam.polars)
     if np.any(np.abs(sp) < ON_LEAF_TOL) or np.any(np.abs(sq) < ON_LEAF_TOL):
         raise NotTransverse("arc endpoint lies on a leaf")
     crossed = (sp * sq) < 0
@@ -295,6 +295,10 @@ class GapComplex:
         self.polars = lam.polars
         nest = self.nesting = lam.nesting
         n = len(self.leaves)
+        # leaf k's key is depth[k] n + (n - 1 - k): the largest key among the
+        # leaves holding a point is the deepest of them, the first on a tie
+        self._flipped = nest.flipped[:, None]
+        self._keys = (nest.depth * n + np.arange(n)[::-1])[:, None]
         # each boundary arc lies inside the leaves whose rank interval spans it
         slots = np.arange(2 * n)[:, None]
         covered = np.where((nest.lo <= slots) & (slots < nest.hi), nest.depth, -1)
@@ -325,22 +329,27 @@ class GapComplex:
         self.outer = [ids[p + 1] for p in nest.parent]
 
     def _leaves_of(self, zs) -> np.ndarray:
-        """Deepest leaf containing each disk point (-1 for none); on-leaf
-        points count as outside the leaf's arc from a to b.
+        """Deepest leaf containing each disk point (-1 for none), the first
+        of the deepest on a tie; on-leaf points count as outside the
+        leaf's arc from a to b.
 
-        One sign product against the polars, taken over blocks of about
-        2^16 (point, leaf) entries so that its temporaries stay small.
+        The side values of `hyperbolic.side_values` against the polars,
+        written in place into one (n, ~2^16 / n) buffer, a row per leaf,
+        block by block; the deepest leaf is the largest key of a column.
         """
         zs = np.asarray(zs, dtype=complex).ravel()
-        out = np.full(len(zs), -1)
         n = len(self.leaves)
         if not n:
-            return out
+            return np.full(len(zs), -1)
+        out = np.empty(len(zs), dtype=int)
         step = max(1, (1 << 16) // n)
+        buf = np.empty((n, min(step, len(zs))))
         for i0 in range(0, len(zs), step):
-            s = side_of(zs[i0:i0 + step, None], self.polars)
-            within = (s < -ON_LEAF_TOL) != self.nesting.flipped
-            out[i0:i0 + step] = _deepest(np.where(within, self.nesting.depth, -1))
+            block = zs[i0:i0 + step]
+            s = side_values(block, self.polars, out=buf[:, :len(block)].T).T
+            within = (s < -ON_LEAF_TOL) != self._flipped
+            key = np.where(within, self._keys, -1).max(axis=0)
+            out[i0:i0 + step] = np.where(key >= 0, n - 1 - key % n, -1)
         return out
 
     def _samples(self, keys: list[int], mids: list[float]) -> list[complex]:

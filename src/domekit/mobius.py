@@ -74,21 +74,75 @@ def to_zero_inf(p, q) -> tuple:
     return (1.0, -p, 1.0, -q)
 
 
+def normalize(m: tuple) -> tuple:
+    """m as complex coefficients scaled to determinant 1 (up to sign).
+
+    Raises DegenerateMobius when |det| < 1e-12 max|coef|^2.
+    """
+    a, b, c, d = complex(m[0]), complex(m[1]), complex(m[2]), complex(m[3])
+    size = max(abs(a), abs(b), abs(c), abs(d), 1.0)
+    if size > HUGE:  # rescale, so that neither det nor size**2 overflows
+        a, b, c, d, size = a / size, b / size, c / size, d / size, 1.0
+    det = a * d - b * c
+    if abs(det) < _DET_TOL * size ** 2:
+        raise DegenerateMobius(f"determinant {det} too small")
+    s = cmath.sqrt(det)
+    return (a / s, b / s, c / s, d / s)
+
+
+def translation(p, q, dist: float) -> tuple:
+    """Hyperbolic translation with axis (p, q), by dist toward q, normalized.
+
+    If p, q lie on a circle, that circle (and both disks it bounds)
+    is preserved.  Raises DegenerateMobius when e^{|dist|/2}, and so
+    one of the multiplier's factors, is not a finite float: for |dist|
+    beyond about 1419.6, or a dist that is not finite.
+    """
+    try:
+        finite = math.exp(abs(dist) / 2.0) < math.inf
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DegenerateMobius(f"translation by {dist}: e^(|dist|/2) is not a finite float")
+    return _about_axis(p, q, math.exp(dist / 2.0))
+
+
+def rotation(p, q, angle: float) -> tuple:
+    """Elliptic map with fixed points p, q, normalized; angle signed by the (p, q) order."""
+    return _about_axis(p, q, cmath.exp(1j * angle / 2.0))
+
+
+def _about_axis(p, q, half) -> tuple:
+    """s^-1 diag(half, 1/half) s, s sending p to 0 and q to inf.
+
+    It fixes p and q, with multiplier half^2 at p.  Each factor and
+    product is normalized, five times in all, as `MobiusMap` would.
+    """
+    s = normalize(to_zero_inf(p, q))
+    rotated = normalize(compose(normalize(inverse(s)), normalize((half, 0, 0, 1.0 / half))))
+    return normalize(compose(rotated, s))
+
+
 class MobiusMap:
-    """z -> (a z + b) / (c z + d), normalized to determinant 1 (up to sign)."""
+    """z -> (a z + b) / (c z + d), normalized to determinant 1 (up to sign).
+
+    The constructor normalizes its coefficients by `normalize`; `wrap`
+    takes a tuple that is normalized already, as it is, so a chain of
+    tuple products (`compose`, `translation`, `rotation`) becomes one map
+    with the bits that the same chain of maps would have.
+    """
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-        size = max(abs(a), abs(b), abs(c), abs(d), 1.0)
-        if size > HUGE:  # rescale, so that neither det nor size**2 overflows
-            a, b, c, d, size = a / size, b / size, c / size, d / size, 1.0
-        det = a * d - b * c
-        if abs(det) < _DET_TOL * size ** 2:
-            raise DegenerateMobius(f"determinant {det} too small")
-        s = cmath.sqrt(det)
-        self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
+        self.a, self.b, self.c, self.d = normalize((a, b, c, d))
+
+    @classmethod
+    def wrap(cls, m: tuple) -> "MobiusMap":
+        """The map of a tuple that `normalize` returned, not normalized again."""
+        self = object.__new__(cls)
+        self.a, self.b, self.c, self.d = m
+        return self
 
     # -- algebra ---------------------------------------------------------
 
@@ -153,39 +207,17 @@ class MobiusMap:
 
     @staticmethod
     def translation_along(p, q, dist: float) -> "MobiusMap":
-        """Hyperbolic translation with axis (p, q), by dist toward q.
-
-        If p, q lie on a circle, that circle (and both disks it bounds)
-        is preserved.  Raises DegenerateMobius when e^{|dist|/2}, and so
-        one of the multiplier's factors, is not a finite float: for |dist|
-        beyond about 1419.6, or a dist that is not finite.
-        """
-        try:
-            finite = math.exp(abs(dist) / 2.0) < math.inf
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise DegenerateMobius(f"translation by {dist}: e^(|dist|/2) is not a finite float")
-        return MobiusMap._about_axis(p, q, math.exp(dist / 2.0))
+        """Hyperbolic translation with axis (p, q), by dist toward q (see `translation`)."""
+        return MobiusMap.wrap(translation(p, q, dist))
 
     @staticmethod
     def rotation_about(p, q, angle: float) -> "MobiusMap":
         """Elliptic map with fixed points p, q; angle signed by the (p, q) order."""
-        return MobiusMap._about_axis(p, q, cmath.exp(1j * angle / 2.0))
+        return MobiusMap.wrap(rotation(p, q, angle))
 
-    @staticmethod
-    def _about_axis(p, q, half) -> "MobiusMap":
-        """s^-1 diag(half, 1/half) s, s sending p to 0 and q to inf.
 
-        It fixes p and q, with multiplier half^2 at p.
-        """
-        s = MobiusMap.to_zero_inf(p, q)
-        return s.inverse().compose(MobiusMap(half, 0, 0, 1.0 / half)).compose(s)
-
-    @staticmethod
-    def cayley_disk_to_uhp() -> "MobiusMap":
-        """Unit disk -> upper half plane, 0 -> i, 1 -> inf, -1 -> 0."""
-        return MobiusMap(1j, 1j, -1, 1)
+#: the Cayley map, unit disk -> upper half plane: 0 -> i, 1 -> inf, -1 -> 0
+CAYLEY = MobiusMap(1j, 1j, -1, 1)
 
 
 def random_disk_mobius(rng: np.random.Generator) -> MobiusMap:

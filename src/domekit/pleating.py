@@ -29,7 +29,7 @@ from .hyperbolic import (
     poincare_extension_array,
 )
 from .laminations import FiniteLamination, GapComplex, pushforward, validate
-from .mobius import MobiusMap
+from .mobius import CAYLEY, MobiusMap, compose, normalize, rotation, translation
 
 
 @dataclass(frozen=True)
@@ -85,24 +85,26 @@ def _gap_maps(lam: FiniteLamination, amounts: list[float], base,
               leaf_map) -> tuple[int, list[MobiusMap]]:
     """Validate; return the base gap and one Mobius map per gap, the base's the identity.
 
-    ``leaf_map(leaf, amount, inside)`` is the map across a leaf whose far
-    side (away from the base) is, or is not, the side holding its boundary
-    arc from ``leaf.a`` to ``leaf.b``.  Each gap's map is its base-ward
-    neighbour's map composed with the map of the leaf between them.
+    ``leaf_map(leaf, amount, inside)`` is the normalized tuple of the map
+    across a leaf whose far side (away from the base) is, or is not, the
+    side holding its boundary arc from ``leaf.a`` to ``leaf.b``.  Each
+    gap's map is its base-ward neighbour's map composed with the map of
+    the leaf between them, normalized: the tuple kernel of `mobius` makes
+    the products that `MobiusMap.compose` would, with the same bits, and
+    each gap's map is wrapped once at the end.
     """
     validate(lam)
     complex_ = lam.gaps
     base_id = complex_.resolve(base)
     maps = [None] * len(complex_)
-    maps[base_id] = MobiusMap.identity()
+    maps[base_id] = normalize((1, 0, 0, 1))
     for i, near, far in complex_.walk(base_id):
-        leaf = lam.leaves[i]
         inside = far == complex_.arc_side(i)
-        maps[far] = maps[near].compose(leaf_map(leaf, amounts[i], inside))
-    return base_id, maps
+        maps[far] = normalize(compose(maps[near], leaf_map(lam.leaves[i], amounts[i], inside)))
+    return base_id, [MobiusMap.wrap(m) for m in maps]
 
 
-def _shear(leaf: GeodesicH2, dist: float, inside: bool) -> MobiusMap:
+def _shear(leaf: GeodesicH2, dist: float, inside: bool) -> tuple:
     """Translation along the leaf moving the far side to its left.
 
     Standing on the leaf facing the far gap, that gap slides to the left
@@ -110,7 +112,7 @@ def _shear(leaf: GeodesicH2, dist: float, inside: bool) -> MobiusMap:
     ``leaf.b`` when the far side holds the arc from ``leaf.a`` to ``leaf.b``.
     """
     p, q = (leaf.a.z, leaf.b.z) if inside else (leaf.b.z, leaf.a.z)
-    return MobiusMap.translation_along(p, q, dist)
+    return translation(p, q, dist)
 
 
 def _quake(lam: FiniteLamination, x: float, base) -> EarthquakeMap:
@@ -144,15 +146,14 @@ class PleatedPlane(_GapMaps):
     def _boundary_maps(self) -> list[MobiusMap]:
         """The gap maps after the Cayley map, which lays the circle on the
         real line: the boundary trace lands on the sphere."""
-        cay = MobiusMap.cayley_disk_to_uhp()
-        return [m.compose(cay) for m in self.gap_maps]
+        return [m.compose(CAYLEY) for m in self.gap_maps]
 
 
-def _bend(leaf: GeodesicH2, angle: float, inside: bool) -> MobiusMap:
+def _bend(leaf: GeodesicH2, angle: float, inside: bool) -> tuple:
     """Rotation about the flat image of the leaf tipping its far side to y > 0."""
     a = disk_boundary_to_real(leaf.a.angle)
     b = disk_boundary_to_real(leaf.b.angle)
-    return MobiusMap.rotation_about(a, b, angle if inside else -angle)
+    return rotation(a, b, angle if inside else -angle)
 
 
 def pleat(lam: FiniteLamination, base=None) -> PleatedPlane:
@@ -263,10 +264,9 @@ def embedding_check(plane: PleatedPlane, samples: int = 10**4,
     kept = d2 >= 1e-6
     d2 = d2[kept]
     coeffs = np.array([(m.a, m.b, m.c, m.d) for m in plane.gap_maps])
-    cay = MobiusMap.cayley_disk_to_uhp()
 
     def image(z):
-        w = cay.apply_array(z)
+        w = CAYLEY.apply_array(z)
         maps = coeffs[plane.complex_.gaps_of(z)]
         return poincare_extension_array(maps, w.real + 0j, w.imag)
 

@@ -31,11 +31,17 @@ form.
 `dilatation_stats_oracle` are the whole-grid sampler and estimator that
 `qc` replaced by bands of rows; the banded ones must equal them bit for bit.
 The estimator returns a `WholeGridField`, whose arrays span the grid.
+`gap_maps_oracle` builds a pleated plane's or an earthquake's gap maps
+from `MobiusMap` objects, each leaf's map the product of its axis map, its
+inverse and the diagonal map, as `MobiusMap.rotation_about` and
+`translation_along` once were; `pleating`'s tuple kernel must equal it bit
+for bit.
 `mobius_matrix`, `is_identity` and `circles_close` are the tests' own
 matrix and tolerance views of `MobiusMap` and `CircleOrLine`.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -91,6 +97,36 @@ from domekit.qc import (
     GridSample,
     _grid_step,
 )
+
+
+def about_axis_oracle(p, q, half) -> MobiusMap:
+    """s^-1 diag(half, 1/half) s, s sending p to 0 and q to inf, as MobiusMap
+    products: every factor and product normalized by the constructor."""
+    s = MobiusMap.to_zero_inf(p, q)
+    return s.inverse().compose(MobiusMap(half, 0, 0, 1.0 / half)).compose(s)
+
+
+def shear_oracle(leaf, dist: float, inside: bool) -> MobiusMap:
+    p, q = (leaf.a.z, leaf.b.z) if inside else (leaf.b.z, leaf.a.z)
+    return about_axis_oracle(p, q, math.exp(dist / 2.0))
+
+
+def bend_oracle(leaf, angle: float, inside: bool) -> MobiusMap:
+    cayley = MobiusMap(1j, 1j, -1, 1)
+    a, b = (cayley(cmath.exp(1j * g.angle)) for g in (leaf.a, leaf.b))
+    return about_axis_oracle(a, b, cmath.exp(1j * (angle if inside else -angle) / 2.0))
+
+
+def gap_maps_oracle(lam: FiniteLamination, amounts, base: int, leaf_map) -> list:
+    """Each gap's map: its base-ward neighbour's times the leaf's, by
+    `MobiusMap.compose`; ``leaf_map`` is `shear_oracle` or `bend_oracle`."""
+    gc = lam.gaps
+    maps = [None] * len(gc)
+    maps[base] = MobiusMap.identity()
+    for i, near, far in gc.walk(base):
+        maps[far] = maps[near].compose(leaf_map(lam.leaves[i], amounts[i],
+                                                far == gc.arc_side(i)))
+    return maps
 
 
 def mobius_matrix(m: MobiusMap) -> np.ndarray:

@@ -23,7 +23,7 @@ def _smallest_finite_core_length() -> float:
 
 
 S_MIN = _smallest_finite_core_length()
-# K = pi sinh(s/2) / s overflows just above s = 1418.66
+# the top of the log grid: pi sinh(s/2) overflows just above s = 1418.66
 S_MAX = 1418.6
 
 
@@ -57,9 +57,22 @@ class TestClosedForms:
 
     def test_overflow_is_out_of_domain(self):
         assert math.isfinite(annulus_geometry(1418.0).K)
-        for s in (1420.0, 1422.0, 1e5, math.inf):
-            with pytest.raises(OutOfDomain):
+        for s in (1421.0, 1422.0, 1e5, math.inf):
+            with pytest.raises(OutOfDomain, match=re.escape(f"s = {s}: sinh(s/2) overflows")):
                 annulus_geometry(s)
+
+    def test_k_finite_while_sinh_is(self):
+        # K is finite wherever sinh(s/2) is, up to about s = 1420.95, and
+        # keeps the bits of pi sinh(s/2) / s wherever that is finite
+        top = 1420.9517201478877
+        for s in (1418.0, 1418.66, 1418.7, 1420.0, top):
+            sh = math.sinh(s / 2.0)
+            want = math.pi * sh / s
+            if math.isinf(want):
+                want = math.pi * (sh / s)
+            assert annulus_geometry(s).K == want and math.isfinite(want)
+        with pytest.raises(OutOfDomain):
+            annulus_geometry(math.nextafter(top, math.inf))
 
     def test_small_s_overflow_is_out_of_domain(self):
         t = S_MIN
@@ -78,24 +91,36 @@ class TestMatchesMpmath:
     # no field is off by more than 1.28 ulp on this grid
     ULPS = 2.0
 
+    def check_fields(self, mpmath, s):
+        with mpmath.workdps(50):
+            pi = mpmath.mp.pi
+            x = mpmath.mpf(s)
+            sh = mpmath.sinh(x / 2)
+            exact = {"s": x, "modulus": x / (2 * pi), "core_length": 2 * pi**2 / x,
+                     "nu": pi**2 / x, "dome_modulus": sh / 2,
+                     "dome_core_length": 2 * pi / sh, "nu_hat": pi / sh,
+                     "K": pi * sh / x}
+            g = annulus_geometry(s)
+            assert set(exact) == {f.name for f in dataclasses.fields(g)}
+            for name, want in exact.items():
+                ulps = abs(getattr(g, name) - want) / math.ulp(float(want))
+                assert ulps <= self.ULPS, (s, name, float(ulps))
+        return g
+
     def test_every_field_on_a_log_grid(self):
         mpmath = pytest.importorskip("mpmath")
         grid = np.geomspace(S_MIN, S_MAX, 100).tolist()
         grid[0], grid[-1] = S_MIN, S_MAX
-        with mpmath.workdps(50):
-            pi = mpmath.mp.pi
-            for s in grid:
-                x = mpmath.mpf(s)
-                sh = mpmath.sinh(x / 2)
-                exact = {"s": x, "modulus": x / (2 * pi), "core_length": 2 * pi**2 / x,
-                         "nu": pi**2 / x, "dome_modulus": sh / 2,
-                         "dome_core_length": 2 * pi / sh, "nu_hat": pi / sh,
-                         "K": pi * sh / x}
-                g = annulus_geometry(s)
-                assert set(exact) == {f.name for f in dataclasses.fields(g)}
-                for name, want in exact.items():
-                    ulps = abs(getattr(g, name) - want) / math.ulp(float(want))
-                    assert ulps <= self.ULPS, (s, name, float(ulps))
+        for s in grid:
+            self.check_fields(mpmath, s)
+
+    @pytest.mark.parametrize("s", [1419.0, 1420.0])
+    def test_every_field_where_pi_sinh_overflows(self, s):
+        # pi sinh(s/2) overflows here, while every field is a normal float
+        mpmath = pytest.importorskip("mpmath")
+        assert math.isinf(math.pi * math.sinh(s / 2.0))
+        g = self.check_fields(mpmath, s)
+        assert all(sys.float_info.min <= v < math.inf for v in dataclasses.astuple(g))
 
 
 class TestVerifyBounds:

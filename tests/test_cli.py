@@ -17,7 +17,7 @@ from domekit.cli import COMMANDS, _linspace, build_parser, main
 from domekit.dome import IdealConfiguration, build_hull, hull_to_json
 from domekit.errors import finite_float
 
-from test_dome import _retract_config, _ring
+from test_dome import _clustered, _retract_config, _ring
 from test_laminations import oracle_laminations
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -243,6 +243,18 @@ class TestDome:
             ["dome", "retract", "--input", tetra_file, "--z", "1,0"], capsys
         )
         assert code == 1 and "PointNotInDomain" in err
+
+    def test_face_off_the_sphere_is_an_error_line(self, tmp_path, capsys):
+        # a cluster at scale ~5e-9 rounds face 0's plane off the sphere
+        points, z = _clustered(44, 0)
+        assert z == complex(0.30691542642147623, 0.9802583368638803)
+        path = tmp_path / "cluster.json"
+        path.write_text(json.dumps({"points": [[p.real, p.imag] for p in points]}))
+        code, out, err = run_cli(["dome", "retract", "--input", str(path),
+                                  "--z", "0.30691542642147623,0.9802583368638803"], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: NumericallyCoincident: face 0: its circle or the "
+                       "circle's image has no real locus\n")
 
 
 class TestLamination:

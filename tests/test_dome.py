@@ -33,6 +33,7 @@ from domekit.dome import (
 from domekit.errors import (
     DepthTooSmall,
     DevelopmentFailed,
+    DomekitError,
     InvalidInput,
     NumericallyCoincident,
     PointNotInDomain,
@@ -1100,6 +1101,28 @@ class TestChartTolerance:
         face, p = _start(hull, z)
         with pytest.raises(DevelopmentFailed, match="gluing across edge"):
             dome_injectivity_radius(hull, face, p)
+
+
+class TestClusterScan:
+    """Retraction, then the injectivity radius, on every seed 0-299 of
+    `_clustered` at queries 0, 6, ..., 24: each failure is a DomekitError."""
+
+    def test_every_failure_is_a_domekit_error(self):
+        failures = {}
+        for seed in range(300):
+            for query in range(0, 30, 6):
+                points, z = _clustered(seed, query)
+                try:
+                    hull = build_hull(IdealConfiguration(points))
+                    dome_injectivity_radius(hull, *_start(hull, z))
+                except DomekitError as e:
+                    failures[seed, query] = e
+        # these reach a face whose rounded plane, or its image under the
+        # query's map, misses the sphere
+        for key in [(44, 0), (152, 6), (172, 12), (185, 6), (273, 12)]:
+            assert isinstance(failures[key], NumericallyCoincident)
+            assert "no real locus" in str(failures[key])
+        assert str(failures[44, 0]).startswith("face 0: ")
 
 
 class TestDistance:

@@ -27,14 +27,14 @@ from domekit.hyperbolic import (
     point_vec,
     sphere_to_boundary,
 )
-from domekit.mobius import INF, MobiusMap, random_disk_mobius, random_mobius
+from domekit.mobius import CAYLEY, INF, MobiusMap, random_disk_mobius, random_mobius
 
 from _oracles import min_distance_between_geodesics
 
 
 def leaf_from_uhp(a: float, b: float) -> GeodesicH2:
     """Disk geodesic with prescribed real endpoints in the half-plane model."""
-    inv = MobiusMap.cayley_disk_to_uhp().inverse()
+    inv = CAYLEY.inverse()
     za, zb = inv(a), inv(b)
     return GeodesicH2.from_angles(cmath.phase(za), cmath.phase(zb))
 

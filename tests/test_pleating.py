@@ -7,18 +7,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from domekit import laminations
-from domekit.errors import NonpositiveInput, NotTransverse, OutOfDomain, UnknownGap
+from domekit import laminations, pleating
+from domekit.errors import (
+    DegenerateMobius,
+    NonpositiveInput,
+    NotTransverse,
+    OutOfDomain,
+    UnknownGap,
+)
 from domekit.hyperbolic import (
+    BOUNDARY_TOL,
     GeodesicH2,
     PointH2,
+    _mink_dot,
     dist_h2,
     dist_h3,
     disk_to_halfspace,
     foot_on_geodesic,
     geodesic_polar,
     poincare_extension,
+    point_vec,
     side_of,
+    side_values,
 )
 from domekit.laminations import (
     ON_LEAF_TOL,
@@ -28,7 +38,7 @@ from domekit.laminations import (
     scale,
     transverse_measure,
 )
-from domekit.mobius import MobiusMap
+from domekit.mobius import CAYLEY, MobiusMap
 from domekit.pleating import (
     GapComplex,
     complex_earthquake,
@@ -40,10 +50,13 @@ from domekit.pleating import (
 )
 
 from _oracles import (
+    bend_oracle,
     boundary_gap_oracle,
     dihedral_angle,
     embedding_check_oracle,
+    gap_maps_oracle,
     is_identity,
+    shear_oracle,
 )
 from test_laminations import (
     cusp_lamination,
@@ -119,9 +132,8 @@ def exterior_angle_at_leaf(plane, leaf_idx: int) -> float:
     parent, child = plane.complex_.tree_paths(plane.base_gap)[1][leaf_idx]
     w_par = plane.gap_maps[parent]
     w_chi = plane.gap_maps[child]
-    cay = MobiusMap.cayley_disk_to_uhp()
-    edge_a = w_par.compose(cay)(g.a.z)
-    edge_b = w_par.compose(cay)(g.b.z)
+    edge_a = w_par.compose(CAYLEY)(g.a.z)
+    edge_b = w_par.compose(CAYLEY)(g.b.z)
     zf = foot_on_geodesic(plane.complex_.gaps[parent].sample, geodesic_polar(g))
     foot3 = poincare_extension(w_par, disk_to_halfspace(zf))
     q1 = poincare_extension(
@@ -345,6 +357,101 @@ class TestGapMapsPinned:
         assert gap_map_digest(lam, base) == digest
 
 
+def _coef_bits(m) -> list:
+    return [(c.real.hex(), c.imag.hex()) for c in (m.a, m.b, m.c, m.d)]
+
+
+def _outcome(build) -> list | str:
+    """The bits of build()'s map or maps, or the DegenerateMobius it raises."""
+    try:
+        m = build()
+    except DegenerateMobius as e:
+        return str(e)
+    return [_coef_bits(g) for g in m] if isinstance(m, list) else _coef_bits(m)
+
+
+class TestFlatKernels:
+    """The side kernel and the tuple leaf maps give the bits of the array
+    and object routes they replace."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(lam=laminations_upto_64(), seed=st.integers(0, 2**32 - 1))
+    @example(lam=matching_lamination(np.random.default_rng(64), 64), seed=1)
+    @example(lam=turned_to_zero(fan_lamination(np.random.default_rng(3), 31, 30)), seed=2)
+    def test_side_values_equal_mink_dot(self, lam, seed):
+        # points up to |z| = 1 - 2 BOUNDARY_TOL, the origin, and the feet of
+        # perpendiculars, on the leaves; more than one block of the lookup
+        rng = np.random.default_rng(seed)
+        rim = (1.0 - 2 * BOUNDARY_TOL) * np.exp(2j * math.pi * rng.uniform(size=40))
+        feet = [foot_on_geodesic(complex(c), pol)
+                for pol in lam.polars for c in disk_points(rng, 2, 0.9)]
+        zs = np.concatenate([disk_points(rng, 1200, 0.999), rim, [0j], feet])
+        assert np.abs(zs).max() < 1.0 - BOUNDARY_TOL
+        want = _mink_dot(point_vec(zs)[:, None], lam.polars)
+        assert want.tobytes() == side_of(zs[:, None], lam.polars).tobytes()
+        got = side_values(zs, lam.polars)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        buf = np.full((len(zs) + 3, len(lam)), np.nan)
+        side_values(zs, lam.polars, out=buf[:len(zs)])
+        assert buf[:len(zs)].tobytes() == want.tobytes()
+        # the lookup's deepest leaf is the argmax of the depths of the
+        # leaves holding each point, the first on a tie
+        nest = lam.nesting
+        within = (want < -ON_LEAF_TOL) != nest.flipped
+        deepest = laminations._deepest(np.where(within, nest.depth, -1))
+        assert lam.gaps._leaves_of(zs).tolist() == deepest.tolist()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(lam=laminations_upto_64().filter(len), x=st.floats(-27.0, 27.0),
+           y=st.floats(-3.0, 3.0), base=st.integers(0, 64))
+    @example(lam=turned_to_zero(matching_lamination(np.random.default_rng(9), 12)),
+             x=27.0, y=-3.0, base=5)
+    def test_leaf_maps_equal_the_map_chain(self, lam, x, y, base):
+        # every leaf's shear by |x w| <= 27 and bend, in both senses, and the
+        # gap maps composed from them
+        # (maps about a leaf at angle 0 may raise DegenerateMobius, both ways)
+        top = max(lam.weights)
+        shears = [x * w / top for w in lam.weights]
+        bends = [y * w for w in lam.weights]
+        for leaf, dist, angle in zip(lam.leaves, shears, bends):
+            for inside in (True, False):
+                assert (_outcome(lambda: MobiusMap.wrap(pleating._shear(leaf, dist, inside)))
+                        == _outcome(lambda: shear_oracle(leaf, dist, inside)))
+                assert (_outcome(lambda: MobiusMap.wrap(pleating._bend(leaf, angle, inside)))
+                        == _outcome(lambda: bend_oracle(leaf, angle, inside)))
+        base %= len(lam) + 1
+        for amounts, tuple_map, oracle in ((shears, pleating._shear, shear_oracle),
+                                           (bends, pleating._bend, bend_oracle)):
+            assert (_outcome(lambda: pleating._gap_maps(lam, amounts, base, tuple_map)[1])
+                    == _outcome(lambda: gap_maps_oracle(lam, amounts, base, oracle)))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(lam=oracle_laminations(), seed=st.integers(0, 2**32 - 1))
+    def test_transverse_measure_reads_the_lookup_side_values(self, lam, seed):
+        # the side values of an arc's ends are the ones gaps_of reads for the
+        # same points, alone or among others
+        seen = []
+
+        def recording(zs, polars, out=None):
+            values = side_values(zs, polars, out=out)
+            seen.append(values.copy())
+            return values
+
+        rng = np.random.default_rng(seed)
+        p, q = disk_points(rng, 2, 0.99).tolist()
+        gc = lam.gaps
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laminations, "side_values", recording)
+            try:
+                transverse_measure(lam, GeodesicArc(PointH2(p), PointH2(q)))
+            except NotTransverse:
+                pass
+            gc.gaps_of([p, q])
+            gc.gaps_of(np.concatenate([disk_points(rng, 5, 0.9), [q, p]]))
+        arc, pair, batch = seen
+        assert arc.tobytes() == pair.tobytes() == batch[[6, 5]].tobytes()
+
+
 class TestPleat:
     def test_empty_is_flat_embedding(self):
         plane = pleat(FiniteLamination([], []))
@@ -387,8 +494,7 @@ class TestPleat:
             "leaves": [[0.2615783073418358, 3.9115665392460244],
                        [5.77457104549709, 5.774576430010188]],
             "weights": [0.5, 0.5]})
-        cay = MobiusMap.cayley_disk_to_uhp()
-        for surface, trace, to_plane in ((pleat(lam), 2 * math.cos(0.25), cay),
+        for surface, trace, to_plane in ((pleat(lam), 2 * math.cos(0.25), CAYLEY),
                                          (earthquake(lam), 2 * math.cosh(0.25),
                                           MobiusMap.identity())):
             _, crossing = surface.complex_.tree_paths(surface.base_gap)
@@ -604,11 +710,10 @@ class TestTinyNegativeAngle:
 class TestBoundaryMapsBuiltOnce:
     def test_boundary_trace_equals_oracle(self):
         # each angle's gap found by the oracle, its map composed afresh
-        cay = MobiusMap.cayley_disk_to_uhp()
 
         def fresh_plane(plane, angle):
             m = plane.gap_maps[boundary_gap_oracle(plane.complex_, angle)]
-            return m.compose(cay)(cmath.exp(1j * (angle % (2 * math.pi))))
+            return m.compose(CAYLEY)(cmath.exp(1j * (angle % (2 * math.pi))))
 
         def fresh_quake(quake, angle):
             m = quake.gap_maps[boundary_gap_oracle(quake.complex_, angle)]
