@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCrescent, NotInjective, OutsideWedge
-from .mobius import CircleOrLine, MobiusMap
+from .mobius import CircleOrLine, MobiusMap, to_zero_inf
 
 _TAU = 2 * math.pi
 
@@ -50,7 +50,7 @@ class Crescent:
             )
         candidates = []
         for p1, p2 in (tuple(pts), tuple(reversed(pts))):
-            m0 = MobiusMap.to_zero_inf(p1, p2)
+            m0 = MobiusMap(*to_zero_inf(p1, p2))
             l1 = self.circle1.mobius_image(m0)
             l2 = self.circle2.mobius_image(m0)
             if not (l1.is_line and l2.is_line):

@@ -614,7 +614,6 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
     """
     if cmath.isnan(z):
         raise InvalidInput("z: a coordinate is NaN")
-    z_inf = is_inf(z)
     pts = hull.config.points
     v = boundary_to_sphere(z)
     # |u - v|^2 = 2 - 2 u.v: the rounding of u.v, a few ulps, is far below the
@@ -624,7 +623,7 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
     for i in near.nonzero()[0]:
         if chordal_distance(z, pts[i]) <= COINCIDE_TOL:
             raise PointNotInDomain(f"z coincides with ideal point {i}")
-    m = MobiusMap.identity() if z_inf else MobiusMap(0, 1, 1, -z)
+    m = MobiusMap.to_inf(z)
     n = m.inverse()
     faces, edges = _cavity(hull, v)
     # every vertex of a kept face is an end of one of the kept edges
@@ -661,7 +660,7 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
     height, _, top, carrier = best
     point = poincare_extension(n, top)
     b_val = math.log(poincare_extension(m, BASEPOINT).t / height)
-    return RetractionResult(point, carrier, b_val, None if z_inf else complex(z))
+    return RetractionResult(point, carrier, b_val, None if is_inf(z) else complex(z))
 
 
 def retraction_certificate(hull: HullPolyhedron, z, result: RetractionResult,

@@ -17,6 +17,8 @@ from .mobius import CAYLEY, HUGE, INF, MobiusMap, is_inf
 
 #: points closer than this to the unit circle are rejected as interior points
 BOUNDARY_TOL = 1e-9
+#: two leaves whose polars have |<u, v>| within this of 1 are asymptotic
+ASYMPTOTIC_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +249,11 @@ def geodesic_distance(g1: GeodesicH2, g2: GeodesicH2):
     """
     u1, u2 = geodesic_polar(g1), geodesic_polar(g2)
     c = float(_mink_dot(u1, u2))
-    if abs(c) < 1.0 - 1e-12:
+    if abs(c) < 1.0 - ASYMPTOTIC_TOL:
         if g1.angles() == g2.angles():
             return 0.0, None, None
         raise CrossingLeaves(0, 1, "geodesics intersect")
-    if abs(c) < 1.0 + 1e-12:
+    if abs(c) < 1.0 + ASYMPTOTIC_TOL:
         return 0.0, None, None
     z1, z2 = perpendicular_feet(u1, u2)
     return math.acosh(abs(c)), PointH2(z1), PointH2(z2)
@@ -369,9 +371,9 @@ def busemann(xi, p: PointH3, basepoint: PointH3) -> float:
 
     Level sets are horospheres centered at xi; values decrease toward xi.
     """
-    if is_inf(xi):
+    if is_inf(xi):  # the identity's extension gives NaN once t^2 overflows
         return math.log(basepoint.t / p.t)
-    m = MobiusMap(0, 1, 1, -xi)
+    m = MobiusMap.to_inf(xi)
     return math.log(
         poincare_extension(m, basepoint).t / poincare_extension(m, p).t
     )
@@ -379,10 +381,7 @@ def busemann(xi, p: PointH3, basepoint: PointH3) -> float:
 
 def geodesic_ray_point(xi, start: PointH3, s: float) -> PointH3:
     """Point at parameter s along the unit-speed ray from start toward xi."""
-    if is_inf(xi):
-        m = MobiusMap.identity()
-    else:
-        m = MobiusMap(0, 1, 1, -xi)
+    m = MobiusMap.to_inf(xi)
     q = poincare_extension(m, start)
     # ray toward infinity in the normalized frame climbs vertically
     q2 = PointH3(q.x, q.y, q.t * math.exp(s))

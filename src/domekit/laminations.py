@@ -34,6 +34,7 @@ from .errors import (
     read_json,
 )
 from .hyperbolic import (
+    ASYMPTOTIC_TOL,
     GeodesicH2,
     PointH2,
     dist_h2,
@@ -93,6 +94,17 @@ class FiniteLamination:
         polars = geodesic_polars([g.angles() for g in self.leaves])
         polars.flags.writeable = False
         return polars
+
+    @cached_property
+    def near_pairs(self) -> tuple[tuple[int, int, float], ...]:
+        """The pairs (i, j, c), i < j in double-loop order, of leaves at
+        distance below 1: c = |<u_i, u_j>| of their polars is the cosh of
+        that distance, and an asymptotic pair (c < 1 + ASYMPTOTIC_TOL), or
+        one crossing by the polars, counts as distance 0."""
+        i, j = np.triu_indices(len(self), 1)
+        cs = np.abs(_mink_dot(self.polars[i], self.polars[j])).tolist()
+        return tuple((a, b, c) for a, b, c in zip(i.tolist(), j.tolist(), cs)
+                     if c < 1.0 + ASYMPTOTIC_TOL or math.acosh(c) < 1.0)
 
     @cached_property
     def nesting(self) -> "Nesting":
@@ -217,11 +229,11 @@ def roundness(lam: FiniteLamination) -> float:
 
     The crossed set of any geodesic segment is an interval in the
     separation order, so the supremum is the best interval [i..j] whose
-    extreme leaves lie at perpendicular distance < 1 (asymptotic pairs
-    count as distance 0).  Single leaves are always crossable.  The leaves
-    strictly between i and j are those with exactly one of i, j inside:
-    the symmetric difference of their ancestor sets.  Their weights are
-    added in increasing index, one vectorised pass over all pairs per leaf.
+    extreme leaves are one of `FiniteLamination.near_pairs`.  Single leaves
+    are always crossable.  The leaves strictly between i and j are those
+    with exactly one of i, j inside: the symmetric difference of their
+    ancestor sets.  Their weights are added in increasing index, one
+    vectorised pass over all pairs per leaf.
     """
     nest = validate(lam)
     n = len(lam)
@@ -229,12 +241,9 @@ def roundness(lam: FiniteLamination) -> float:
         return 0.0
     weights = np.asarray(lam.weights)
     best = float(weights.max())
-    i, j = np.triu_indices(n, 1)
-    cs = np.abs(_mink_dot(lam.polars[i], lam.polars[j])).tolist()
-    near = [c < 1.0 + 1e-12 or math.acosh(c) < 1.0 for c in cs]
-    i, j = i[near], j[near]
-    if len(i) == 0:
+    if not lam.near_pairs:
         return best
+    i, j = np.array([p[:2] for p in lam.near_pairs]).T
     between = nest.inside[:, i] ^ nest.inside[:, j]
     pairs = np.arange(len(i))
     between[i, pairs] = False
@@ -640,18 +649,18 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     dirs_list = []
 
     if targeted:
-        # |<u_i, u_j>| for every pair: cosh of the distance of disjoint leaves
-        cs = np.abs(_mink_dot(lam.polars[:, None], lam.polars)).tolist()
+        near = [[] for _ in range(n)]
+        for i, j, c in lam.near_pairs:
+            near[i].append((j, c))
         for i in range(n):
             # arcs through the point of the leaf closest to the origin
             onleaf = foot_on_geodesic(0j, lam.polars[i])
             centers_list.append(np.full(64, onleaf))
             dirs_list.append(rng.uniform(0, 2 * math.pi, 64))
-            for j in range(i + 1, n):
-                c = cs[i][j]
-                if c < 1.0 - 1e-12:  # crossing by the polars: no witness
+            for j, c in near[i]:
+                if c < 1.0 - ASYMPTOTIC_TOL:  # crossing by the polars: no witness
                     continue
-                if c < 1.0 + 1e-12:
+                if c < 1.0 + ASYMPTOTIC_TOL:
                     # asymptotic pair: probe ever deeper into the shared
                     # cusp, at the first of leaf i's ends that ranks with j's
                     t_shared = next((t for t, r in zip(lam.leaves[i].angles(), ranks[i])
@@ -662,8 +671,6 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
                     zs = np.array([point_along(0j, t_shared, s) for s in depths])
                     centers_list.append(zs)
                     dirs_list.append(np.full(len(zs), t_shared + math.pi / 2.0))
-                    continue
-                if math.acosh(c) >= 1.0:
                     continue
                 f1, f2 = perpendicular_feet(lam.polars[i], lam.polars[j])
                 mid = _geodesic_midpoint(f1, f2)

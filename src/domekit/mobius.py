@@ -201,19 +201,10 @@ class MobiusMap:
         )
 
     @staticmethod
-    def to_zero_inf(p, q) -> "MobiusMap":
-        """Some map sending p to 0 and q to inf (normalization free)."""
-        return MobiusMap(*to_zero_inf(p, q))
-
-    @staticmethod
-    def translation_along(p, q, dist: float) -> "MobiusMap":
-        """Hyperbolic translation with axis (p, q), by dist toward q (see `translation`)."""
-        return MobiusMap.wrap(translation(p, q, dist))
-
-    @staticmethod
-    def rotation_about(p, q, angle: float) -> "MobiusMap":
-        """Elliptic map with fixed points p, q; angle signed by the (p, q) order."""
-        return MobiusMap.wrap(rotation(p, q, angle))
+    def to_inf(z) -> "MobiusMap":
+        """A map sending z to inf: the identity at inf, else w -> 1 / (w - z),
+        which sends inf to 0."""
+        return MobiusMap.identity() if is_inf(z) else MobiusMap(*to_zero_inf(INF, z))
 
 
 #: the Cayley map, unit disk -> upper half plane: 0 -> i, 1 -> inf, -1 -> 0

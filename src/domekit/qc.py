@@ -168,7 +168,8 @@ def _field_band(grid: GridSample, rows: slice, v: np.ndarray, m: np.ndarray,
 
     A cell is valid when it lies inside the grid and it and its four
     neighbours are in the mask.  Central differences give f_x and f_y, NaN
-    where a neighbour is missing.
+    where a neighbour is missing; as NaN samples, infinite ones give NaN
+    quietly.
     """
     ny, nx = grid.shape
     h = grid.h
@@ -178,16 +179,17 @@ def _field_band(grid: GridSample, rows: slice, v: np.ndarray, m: np.ndarray,
     ok = np.zeros((b - a, nx), bool)
     fx = np.full((b - a, nx), np.nan, complex)
     fy = np.full((b - a, nx), np.nan, complex)
-    fx[:, 1:-1] = (v[own, 2:] - v[own, :-2]) / (2 * h)
     lo, hi = max(a, 1), min(b, ny - 1)  # the rows with a row on each side
-    if lo < hi:
-        mid, up, down = (slice(lo + d - top, hi + d - top) for d in (0, 1, -1))
-        c = m[mid]
-        ok[lo - a:hi - a, 1:-1] = (
-            c[:, 1:-1] & c[:, 2:] & c[:, :-2] & m[up, 1:-1] & m[down, 1:-1])
-        fy[lo - a:hi - a] = (v[up] - v[down]) / (2 * h)
-    fz = (fx - 1j * fy) / 2.0
-    fzb = (fx + 1j * fy) / 2.0
+    with np.errstate(invalid="ignore"):
+        fx[:, 1:-1] = (v[own, 2:] - v[own, :-2]) / (2 * h)
+        if lo < hi:
+            mid, up, down = (slice(lo + d - top, hi + d - top) for d in (0, 1, -1))
+            c = m[mid]
+            ok[lo - a:hi - a, 1:-1] = (
+                c[:, 1:-1] & c[:, 2:] & c[:, :-2] & m[up, 1:-1] & m[down, 1:-1])
+            fy[lo - a:hi - a] = (v[up] - v[down]) / (2 * h)
+        fz = (fx - 1j * fy) / 2.0
+        fzb = (fx + 1j * fy) / 2.0
     del fx, fy  # a band's temporaries set the estimate's peak memory
     abs_fz = np.abs(fz)
     if tol is None:
@@ -368,7 +370,7 @@ def power_map_sample(alpha: float, n: int = 512) -> GridSample:
 
     def f(z):
         r = np.abs(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = np.where(r > 0, z * r ** (alpha - 1.0), 0.0)
         return out
 

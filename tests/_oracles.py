@@ -33,9 +33,9 @@ form.
 The estimator returns a `WholeGridField`, whose arrays span the grid.
 `gap_maps_oracle` builds a pleated plane's or an earthquake's gap maps
 from `MobiusMap` objects, each leaf's map the product of its axis map, its
-inverse and the diagonal map, as `MobiusMap.rotation_about` and
-`translation_along` once were; `pleating`'s tuple kernel must equal it bit
-for bit.
+inverse and the diagonal map, each factor and product normalized by the
+constructor; `pleating`'s tuple kernel, with its leaf maps from
+`mobius.translation` and `mobius.rotation`, must equal it bit for bit.
 `mobius_matrix`, `is_identity` and `circles_close` are the tests' own
 matrix and tolerance views of `MobiusMap` and `CircleOrLine`.
 """
@@ -89,7 +89,7 @@ from domekit.laminations import (
     _initial_direction,
     validate,
 )
-from domekit.mobius import INF, MobiusMap, chordal_distance, is_inf
+from domekit.mobius import INF, MobiusMap, chordal_distance, is_inf, rotation, to_zero_inf
 from domekit.pleating import EmbeddingReport
 from domekit.qc import (
     DEGENERATE_REL_TOL,
@@ -102,7 +102,7 @@ from domekit.qc import (
 def about_axis_oracle(p, q, half) -> MobiusMap:
     """s^-1 diag(half, 1/half) s, s sending p to 0 and q to inf, as MobiusMap
     products: every factor and product normalized by the constructor."""
-    s = MobiusMap.to_zero_inf(p, q)
+    s = MobiusMap(*to_zero_inf(p, q))
     return s.inverse().compose(MobiusMap(half, 0, 0, 1.0 / half)).compose(s)
 
 
@@ -551,7 +551,7 @@ class _RotationAtlas:
         pa, pb = self.hull.edge_geodesic_endpoints(e)
         mats = []
         for sign in (1.0, -1.0):
-            rho = MobiusMap.rotation_about(pa, pb, sign * e.angle)
+            rho = MobiusMap.wrap(rotation(pa, pb, sign * e.angle))
             mats.append(mobius_matrix(self.charts[face].compose(rho)
                                       .compose(self.charts[other].inverse())))
         mat = min(mats, key=lambda m: np.abs(m.imag).max())
@@ -607,7 +607,7 @@ def trace_surface_arc_oracle(hull, face: int, p: PointH3, direction: float,
         c = w0.real + w0.imag * math.tan(direction)
         r = abs(w0 - c)
         e_back, e_fwd = (c - r, c + r) if co > 0 else (c + r, c - r)
-    T = MobiusMap.to_zero_inf(e_back, e_fwd)
+    T = MobiusMap(*to_zero_inf(e_back, e_fwd))
     tau0 = abs(T(w0))
     crossings = []
     measure = 0.0

@@ -406,6 +406,18 @@ class TestQc:
         data = json.loads(out)
         assert data["sup_K"] == pytest.approx(2.0, abs=1e-10)
 
+    def test_infinite_samples_do_not_warn(self):
+        # r^(alpha - 1) overflows to inf on most of the grid; a process with
+        # numpy's default warning filters would print RuntimeWarnings
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "domekit.cli", "qc", "estimate", "--fixture", "power",
+             "--alpha", "1e300", "--grid", "16"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout, parse_constant=_reject_constant)["sup_K"] is None
+
 
 def _run_without(module: str, runs: list) -> list:
     """Exit codes of the CLI on each argv of ``runs``, in one subprocess where

@@ -48,7 +48,7 @@ from domekit.hyperbolic import (
     poincare_extension,
     sphere_to_boundary,
 )
-from domekit.mobius import INF, MobiusMap, chordal_distance, is_inf
+from domekit.mobius import INF, MobiusMap, chordal_distance, is_inf, to_zero_inf
 
 from _oracles import (
     _RotationAtlas,
@@ -516,7 +516,7 @@ def _edge_distance(hull, p: PointH3) -> float:
     pts = hull.config.points
     best = math.inf
     for e in hull.edges:
-        q = poincare_extension(MobiusMap.to_zero_inf(pts[e.v[0]], pts[e.v[1]]), p)
+        q = poincare_extension(MobiusMap(*to_zero_inf(pts[e.v[0]], pts[e.v[1]])), p)
         best = min(best, math.asinh(abs(q.z) / q.t))
     return best
 
@@ -533,7 +533,7 @@ class TestConformalNaturality:
     """retract(hull(M cfg), M z) = M^(retract(hull(cfg), z)), M^ the Poincare
     extension of the Mobius map M: the retraction commutes with the conformal
     group.  M is moderate: it sends every point and query to INF or to a
-    modulus of at most 1e5, below where `retract`'s MobiusMap(0, 1, 1, -z)
+    modulus of at most 1e5, below where `retract`'s `MobiusMap.to_inf(z)`
     turns degenerate.  The images keep the vertex indices, so carriers
     compare by their vertex sets."""
 
@@ -832,7 +832,7 @@ def _assert_gluings_unbend(hull):
                 1e-9 * np.abs(want).max())
             v = next(i for i in hull.faces[face].vertices if i not in e.v)
             u = next(i for i in hull.faces[other].vertices if i not in e.v)
-            s = MobiusMap.to_zero_inf(pa, pb)
+            s = MobiusMap(*to_zero_inf(pa, pb))
             # as cosines: the phase keeps only about half the digits of
             # angles near 0 and pi
             assert -math.cos(cmath.phase(s(pts[u]) / s(pts[v]))) == pytest.approx(

@@ -19,7 +19,14 @@ from domekit.errors import (
     NotTransverse,
     TooManyLeaves,
 )
-from domekit.hyperbolic import GeodesicH2, PointH2, point_along, side_of
+from domekit.hyperbolic import (
+    ASYMPTOTIC_TOL,
+    GeodesicH2,
+    PointH2,
+    geodesic_distance,
+    point_along,
+    side_of,
+)
 from domekit import laminations
 from domekit.laminations import (
     ON_LEAF_TOL,
@@ -357,6 +364,54 @@ def oracle_laminations(draw):
     spokes = draw(st.integers(1, 24))
     fan = fan_lamination(rng, spokes, draw(st.integers(0, spokes - 1)))
     return turned_to_zero(fan) if kind == "zero" else fan
+
+
+def zero_fan(rng: np.random.Generator, spokes: int) -> FiniteLamination:
+    """Leaves from the ideal point at angle 0 to stratified ends; each hub is
+    written as 0 or as -1e-13, which is the same point across angle 0."""
+    ends = 2.0 * math.pi * (np.arange(1, spokes + 1)
+                            + rng.uniform(-0.4, 0.4, spokes)) / (spokes + 1)
+    hubs = rng.choice([0.0, -1e-13], spokes)
+    return FiniteLamination([GeodesicH2.from_angles(h, e) for h, e in zip(hubs, ends)],
+                            [1.0] * spokes)
+
+
+@st.composite
+def near_pair_laminations(draw):
+    """`oracle_laminations`, fans at angle 0, and leaves 1e-3 rad wide, apart
+    or nested."""
+    kind = draw(st.sampled_from(["oracle", "zero_fan", "short", "short_nested"]))
+    if kind == "oracle":
+        return draw(oracle_laminations())
+    seed, n = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 24))
+    if kind == "zero_fan":
+        return zero_fan(np.random.default_rng(seed), n)
+    if kind == "short":
+        return short_leaves(np.random.default_rng(seed), n, 1e-3)
+    return cusp_lamination(n, 1e-3, seed)
+
+
+class TestNearPairs:
+    """`FiniteLamination.near_pairs` lists the pairs that a double loop over
+    `geodesic_distance` finds below distance 1, asymptotic pairs at 0.  Two
+    fan leaves whose hubs lie 1e-13 apart across angle 0 share an end for
+    the nesting, but their polars may cross: such a pair counts as 0 too."""
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(lam=near_pair_laminations())
+    def test_equals_geodesic_distance_loop(self, lam):
+        want = []
+        for i in range(len(lam)):
+            for j in range(i + 1, len(lam)):
+                try:
+                    d = geodesic_distance(lam.leaves[i], lam.leaves[j])[0]
+                except CrossingLeaves:
+                    d = 0.0
+                if d < 1.0:
+                    want.append((i, j, d))
+        got = [(i, j, math.acosh(c) if c >= 1.0 + ASYMPTOTIC_TOL else 0.0)
+               for i, j, c in lam.near_pairs]
+        assert got == want
 
 
 class TestRoundnessMatchesOracle:

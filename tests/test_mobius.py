@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from domekit import mobius
 from domekit.errors import DegenerateMobius
@@ -94,12 +94,12 @@ def test_disk_mobius_preserves_unit_circle(rng):
 
 
 def test_translation_along_translates_by_dist():
-    t = MobiusMap.translation_along(-1.0, 1.0, 0.7)
+    t = mobius.translation(-1.0, 1.0, 0.7)
     # fixed points preserved
-    assert abs(t(-1.0) + 1.0) < 1e-12
-    assert abs(t(1.0) - 1.0) < 1e-12
+    assert abs(mobius.apply(t, -1.0) + 1.0) < 1e-12
+    assert abs(mobius.apply(t, 1.0) - 1.0) < 1e-12
     # trace encodes the translation length
-    assert abs(abs(t.trace()) - 2 * math.cosh(0.35)) < 1e-12
+    assert abs(abs(t[0] + t[3]) - 2 * math.cosh(0.35)) < 1e-12
 
 
 @pytest.mark.parametrize("dist", [1500.0, -1500.0, -1430.0, math.inf, -math.inf,
@@ -108,12 +108,12 @@ def test_translation_without_finite_multiplier_is_degenerate(dist):
     # e^(dist/2) overflows, vanishes, has an infinite reciprocal (-1430) or
     # is not a number
     with pytest.raises(DegenerateMobius):
-        MobiusMap.translation_along(1j, -1j, dist)
+        mobius.translation(1j, -1j, dist)
 
 
 def test_rotation_about_trace():
-    r = MobiusMap.rotation_about(0.0, INF, 1.3)
-    assert abs(abs(r.trace()) - 2 * math.cos(0.65)) < 1e-12
+    r = mobius.rotation(0.0, INF, 1.3)
+    assert abs(abs(r[0] + r[3]) - 2 * math.cos(0.65)) < 1e-12
 
 
 def test_chordal_distance():
@@ -208,6 +208,20 @@ def _map(a, b, c, d) -> MobiusMap:
     (at least 1, as in MobiusMap)."""
     assume(abs(a * d - b * c) > 1e-2 * max(abs(a), abs(b), abs(c), abs(d), 1.0) ** 2)
     return MobiusMap(a, b, c, d)
+
+
+@_PROPS
+@given(z=st.complex_numbers(max_magnitude=1e5, allow_nan=False, allow_infinity=False))
+@example(z=-2.5)
+def test_to_inf_sends_z_to_inf(z):
+    m = MobiusMap.to_inf(z)
+    assert m(z) == INF and m(INF) == 0
+    # repr tells the signs of zeros apart
+    assert repr(m) == repr(MobiusMap(0, 1, 1, -z))
+
+
+def test_to_inf_is_the_identity_at_inf():
+    assert repr(MobiusMap.to_inf(INF)) == repr(MobiusMap.identity())
 
 
 class TestClosedForms:

@@ -319,16 +319,18 @@ class TestBandsMatchWholeGrid:
         assert 256 in [b.start for b in qc._bands(n, n)]
         grid = mobius_sample(m, n)
         assert not np.isfinite(grid.values[256, 256])
-        with np.errstate(all="ignore"):
-            _assert_same(lambda: _stats_of(mobius_sample(m, n)))
+        _assert_same(lambda: _stats_of(mobius_sample(m, n)))
 
-    @pytest.mark.parametrize("nan_rows", [slice(None), slice(None, 150), slice(149, 151)])
-    def test_nan_values_do_not_warn(self, nan_rows):
-        # an all-NaN valid set, an all-NaN band and NaN across a band boundary;
-        # pytest turns a RuntimeWarning into an error
+    @pytest.mark.parametrize("value, rows", [
+        (value, rows) for value in (np.nan, np.inf, -np.inf)
+        for rows in (slice(None), slice(None, 150), slice(149, 151))],
+        ids=[f"{name}_rows{k}" for name in ("nan", "inf", "-inf") for k in range(3)])
+    def test_nan_values_do_not_warn(self, value, rows):
+        # an all-NaN (or infinite) valid set, such a band and such values
+        # across a band boundary; pytest turns a RuntimeWarning into an error
         g = identity_sample(300)
         values = g.values.copy()
-        values[nan_rows] = np.nan
+        values[rows] = value
         grid = GridSample(g.x0, g.y0, g.h, values, g.mask)
         assert len(qc._bands(300, 300)) == 2
         _assert_same(lambda: _stats_of(grid))
