@@ -51,13 +51,15 @@ MAX_LEAVES = 64
 ON_LEAF_TOL = 1e-9
 #: endpoint angles this close, also across angle 0, are one ideal point
 SHARED_TOL = 1e-12
-# arcs per sampler chunk and batch; 2**15 sampled 1-8 leaves about 10%
-# faster at 2 threads, but its buffers took 7.7 MiB more RSS (at 6 leaves)
+# arcs per sampler chunk and batch; 2**15 sampled 1-8 leaves about 11%
+# faster at 2 threads, but its buffers took 3.5 MiB more peak RSS in the
+# CLI at 6 leaves and about 8 MiB more over the benchmark's pool
 _CHUNK_ARCS = 1 << 14
 # sinh of the farthest a random arc's centre may lie from a leaf and still
 # be scored: sinh(1/2), the farthest a crossing unit arc's centre lies, and
 # a 1% margin (see `_reaching`)
 _NEAR = 1.01 * math.sinh(0.5)
+_U = 2.0**-53  # unit roundoff of a double
 
 
 @dataclass(frozen=True)
@@ -554,49 +556,69 @@ def _crossings(polars_t: np.ndarray, x: np.ndarray, y: np.ndarray,
     return np.less(sp, 0.0, out=sq)
 
 
-def _reaching(polars_a: np.ndarray, m: int, scratch: _Scratch) -> np.ndarray:
+def _reaching(polars_a: np.ndarray, tally: np.ndarray, m: int, floor: float,
+              scratch: _Scratch) -> np.ndarray:
     """Indices of the arcs of the random chunk of ``m`` arcs in
     ``scratch.vec`` (rows 5-7: x, y and |c|^2 of each centre c = x + iy)
-    that can cross a leaf.  ``polars_a`` holds the polars' rows (-u2, 2 u0,
-    2 u1).
+    whose near leaves can outweigh ``floor``.  ``polars_a`` holds the
+    polars' rows (-u2, 2 u0, 2 u1), and ``tally`` the rows [weights; ones].
 
-    An arc is kept when its centre lies within distance asinh(_NEAR) of
-    some leaf u, that is when |A . u| <= _NEAR (1 - |c|^2), with the A of
-    `_crossings`: A . u = g(c) is sinh(dist(c, u)) (1 - |c|^2), signed.
+    A leaf u is near an arc when the arc's centre lies within distance
+    asinh(_NEAR) of it, that is when |A . u| <= _NEAR (1 - |c|^2), with the
+    A of `_crossings`: A . u = g(c) is sinh(dist(c, u)) (1 - |c|^2), signed.
+    ``tally`` times the (n, N) 0/1 near mask gives each arc's near weight P
+    and near count k, and the arc is kept when P (1 + 4 (k - 1) u) > floor,
+    for the unit roundoff u = 2^-53.  At floor 0 that keeps exactly the
+    arcs with a near leaf.
 
-    A dropped arc crosses nothing, and `_crossings` would give it an
-    all-zero row, so the sampler's maximum does not move:
+    A dropped arc crosses only near leaves, so its measure in the sampler,
+    a float sum of at most k of the near weights, is at most the floor:
 
-    - Its centre lies farther than asinh(1.01 sinh(1/2)) = 1/2 + 0.0046
-      from every leaf, and every point of the arc within 1/2 of the centre.
-      So both ends lie at least 0.0046 off each leaf, on the centre's side.
-    - `_crossings` gives an end e the value sinh(dist(e, u)) (1 - |c|^2) /
-      cosh(1/2): its isometry M scales 1 - |s|^2 by (1 - |c|^2) / |1 +
-      conj(c) s|^2, and (1 - r^2) / (1 + r^2) = 1 / cosh(1/2).  So both
-      values exceed 0.0041 (1 - |c|^2) in size and have the centre's sign.
-    - The rounding of A . u, of the bound and of the end values is a few
-      ulps of three terms each at most 4 (1 + |u2|) in size: under 100 u
-      (1 + |u2|) for the unit roundoff u.  Random centres have |c| < 0.999, at
-      distance rho < 7.6 from 0 with e^rho < 4 / (1 - |c|^2), and |u2| =
-      sinh(dist(0, u)) < e^(rho + dist(c, u)).  Near the bound, where
-      dist(c, u) < 0.51, that rounding is below 3e-8 (1 - |c|^2): far under
-      the bound's 1% margin, 0.0052 (1 - |c|^2), and the ends' 0.0041 (1 -
-      |c|^2).  Farther out the values outgrow their rounding.
+    - A leaf that is not near the arc is not crossed, and `_crossings` gives
+      it a 0 in the arc's row:
+      - The centre lies farther than asinh(1.01 sinh(1/2)) = 1/2 + 0.0046
+        from the leaf, and every point of the arc within 1/2 of the
+        centre.  So both ends lie at least 0.0046 off the leaf, on the
+        centre's side.
+      - `_crossings` gives an end e the value sinh(dist(e, u)) (1 - |c|^2) /
+        cosh(1/2): its isometry M scales 1 - |s|^2 by (1 - |c|^2) / |1 +
+        conj(c) s|^2, and (1 - r^2) / (1 + r^2) = 1 / cosh(1/2).  So both
+        values exceed 0.0041 (1 - |c|^2) in size and have the centre's sign.
+      - The rounding of A . u, of the bound and of the end values is a few
+        ulps of three terms each at most 4 (1 + |u2|) in size: under 100 u
+        (1 + |u2|).  Random centres have |c| < 0.999, at distance rho < 7.6
+        from 0 with e^rho < 4 / (1 - |c|^2), and |u2| = sinh(dist(0, u)) <
+        e^(rho + dist(c, u)).  Near the bound, where dist(c, u) < 0.51,
+        that rounding is below 3e-8 (1 - |c|^2): far under the bound's 1%
+        margin, 0.0052 (1 - |c|^2), and the ends' 0.0041 (1 - |c|^2).
+        Farther out the values outgrow their rounding.
+    - Any float sum of j <= k nonnegative weights of exact sum S <= S_k, the
+      near weights' exact sum, is at most S (1 + gamma_(j-1)), gamma_i = i u
+      / (1 - i u), and the computed P is at least S_k (1 - gamma_(k-1)).  So
+      the measure is at most P (1 + 2.01 (k - 1) u) for k <= 64, and for
+      k = 1 it is the one weight, unrounded.  The factor 1 + 4 (k - 1) u,
+      taken as 4 k u + (1 - 4 u), is exact, and P times it rounds by at
+      most u of itself: the kept test's left side is at least P (1 + 4 (k -
+      1) u) (1 - u) >= P (1 + 2.01 (k - 1) u), and P itself for k = 1.
 
-    The products and the minimum are taken in ``scratch.prod`` and rows 2-4
+    The products and the tallies are taken in ``scratch.prod`` and rows 2-4
     of ``scratch.vec``, which hold nothing live between batches.
     """
     vec, n = scratch.vec, len(polars_a)
     r2 = vec[7, :m]
     # A . u = (1 + |c|^2, x, y) . (-u2, 2 u0, 2 u1), with x and y in rows 5, 6
     np.add(1.0, r2, out=vec[4, :m])
-    alpha = scratch.prod.reshape(-1)[:n * m].reshape(n, m)
-    np.matmul(polars_a, vec[4:7, :m], out=alpha)
-    np.abs(alpha, out=alpha)
-    nearest = np.minimum.reduce(alpha, axis=0, out=vec[3, :m])
+    near = scratch.prod.reshape(-1)[:n * m].reshape(n, m)
+    np.matmul(polars_a, vec[4:7, :m], out=near)
+    np.abs(near, out=near)
     bound = np.subtract(1.0, r2, out=vec[2, :m])
     bound *= _NEAR
-    return np.flatnonzero(np.less_equal(nearest, bound, out=scratch.keep[:m]))
+    np.less_equal(near, bound, out=near)  # the 0/1 near mask, as doubles
+    weight, count = np.matmul(tally, near, out=vec[2:4, :m])
+    count *= 4 * _U
+    count += 1.0 - 4 * _U
+    weight *= count
+    return np.flatnonzero(np.greater(weight, floor, out=scratch.keep[:m]))
 
 
 def _chunk(i: int, n: int) -> slice:
@@ -633,9 +655,12 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     (by default the usable CPUs; never more than those or the chunks); the
     result, a maximum over arcs, does not depend on the thread count.  Each
     random chunk draws its own arcs, so memory does not grow with
-    ``n_arcs``.  Of the random arcs, only those whose centre lies near
-    enough to a leaf to cross it (see `_reaching`) are scored, in full
-    batches of a chunk's size; the others' measure is 0.
+    ``n_arcs``.  The targeted arcs are scored first, on the calling thread,
+    and their maximum is the floor.  Of the random arcs, only those whose
+    near leaves (see `_reaching`) can outweigh the best measure found so
+    far are scored, in full batches of a chunk's size; the others measure
+    at most that.  When the floor reaches the bound on every arc's measure,
+    as for one leaf, no random arc is drawn.
     """
     if n_arcs < 1:
         raise NonpositiveInput(f"n_arcs must be at least 1, got {n_arcs}")
@@ -658,19 +683,18 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
             centers_list.append(np.full(64, onleaf))
             dirs_list.append(rng.uniform(0, 2 * math.pi, 64))
             for j, c in near[i]:
-                if c < 1.0 - ASYMPTOTIC_TOL:  # crossing by the polars: no witness
-                    continue
-                if c < 1.0 + ASYMPTOTIC_TOL:
-                    # asymptotic pair: probe ever deeper into the shared
-                    # cusp, at the first of leaf i's ends that ranks with j's
-                    t_shared = next((t for t, r in zip(lam.leaves[i].angles(), ranks[i])
-                                     if r in ranks[j]), None)
-                    if t_shared is None:
-                        continue
+                # leaves sharing a rank, also across angle 0, are asymptotic
+                # whatever c is: probe ever deeper into the shared cusp, at
+                # the first of leaf i's ends that ranks with j's
+                t_shared = next((t for t, r in zip(lam.leaves[i].angles(), ranks[i])
+                                 if r in ranks[j]), None)
+                if t_shared is not None:
                     depths = np.arange(1.0, 14.0, 0.5)
                     zs = np.array([point_along(0j, t_shared, s) for s in depths])
                     centers_list.append(zs)
                     dirs_list.append(np.full(len(zs), t_shared + math.pi / 2.0))
+                    continue
+                if c < 1.0 + ASYMPTOTIC_TOL:  # crossing or asymptotic by the polars
                     continue
                 f1, f2 = perpendicular_feet(lam.polars[i], lam.polars[j])
                 mid = _geodesic_midpoint(f1, f2)
@@ -687,15 +711,34 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     # a C-ordered copy: at 2-8 leaves the products ran 2-3 times as fast
     # against it as against the view lam.polars.T, with the same bits
     polars_t, weights = np.ascontiguousarray(lam.polars.T), np.asarray(lam.weights)
-    # the rows (-u2, 2 u0, 2 u1) that `_reaching` takes
+    # the rows (-u2, 2 u0, 2 u1) and [weights; ones] that `_reaching` takes
     polars_a = lam.polars[:, [2, 0, 1]] * np.array([-1.0, 2.0, 2.0])
+    tally = np.stack([weights, np.ones(n)])
     n_targeted = sum(len(c) for c in centers_list)
+    n_random = max(n_arcs - n_targeted, 0)
+
+    def measure(x, y, r2, dirs, scratch: _Scratch) -> float:
+        mask = _crossings(polars_t, x, y, r2, dirs, scratch)
+        # the arcs' transverse measures, in vec[0], which is free again
+        return float(np.matmul(mask, weights, out=scratch.vec[0, :len(x)]).max())
+
+    # the targeted arcs first, in chunks, in a scratch of their size: their
+    # maximum is the floor that a random arc's near leaves must outweigh
+    floor = 0.0
     if n_targeted:
         t_centers = np.concatenate(centers_list)
         t_x, t_y = t_centers.real, t_centers.imag
         t_r2 = t_x * t_x + t_y * t_y
         t_dirs = np.concatenate(dirs_list)
-    n_random = max(n_arcs - n_targeted, 0)
+        scratch = _Scratch(n, min(_CHUNK_ARCS, n_targeted))
+        for i in range(-(-n_targeted // _CHUNK_ARCS)):  # ceiling division
+            sl = _chunk(i, n_targeted)
+            floor = max(floor, measure(t_x[sl], t_y[sl], t_r2[sl], t_dirs[sl], scratch))
+        del scratch  # before the workers make theirs
+    # every arc's measure is a float sum of weights, at most fl(sum w) (1 +
+    # 4 (n - 1) u) as in `_reaching`: the weight itself for one leaf
+    if not n_random or floor >= float(weights.sum()) * (1.0 + 4 * _U * (n - 1)):
+        return floor
     # Sample centres within the hyperbolic radius that covers all feet.  The
     # random arcs are the stream of `state` cut into three draws of n_random
     # uniforms (|c|^2, arg c, direction).  A chunk draws its slice of each
@@ -703,14 +746,11 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     # and random() * high is uniform(0, high) bit for bit.
     state = rng.bit_generator.state
     highs = (0.999**2, 2 * math.pi, 2 * math.pi)
-    # chunks 0 .. t_chunks - 1 are targeted, the rest random; a worker takes
-    # every workers-th, so no list of chunks grows with n_arcs
-    t_chunks = -(-n_targeted // _CHUNK_ARCS)  # ceiling divisions
-    n_chunks = t_chunks + -(-n_random // _CHUNK_ARCS)
+    n_chunks, size = -(-n_random // _CHUNK_ARCS), min(_CHUNK_ARCS, n_random)
 
     def score(part: range) -> float:
-        """Largest measure over one worker's chunks, all in one scratch."""
-        size = min(_CHUNK_ARCS, max(n_targeted, n_random))
+        """Largest measure over one worker's random chunks and the floor,
+        all in one scratch."""
         scratch = _Scratch(n, size)
         bits = np.random.PCG64()  # set to `state` and advanced before each draw
         draw = np.random.Generator(bits).random
@@ -722,18 +762,9 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
             draw(out=row)
             row *= highs[k]
 
-        def measure(x, y, r2, dirs) -> float:
-            mask = _crossings(polars_t, x, y, r2, dirs, scratch)
-            # the arcs' transverse measures, in vec[0], which is free again
-            return float(np.matmul(mask, weights, out=scratch.vec[0, :len(x)]).max())
-
-        best, fill = 0.0, 0
+        best, fill = floor, 0
         for i in part:
-            if i < t_chunks:
-                sl = _chunk(i, n_targeted)
-                best = max(best, measure(t_x[sl], t_y[sl], t_r2[sl], t_dirs[sl]))
-                continue
-            sl = _chunk(i - t_chunks, n_random)
+            sl = _chunk(i, n_random)
             # arg c is drawn into y's row, which its sine then overwrites
             x, y, r2 = drawn = scratch.vec[5:, :sl.stop - sl.start]
             uniforms(r2, 0, sl.start)
@@ -742,18 +773,17 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
             cos_t, sin_t = _cos_sin(y, scratch.vec[:4, :len(x)])
             np.multiply(x, sin_t, out=y)
             x *= cos_t
-            # The arcs that can cross a leaf join the batch in cand, which
-            # is scored when full; a clipped take writes into out unbuffered.
-            # The directions wait in row 0, and are drawn again from the
-            # first arc left over when a full batch is scored mid-chunk.
-            kept = _reaching(polars_a, len(x), scratch)
+            # The arcs that can beat the best so far join the batch in cand,
+            # which is scored when full; a clipped take writes into out
+            # unbuffered.  The directions are drawn into row 0 from the first
+            # kept arc, and again from the first arc left over when a full
+            # batch is scored mid-chunk.
+            kept = _reaching(polars_a, tally, len(x), best, scratch)
             dirs = scratch.vec[0, :len(x)]
-            uniforms(dirs, 2, sl.start)
             done = 0
             while done < len(kept):
-                if done:
-                    first = int(kept[done])
-                    uniforms(dirs[first:], 2, sl.start + first)
+                first = int(kept[done])
+                uniforms(dirs[first:], 2, sl.start + first)
                 step = min(len(kept) - done, size - fill)
                 for row, batch in zip((*drawn, dirs), scratch.cand):
                     np.take(row, kept[done:done + step], out=batch[fill:fill + step],
@@ -761,11 +791,11 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
                 done += step
                 fill += step
                 if fill == size:
-                    best = max(best, measure(*scratch.cand))
+                    best = max(best, measure(*scratch.cand, scratch))
                     fill = 0
             del kept  # before the next chunk's indices are made
         if fill:
-            best = max(best, measure(*(row[:fill] for row in scratch.cand)))
+            best = max(best, measure(*(row[:fill] for row in scratch.cand), scratch))
         return best
 
     workers = _worker_count(threads, n_chunks)

@@ -410,8 +410,10 @@ def roundness_brute_force_oracle(lam: FiniteLamination, n_arcs: int, seed: int,
                                  targeted: bool) -> float:
     """The sampler as it was before it dropped the random arcs that reach no
     leaf: every arc scored, in chunks, by `laminations._crossings`.  The
-    targeted arcs come pair by pair from `geodesic_distance`, and the
-    random ones from three full-length `uniform` draws after them."""
+    targeted arcs come pair by pair: cusp probes for leaves that share an
+    endpoint rank, whatever `geodesic_distance` says, else the common
+    perpendicular from `geodesic_distance`.  The random ones come from three
+    full-length `uniform` draws after them."""
     ranks = validate(lam).ranks.tolist()
     n = len(lam)
     if n == 0:
@@ -424,21 +426,19 @@ def roundness_brute_force_oracle(lam: FiniteLamination, n_arcs: int, seed: int,
                 centers.append(np.full(64, foot_on_geodesic(0j, lam.polars[i])))
                 dirs.append(rng.uniform(0, 2 * math.pi, 64))
                 continue
-            try:
-                d, f1, f2 = geodesic_distance(lam.leaves[i], lam.leaves[j])
-            except CrossingLeaves:
-                continue
-            if d >= 1.0:
-                continue
-            if f1 is None:
-                t_shared = next((t for t, r in zip(lam.leaves[i].angles(), ranks[i])
-                                 if r in ranks[j]), None)
-                if t_shared is None:
-                    continue
+            t_shared = next((t for t, r in zip(lam.leaves[i].angles(), ranks[i])
+                             if r in ranks[j]), None)
+            if t_shared is not None:
                 zs = np.array([point_along(0j, t_shared, s)
                                for s in np.arange(1.0, 14.0, 0.5)])
                 centers.append(zs)
                 dirs.append(np.full(len(zs), t_shared + math.pi / 2.0))
+                continue
+            try:
+                d, f1, f2 = geodesic_distance(lam.leaves[i], lam.leaves[j])
+            except CrossingLeaves:
+                continue
+            if d >= 1.0 or f1 is None:
                 continue
             mid = _geodesic_midpoint(f1.z, f2.z)
             direction = _initial_direction(mid, f2.z)

@@ -727,6 +727,29 @@ class TestThreadIndependence:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_brute_force_json_identical_across_thread_counts(self, tmp_path):
+        # a fan whose spokes share the hub at angle 0, written as 0 and as
+        # 2 pi - 1e-13: the targeted arcs set the floor, and each thread
+        # count filters and batches the random arcs differently
+        lam = tmp_path / "fan.json"
+        hub = 2 * math.pi - 1e-13
+        lam.write_text(json.dumps({
+            "leaves": [[0.0, 1.0], [hub, 2.1], [0.0, 3.3], [hub, 4.2], [1.0, 2.1]],
+            "weights": [0.7, 1.3, 0.4, 0.9, 1.1]}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        outs = []
+        for threads in ("1", "2", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "domekit.cli", "lamination", "roundness",
+                 "--input", str(lam), "--brute-arcs", "300000", "--seed", "7",
+                 "--threads", threads], capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["brute_force"] <= json.loads(outs[0])["roundness"]
+
 
 class TestFieldDump:
     def test_k_field_csv(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import os
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -391,6 +392,22 @@ def near_pair_laminations(draw):
     return cusp_lamination(n, 1e-3, seed)
 
 
+@st.composite
+def floor_laminations(draw):
+    """`oracle_laminations` (fans sharing endpoints among them), fans at
+    angle 0, leaves 1e-3 rad wide and 64 leaves, each also with all its
+    weights equal."""
+    kind = draw(st.sampled_from(["oracle", "zero_fan", "short", "wide"]))
+    seed, n = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 24))
+    lam = {"oracle": lambda: draw(oracle_laminations()),
+           "zero_fan": lambda: zero_fan(np.random.default_rng(seed), n),
+           "short": lambda: short_leaves(np.random.default_rng(seed), n, 1e-3),
+           "wide": lambda: matching_lamination(np.random.default_rng(seed), 64)}[kind]()
+    if draw(st.booleans()):
+        return FiniteLamination(lam.leaves, [lam.weights[0]] * len(lam))
+    return lam
+
+
 class TestNearPairs:
     """`FiniteLamination.near_pairs` lists the pairs that a double loop over
     `geodesic_distance` finds below distance 1, asymptotic pairs at 0.  Two
@@ -545,31 +562,69 @@ class TestSampler:
     @example(lam=short_leaves(np.random.default_rng(2), 8, 1e-3), seed=2, extra=1,
              targeted=True)
     def test_equals_unfiltered_oracle(self, lam, seed, extra, targeted):
-        """Dropping the random arcs that reach no leaf, and scoring the rest in
-        full batches, returns the unfiltered per-chunk maximum bit for bit,
-        and scores every arc that crosses a leaf, with the same crossings."""
+        """Scoring only the random arcs whose near leaves can outweigh the
+        best measure so far, in full batches, returns the unfiltered
+        per-chunk maximum bit for bit.  Every scored arc has the unfiltered
+        crossings, and every crossing arc left unscored measures at most
+        the result."""
         n_arcs = 4 * laminations._CHUNK_ARCS + extra
         want, oracle_arcs = scored_arcs(
             _oracles, lambda: roundness_brute_force_oracle(lam, n_arcs, seed, targeted))
         none = bytes(8 * len(lam))
         crossing = {arc: m for arc, m in oracle_arcs.items() if m != none}
+        weights = np.asarray(lam.weights)
         for threads in (1, 2):
             got, arcs = scored_arcs(laminations, lambda: roundness_brute_force(
                 lam, n_arcs=n_arcs, seed=seed, targeted=targeted, threads=threads))
             assert got.hex() == want.hex(), threads
-            assert {arc: m for arc, m in arcs.items() if m != none} == crossing, threads
+            unscored = [np.frombuffer(m) for arc, m in crossing.items() if arc not in arcs]
+            assert all(mask @ weights <= got for mask in unscored), threads
             assert arcs.keys() <= oracle_arcs.keys(), threads
+            assert arcs.items() <= oracle_arcs.items(), threads
 
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-    @given(lam=oracle_laminations(), seed=st.integers(0, 2**32 - 1))
-    @example(lam=short_leaves(np.random.default_rng(1), 12, 1e-3), seed=1)
-    @example(lam=short_leaves(np.random.default_rng(3), 1, 1e-3), seed=3)
-    def test_dropped_arcs_cross_nothing(self, lam, seed):
-        """Every arc that `_reaching` drops has an all-zero `_crossings` row,
-        for centres out to |c| = 0.999, near short leaves too."""
-        rng = np.random.default_rng(seed)
-        # centres as the sampler draws them, and as many within 0.05 rad of
-        # an endpoint and out at |c|^2 in [0.99^2, 0.999^2]
+    @pytest.mark.parametrize("leaf, weight", [((0.4, 2.9), 1.7), ((5.0, 5.001), 0.3),
+                                              ((6.0, 2 * math.pi - 1e-13), 2.5)])
+    def test_one_leaf_skips_the_random_arcs(self, monkeypatch, leaf, weight):
+        # the arcs through the leaf's foot measure its weight, which bounds
+        # every arc's measure, so no random arc is drawn or filtered
+        lam = FiniteLamination([GeodesicH2.from_angles(*leaf)], [weight])
+        want = roundness_brute_force_oracle(lam, 10**5, 3, True)
+
+        def reaching(*args):
+            raise AssertionError("_reaching called")
+
+        monkeypatch.setattr(laminations, "_reaching", reaching)
+        for threads in (1, 2):
+            got = roundness_brute_force(lam, n_arcs=10**5, seed=3, threads=threads)
+            assert got == weight == want, threads
+
+    def test_cusp_probes_across_angle_zero(self):
+        # the leaves share the ideal point at angle 0, written as 2 pi - 1e-13
+        # and 0.0, and |<u, v>| = 1 - 1.3e-12 lies below 1 - ASYMPTOTIC_TOL:
+        # the shared rank, not c, sends the pair to the cusp probes
+        lam = FiniteLamination([GeodesicH2.from_angles(0.4563676969712828,
+                                                       2 * math.pi - 1e-13),
+                                GeodesicH2.from_angles(0.0, 6.06145210214022)],
+                               [0.8, 1.1])
+        c = abs(float(lam.polars[0] @ (lam.polars[1] * [1.0, 1.0, -1.0])))
+        assert c < 1.0 - ASYMPTOTIC_TOL
+        t = lam.leaves[0].b.angle
+        probes = np.array([point_along(0j, t, s) for s in np.arange(1.0, 14.0, 0.5)])
+        rows = np.stack([probes.real, probes.imag, probes.real**2 + probes.imag**2,
+                         np.full(len(probes), t + math.pi / 2)], axis=1)
+        n_arcs = 2 * laminations._CHUNK_ARCS + 3
+        want = roundness_brute_force_oracle(lam, n_arcs, 5, True)
+        for threads in (1, 2):
+            got, arcs = scored_arcs(laminations, lambda: roundness_brute_force(
+                lam, n_arcs=n_arcs, seed=5, threads=threads))
+            assert len(rows) == 26 and all(row.tobytes() in arcs for row in rows)
+            assert got <= roundness(lam) and got.hex() == want.hex(), threads
+
+    @staticmethod
+    def chunk_near_leaves(lam, rng):
+        """A scratch holding in rows 5-7 a chunk of centres as the sampler
+        draws them, and as many within 0.05 rad of an endpoint and out at
+        |c|^2 in [0.99^2, 0.999^2]; and the rows `_reaching` takes."""
         m = laminations._CHUNK_ARCS
         ends = np.array([t for g in lam.leaves for t in g.angles()])
         rad2 = np.concatenate([rng.uniform(0, 0.999**2, m // 2),
@@ -583,18 +638,69 @@ class TestSampler:
         x[:] = np.sqrt(rad2) * cos_t
         y[:] = np.sqrt(rad2) * sin_t
         polars_a = lam.polars[:, [2, 0, 1]] * np.array([-1.0, 2.0, 2.0])
-        kept = laminations._reaching(polars_a, m, scratch)
+        tally = np.stack([lam.weights, np.ones(len(lam))])
+        return scratch, polars_a, tally
+
+    @staticmethod
+    def dropped(lam, rng, floor):
+        """The scratch's chunk, the mask of the arcs `_reaching` drops at
+        ``floor``, and the `_crossings` rows of the chunk's arcs."""
+        scratch, polars_a, tally = TestSampler.chunk_near_leaves(lam, rng)
+        m = laminations._CHUNK_ARCS
+        x, y, r2 = scratch.vec[5:].copy()
+        kept = laminations._reaching(polars_a, tally, m, floor, scratch)
         dropped = np.ones(m, dtype=bool)
         dropped[kept] = False
+        mask = laminations._crossings(np.ascontiguousarray(lam.polars.T), x, y, r2,
+                                      rng.uniform(0, 2 * math.pi, m), scratch)
+        return x, y, dropped, mask
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(lam=oracle_laminations(), seed=st.integers(0, 2**32 - 1))
+    @example(lam=short_leaves(np.random.default_rng(1), 12, 1e-3), seed=1)
+    @example(lam=short_leaves(np.random.default_rng(3), 1, 1e-3), seed=3)
+    def test_dropped_arcs_cross_nothing(self, lam, seed):
+        """At floor 0, every arc that `_reaching` drops has an all-zero
+        `_crossings` row, for centres out to |c| = 0.999, near short leaves
+        too."""
+        rng = np.random.default_rng(seed)
+        x, y, dropped, mask = self.dropped(lam, rng, 0.0)
         assert dropped.any()
         # kept exactly when sinh of the centre's distance from the nearest
         # leaf, by `side_of`, is at most _NEAR, outside a band of rounding
         near = np.abs(side_of((x + 1j * y)[:, None], lam.polars)).min(axis=1)
         assert not dropped[near < laminations._NEAR * (1 - 1e-6)].any()
         assert dropped[near > laminations._NEAR * (1 + 1e-6)].all()
-        mask = laminations._crossings(np.ascontiguousarray(lam.polars.T), x, y, r2,
-                                      rng.uniform(0, 2 * math.pi, m), scratch)
         assert not mask[dropped].any()
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(lam=floor_laminations(), seed=st.integers(0, 2**32 - 1),
+           floor=st.sampled_from(["leaf", "below a leaf", "two leaves", "share"]),
+           pick=st.integers(0, 2**16), share=st.floats(0.0, 1.0))
+    @example(lam=short_leaves(np.random.default_rng(1), 12, 1e-3), seed=1,
+             floor="leaf", pick=0, share=0.0)
+    @example(lam=matching_lamination(np.random.default_rng(64), 64), seed=64,
+             floor="share", pick=0, share=0.3)
+    @example(lam=zero_fan(np.random.default_rng(5), 12), seed=5, floor="two leaves",
+             pick=3, share=0.0)
+    @example(lam=random_lamination(np.random.default_rng(7), 6), seed=7,
+             floor="below a leaf", pick=2, share=0.0)
+    def test_dropped_arcs_cannot_beat_the_floor(self, lam, seed, floor, pick, share):
+        """At a floor above 0, every arc that `_reaching` drops crosses
+        leaves of exact weight sum at most the floor, and its measure by
+        `mask @ weights` is at most the floor too; ties at the floor count
+        as dropped."""
+        n, weights = len(lam), np.asarray(lam.weights)
+        i, j = pick % n, (pick + 1 + pick // n) % n
+        floor = {"leaf": weights[i], "below a leaf": np.nextafter(weights[i], 0.0),
+                 "two leaves": weights[i] + weights[j] if i != j else weights[i],
+                 "share": max(share, 1e-3) * weights.sum()}[floor]
+        rng = np.random.default_rng(seed)
+        _, _, dropped, mask = self.dropped(lam, rng, float(floor))
+        assert dropped.any()
+        assert (mask[dropped] @ weights <= floor).all()
+        for row in np.unique(mask[dropped], axis=0):
+            assert sum(Fraction(w) for w, hit in zip(lam.weights, row) if hit) <= floor
 
     @pytest.mark.parametrize("n_arcs", [0, -5])
     def test_nonpositive_n_arcs_rejected(self, n_arcs):
@@ -667,6 +773,14 @@ class TestSampler:
         assert got == roundness_brute_force(lam, n_arcs=n_arcs, seed=4,
                                             targeted=False, threads=1)
         assert started == [5]
+        # the targeted arcs are scored first on the calling thread: the pool
+        # gets a worker per random chunk, four here, at most
+        for threads, workers in ((10**6, 4), (3, 3)):
+            started.clear()
+            got = roundness_brute_force(lam, n_arcs=n_arcs, seed=4, threads=threads)
+            assert started == [workers]
+            assert got == roundness_brute_force(lam, n_arcs=n_arcs, seed=4, threads=1)
+            assert started == [workers]
 
 
 class TestPushforward:
