@@ -35,7 +35,7 @@ print(f"  intra-gap distances preserved: "
       f"{dist_h3(plane.apply(p), plane.apply(q)):.12f}")
 
 quake = earthquake(lam, base=PointH2(-0.5))
-bm = quake.boundary_map()
+bm = quake.boundary_angle
 print("\nearthquake boundary map on a few angles (monotone circle homeo):")
 for a in np.linspace(0.0, 2 * math.pi, 7, endpoint=False):
     print(f"  {a:8.4f} -> {bm(float(a)):8.4f}")

@@ -24,7 +24,7 @@ hull = build_hull(regular_ideal_tetrahedron())
 print(f"ideal regular tetrahedron: {len(hull.faces)} faces, "
       f"{len(hull.edges)} edges, Euler characteristic "
       f"{hull.euler_characteristic()}")
-ws = bending_lamination(hull).weights()
+ws = [e.weight for e in bending_lamination(hull)]
 print(f"bending weights: all equal to {ws[0]:.12f} "
       f"(= 2 pi / 3, exterior of the pi/3 dihedral), spread {max(ws)-min(ws):.1e}")
 

@@ -12,7 +12,6 @@ from domekit.crescents import (
     AngleScaling,
     Crescent,
     crescent_parameter,
-    normalize,
     quasiregular_bound,
     scaling_dilatation,
 )
@@ -21,7 +20,7 @@ from domekit.qc import verify_scaling_dilatation
 
 print("normalizing a crescent to the standard wedge")
 lens = Crescent(CircleOrLine.unit_circle(), CircleOrLine.real_line(), 0.5 + 0.3j)
-beta = normalize(lens)
+beta = lens.beta
 print(f"  upper lens between the unit circle and the real axis: "
       f"angle {lens.theta:.6f} (= pi/2)")
 print(f"  vertices {lens.vertices} -> 0 and infinity under the normalizer")

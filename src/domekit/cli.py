@@ -427,7 +427,7 @@ def main(argv=None) -> int:
         os.close(devnull)
     except DomekitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that is missing, a directory or unreadable
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError as exc:
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)

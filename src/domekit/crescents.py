@@ -31,8 +31,11 @@ def _ray_angles(line: CircleOrLine) -> float:
 class Crescent:
     """Region bounded by arcs of two transversely intersecting circles.
 
-    ``sample`` selects the component.  The interior angle and the
-    normalizing map to the standard wedge are computed on construction.
+    ``sample`` selects the component.  The interior angle ``theta``, the
+    ``vertices`` where the circles meet, and ``beta``, the Mobius map onto
+    the standard wedge of angle ``theta`` (the vertices to 0 and infinity,
+    one boundary arc to the positive real axis), are computed on
+    construction.
     """
 
     circle1: CircleOrLine
@@ -40,7 +43,7 @@ class Crescent:
     sample: complex
     theta: float = field(init=False)
     vertices: tuple = field(init=False)
-    _beta: MobiusMap = field(init=False)
+    beta: MobiusMap = field(init=False)
 
     def __post_init__(self):
         pts = self.circle1.intersect(self.circle2)
@@ -79,7 +82,7 @@ class Crescent:
         rot = MobiusMap(cmath.exp(-1j * lo), 0, 0, 1)
         self.theta = width
         self.vertices = (p1, p2)
-        self._beta = rot.compose(m0)
+        self.beta = rot.compose(m0)
 
     @staticmethod
     def standard_wedge(theta: float) -> "Crescent":
@@ -89,15 +92,6 @@ class Crescent:
         boundary1 = CircleOrLine.real_line()
         boundary2 = CircleOrLine.line_through(0j, cmath.exp(1j * theta))
         return Crescent(boundary1, boundary2, cmath.exp(1j * theta / 2.0))
-
-
-def normalize(c: Crescent) -> MobiusMap:
-    """Mobius map sending the crescent onto the standard wedge of its angle.
-
-    The two intersection points go to 0 and infinity and one boundary arc
-    to the positive real axis.
-    """
-    return c._beta
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,11 @@ from .spherehull import sphere_hull
 COPLANAR_TOL = 1e-10
 BASEPOINT = PointH3(0.0, 0.0, 1.0)
 COINCIDE_TOL = 1e-9
-#: Pairs of points closer than this on the sphere are screened in, and
-#: ``chordal_distance`` decides whether they are within ``COINCIDE_TOL``.
-_NEAR = 1e-6
+#: The screen for coincident points: unit sphere vectors u, v with u.v at
+#: least this lie within 1e-6 of each other, as |u - v|^2 = 2 - 2 u.v, and
+#: the few ulps of rounding in u.v are far below the gap down to
+#: COINCIDE_TOL.  `_coincide` decides the screened points.
+_NEAR_DOT = 1.0 - 0.5 * 1e-6 * 1e-6
 _EPS = float(np.finfo(float).eps)
 #: the precision of the face planes and angles before their one rounding:
 #: a 64-bit mantissa where the platform's long double has one
@@ -69,6 +71,11 @@ _ANGLE_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # configurations and hulls
 # ---------------------------------------------------------------------------
+
+
+def _coincide(z, w) -> bool:
+    """Whether two points that pass the `_NEAR_DOT` screen coincide."""
+    return chordal_distance(z, w) <= COINCIDE_TOL
 
 
 @dataclass(frozen=True)
@@ -84,17 +91,16 @@ class IdealConfiguration:
         if any(cmath.isnan(p) for p in points):
             raise InvalidInput("points: a coordinate is NaN")
         object.__setattr__(self, "points", tuple(INF if is_inf(p) else p for p in points))
-        # A Gram screen over blocks of rows: |u - v|^2 = 2 - 2 u.v to ~1e-15.
-        # The flagged pairs are decided by chordal_distance in the (i, j)
-        # order of a double loop, so the first coincident pair raises.
+        # a Gram screen over blocks of rows; the flagged pairs are decided in
+        # the (i, j) order of a double loop, so the first coincident pair raises
         v = self.sphere_vectors
         n = len(v)
         step = max(1, (1 << 16) // n)
         for i0 in range(0, n, step):
-            i, j = np.nonzero(v[i0:i0 + step] @ v[i0:].T >= 1.0 - 0.5 * _NEAR * _NEAR)
+            i, j = np.nonzero(v[i0:i0 + step] @ v[i0:].T >= _NEAR_DOT)
             i, j = i + i0, j + i0
             for i, j in zip(i[i < j].tolist(), j[i < j].tolist()):
-                if chordal_distance(self.points[i], self.points[j]) <= COINCIDE_TOL:
+                if _coincide(self.points[i], self.points[j]):
                     raise NumericallyCoincident(
                         f"points {i} and {j} numerically coincide"
                     )
@@ -476,30 +482,10 @@ class BendingEntry:
     fold: bool
 
 
-@dataclass
-class BendingData:
-    entries: list[BendingEntry]
-
-    @property
-    def interior(self) -> list[BendingEntry]:
-        """Bending lines in the interior of the faces' copies (folds excluded)."""
-        return [e for e in self.entries if not e.fold]
-
-    def weights(self) -> list[float]:
-        return [e.weight for e in self.entries]
-
-
-def bending_lamination(hull: HullPolyhedron) -> BendingData:
+def bending_lamination(hull: HullPolyhedron) -> list[BendingEntry]:
     """Edges with exterior angle above 1e-12, weighted by that angle."""
-    entries = []
-    for i, e in enumerate(hull.edges):
-        if e.angle > 1e-12:
-            entries.append(
-                BendingEntry(
-                    i, hull.edge_geodesic_endpoints(e), e.angle, e.fold
-                )
-            )
-    return BendingData(entries)
+    return [BendingEntry(i, hull.edge_geodesic_endpoints(e), e.angle, e.fold)
+            for i, e in enumerate(hull.edges) if e.angle > 1e-12]
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +602,11 @@ def retract(hull: HullPolyhedron, z) -> RetractionResult:
         raise InvalidInput("z: a coordinate is NaN")
     pts = hull.config.points
     v = boundary_to_sphere(z)
-    # |u - v|^2 = 2 - 2 u.v: the rounding of u.v, a few ulps, is far below the
-    # gap between _NEAR and COINCIDE_TOL, and chordal_distance decides the
-    # screened points in index order, so the first coincident point raises.
-    near = hull.sphere @ v >= 1.0 - 0.5 * _NEAR * _NEAR
+    # the screened points are decided in index order: the first coincident
+    # point raises
+    near = hull.sphere @ v >= _NEAR_DOT
     for i in near.nonzero()[0]:
-        if chordal_distance(z, pts[i]) <= COINCIDE_TOL:
+        if _coincide(z, pts[i]):
             raise PointNotInDomain(f"z coincides with ideal point {i}")
     m = MobiusMap.to_inf(z)
     n = m.inverse()

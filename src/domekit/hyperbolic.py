@@ -19,6 +19,8 @@ from .mobius import CAYLEY, HUGE, INF, MobiusMap, is_inf
 BOUNDARY_TOL = 1e-9
 #: two leaves whose polars have |<u, v>| within this of 1 are asymptotic
 ASYMPTOTIC_TOL = 1e-12
+#: endpoint angles this close, also across angle 0, are one ideal point
+SHARED_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +109,18 @@ def _mink_dot(u, v):
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
 
 
+def _lorentz_cross(u, v) -> np.ndarray:
+    """Minkowski cross product: orthogonal to u and v in the form of `_mink_dot`."""
+    w = np.cross(u, v)
+    w[..., 2] = -w[..., 2]
+    return w
+
+
+def _meet(u: np.ndarray, v: np.ndarray) -> complex:
+    """Disk point where the geodesics with polars u and v meet at right angles."""
+    return _vec_to_disk(_lorentz_cross(u, v))
+
+
 def point_vec(z) -> np.ndarray:
     """Timelike unit vector of a disk point (vectorized over complex arrays)."""
     z = np.asarray(z, dtype=complex)
@@ -131,8 +145,7 @@ def geodesic_polars(angles) -> np.ndarray:
     The sign is fixed by the order of the two angles.
     """
     angles = np.asarray(angles, dtype=float).reshape(-1, 2)
-    u = np.cross(light_vec(angles[:, 0]), light_vec(angles[:, 1]))
-    u[:, 2] = -u[:, 2]
+    u = _lorentz_cross(light_vec(angles[:, 0]), light_vec(angles[:, 1]))
     return u / np.sqrt(np.abs(_mink_dot(u, u)))[:, None]
 
 
@@ -179,15 +192,11 @@ def foot_on_geodesic(z: complex, polar: np.ndarray) -> complex:
 
     A point on the geodesic (to ~1e-14) is its own foot.
     """
-    v = np.cross(polar, point_vec(z))
-    v[2] = -v[2]
+    v = _lorentz_cross(polar, point_vec(z))
     nv = math.sqrt(abs(_mink_dot(v, v)))
     if nv < 1e-14:
         return z
-    v = v / nv
-    f = np.cross(polar, v)
-    f[2] = -f[2]
-    return _vec_to_disk(f)
+    return _meet(polar, v / nv)
 
 
 def _vec_to_disk(X: np.ndarray) -> complex:
@@ -244,14 +253,20 @@ def geodesic_distance(g1: GeodesicH2, g2: GeodesicH2):
     """Distance between two disjoint geodesics and the perpendicular feet.
 
     Returns (distance, foot1, foot2); the feet are ``None`` for asymptotic
-    leaves (shared endpoint), where the distance is 0.  Raises
-    CrossingLeaves if the endpoint pairs interleave.
+    leaves, where the distance is 0.  Leaves are asymptotic when an
+    endpoint of one lies within SHARED_TOL of an endpoint of the other
+    around the circle, the rule by which the nesting of a lamination ranks
+    endpoints, or else when their polars have |<u1, u2>| within
+    ASYMPTOTIC_TOL of 1.  Raises CrossingLeaves if the polars cross.
     """
+    for s in g1.angles():
+        for t in g2.angles():
+            lo, hi = min(s, t), max(s, t)
+            if hi - lo <= SHARED_TOL or lo + 2 * math.pi - hi <= SHARED_TOL:
+                return 0.0, None, None
     u1, u2 = geodesic_polar(g1), geodesic_polar(g2)
     c = float(_mink_dot(u1, u2))
     if abs(c) < 1.0 - ASYMPTOTIC_TOL:
-        if g1.angles() == g2.angles():
-            return 0.0, None, None
         raise CrossingLeaves(0, 1, "geodesics intersect")
     if abs(c) < 1.0 + ASYMPTOTIC_TOL:
         return 0.0, None, None
@@ -263,14 +278,9 @@ def perpendicular_feet(u1: np.ndarray, u2: np.ndarray) -> tuple[complex, complex
     """Disk points where the common perpendicular of two ultraparallel
     geodesics, given by their polars, meets each of them."""
     # polar of the common perpendicular
-    v = np.cross(u1, u2)
-    v[2] = -v[2]
+    v = _lorentz_cross(u1, u2)
     v = v / math.sqrt(abs(_mink_dot(v, v)))
-    f1 = np.cross(u1, v)
-    f1[2] = -f1[2]
-    f2 = np.cross(u2, v)
-    f2[2] = -f2[2]
-    return _vec_to_disk(f1), _vec_to_disk(f2)
+    return _meet(u1, v), _meet(u2, v)
 
 
 def point_along(z: complex, direction: float, dist: float) -> complex:

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .hyperbolic import (
     ASYMPTOTIC_TOL,
+    SHARED_TOL,
     GeodesicH2,
     PointH2,
     dist_h2,
@@ -49,8 +50,6 @@ from .hyperbolic import (
 
 MAX_LEAVES = 64
 ON_LEAF_TOL = 1e-9
-#: endpoint angles this close, also across angle 0, are one ideal point
-SHARED_TOL = 1e-12
 # arcs per sampler chunk and batch; 2**15 sampled 1-8 leaves about 11%
 # faster at 2 threads, but its buffers took 3.5 MiB more peak RSS in the
 # CLI at 6 leaves and about 8 MiB more over the benchmark's pool
@@ -101,10 +100,15 @@ class FiniteLamination:
     def near_pairs(self) -> tuple[tuple[int, int, float], ...]:
         """The pairs (i, j, c), i < j in double-loop order, of leaves at
         distance below 1: c = |<u_i, u_j>| of their polars is the cosh of
-        that distance, and an asymptotic pair (c < 1 + ASYMPTOTIC_TOL), or
-        one crossing by the polars, counts as distance 0."""
+        that distance.  A pair that shares an endpoint rank of the nesting
+        is asymptotic and has c = 1.0, whatever its polars say; a pair with
+        c < 1 + ASYMPTOTIC_TOL, asymptotic or crossing by the polars, counts
+        as distance 0 too."""
         i, j = np.triu_indices(len(self), 1)
-        cs = np.abs(_mink_dot(self.polars[i], self.polars[j])).tolist()
+        cs = np.abs(_mink_dot(self.polars[i], self.polars[j]))
+        ri, rj = self.nesting.ranks[i], self.nesting.ranks[j]
+        shared = (ri[:, :, None] == rj[:, None, :]).any(axis=(1, 2))
+        cs = np.where(shared, 1.0, cs).tolist()
         return tuple((a, b, c) for a, b, c in zip(i.tolist(), j.tolist(), cs)
                      if c < 1.0 + ASYMPTOTIC_TOL or math.acosh(c) < 1.0)
 

@@ -59,11 +59,8 @@ class _GapMaps:
         a = angle % (2 * math.pi)
         return self._boundary_maps[self.lamination.gaps.boundary_gap(a)](cmath.exp(1j * a))
 
-    def boundary_map(self):
-        """The boundary trace as a callable angle -> angle of its image."""
-        return self._image_angle
-
-    def _image_angle(self, angle: float) -> float:
+    def boundary_angle(self, angle: float) -> float:
+        """The boundary trace as angle -> angle of its image in [0, 2 pi)."""
         w = self.boundary(angle)
         return math.atan2(w.imag, w.real) % (2 * math.pi)
 
@@ -184,12 +181,12 @@ class ComplexEarthquake:
         return self.plane.apply(self.quake.apply(p))
 
     def boundary(self, angle: float):
-        return self.plane.boundary(self.quake.boundary_map()(angle))
+        return self.plane.boundary(self.quake.boundary_angle(angle))
 
 
 def complex_earthquake(lam: FiniteLamination, z: complex, base=None) -> ComplexEarthquake:
     quake = _quake(lam, z.real, base)
-    pushed = pushforward(quake.boundary_map(), lam)
+    pushed = pushforward(quake.boundary_angle, lam)
     base_sample = lam.gaps.gaps[quake.base_gap].sample
     plane = PleatedPlane(pushed, *_gap_maps(pushed, [z.imag * w for w in lam.weights],
                                             base_sample, _bend))

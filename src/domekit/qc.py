@@ -468,19 +468,14 @@ class AnnulusExtremalCheck:
     target_modulus: float
 
 
-def extremal_alpha(s: float) -> float:
-    """Power exponent sending the annulus onto one with its dome's modulus."""
-    return math.pi * math.sinh(s / 2.0) / s
-
-
 def annulus_extremal_check(s: float, alpha: float, n: int = 512) -> AnnulusExtremalCheck:
     """Dilatation of the radial power map between round annuli.
 
     Sampled in the log chart, where the annulus of modulus s/2pi is the
     rectangle [0, s] x [0, 2 pi) and the power map is zeta -> alpha Re zeta
-    + i Im zeta.  sup K must come out max(alpha, 1/alpha); with
-    alpha = extremal_alpha(s) the target annulus has the dome's modulus
-    sinh(s/2)/2, so reaching it inside this family costs K(s).
+    + i Im zeta.  sup K must come out max(alpha, 1/alpha); with alpha =
+    K(s) = `annulus.annulus_geometry(s).K` the target annulus has the
+    dome's modulus sinh(s/2)/2, so reaching it inside this family costs K(s).
     """
     if s <= 0 or alpha <= 0:
         raise NonpositiveInput("s and alpha must be positive")

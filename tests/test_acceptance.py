@@ -247,7 +247,7 @@ def test_acceptance_7_crescent_dilatation():
 def test_acceptance_8_dome_and_retraction():
     ok = True
     hull = build_hull(regular_ideal_tetrahedron())
-    ws = bending_lamination(hull).weights()
+    ws = [e.weight for e in bending_lamination(hull)]
     spread = max(ws) - min(ws)
     ok &= len(ws) == 6 and spread <= 1e-9
 

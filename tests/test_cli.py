@@ -542,6 +542,18 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["dome", "build", "--input", "{dir}"],
+        ["dome", "build", "--input", "{tetra}", "--mesh", "{dir}"],
+        ["qc", "estimate", "--fixture", "identity", "--grid", "8", "--dump-field", "{dir}"],
+    ])
+    def test_directory_path_is_an_error_line(self, argv, tmp_path, tetra_file, capsys):
+        paths = {"{dir}": str(tmp_path), "{tetra}": str(tetra_file)}
+        code, _, err = run_cli([paths.get(a, a) for a in argv], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "Is a directory" in err
+
 
 class TestLoaderErrors:
     @pytest.mark.parametrize("command, text, message", [

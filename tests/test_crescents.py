@@ -8,7 +8,6 @@ from domekit.crescents import (
     Crescent,
     angle_scale,
     crescent_parameter,
-    normalize,
     quasiregular_bound,
     scaling_beltrami,
     scaling_dilatation,
@@ -22,7 +21,7 @@ from _oracles import circles_close, numeric_wirtinger
 class TestCrescent:
     def test_standard_wedge_normalizes_to_identity_up_to_scale(self):
         c = Crescent.standard_wedge(1.1)
-        b = normalize(c)
+        b = c.beta
         assert abs(b(0)) < 1e-12 and b(INF) == INF
         # positive reals stay on the positive real axis
         for x in (0.5, 2.0, 7.0):
@@ -43,7 +42,7 @@ class TestCrescent:
     def test_normalize_sends_vertices_to_zero_inf(self):
         c = Crescent(CircleOrLine.unit_circle(), CircleOrLine.real_line(),
                      0.5 + 0.3j)
-        b = normalize(c)
+        b = c.beta
         imgs = sorted([abs(b(c.vertices[0])), abs(b(c.vertices[1]))
                        if b(c.vertices[1]) != INF else math.inf])
         assert imgs[0] < 1e-10 and imgs[1] == math.inf
@@ -51,7 +50,7 @@ class TestCrescent:
     def test_roundtrip_boundary_circles(self):
         c = Crescent(CircleOrLine.unit_circle(), CircleOrLine.real_line(),
                      0.5 + 0.3j)
-        b = normalize(c)
+        b = c.beta
         binv = b.inverse()
         w1 = CircleOrLine.real_line().mobius_image(binv)
         w2 = CircleOrLine.line_through(0j, cmath.exp(1j * c.theta)).mobius_image(binv)
@@ -62,7 +61,7 @@ class TestCrescent:
         circle = CircleOrLine.through_points(1.0, -1.0, 0.6j)
         cr = Crescent(CircleOrLine.real_line(), circle, 0.2j)
         assert {round(abs(v), 10) for v in cr.vertices} == {1.0}
-        b = normalize(cr)
+        b = cr.beta
         # explicit three-point construction sending -1 -> 0, 1 -> inf agrees
         # on the vertex images
         assert abs(b(cr.vertices[0])) < 1e-10

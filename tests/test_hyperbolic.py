@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from domekit.errors import CrossingLeaves
@@ -20,9 +20,12 @@ from domekit.hyperbolic import (
     dist_h3_array,
     dist_point_geodesic_h2,
     disk_to_halfspace,
+    foot_on_geodesic,
     geodesic_distance,
+    geodesic_polar,
     geodesic_ray_point,
     halfspace_to_ball,
+    perpendicular_feet,
     poincare_extension,
     point_vec,
     sphere_to_boundary,
@@ -146,6 +149,72 @@ class TestGeodesicDistance:
         d, f1, f2 = geodesic_distance(g1, g2)
         assert dist_point_geodesic_h2(f1.z, g1) < 1e-9
         assert dist_point_geodesic_h2(f2.z, g2) < 1e-9
+
+
+#: a leaf 1e-3 rad wide, or one of a log-uniform width up to 2 rad
+_WIDTHS = st.one_of(st.just(1e-3), st.floats(-3.0, 0.3).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def ultraparallel_pairs(draw):
+    """Two leaves with no common endpoint, side by side or nested, each
+    endpoint at least 1e-3 rad from the other leaf's."""
+    a, w1, w2, gap = draw(st.floats(0.0, 2 * math.pi)), draw(_WIDTHS), draw(_WIDTHS), draw(_WIDTHS)
+    if draw(st.booleans()):
+        l1, l2 = (a, a + gap + w2 + w1), (a + gap, a + gap + w2)
+    else:
+        l1, l2 = (a, a + w1), (a + w1 + gap, a + w1 + gap + w2)
+    assume(max(l1[1], l2[1]) < a + 2 * math.pi - 1e-3)
+    return GeodesicH2.from_angles(*l1), GeodesicH2.from_angles(*l2)
+
+
+class TestPerpendicularFeetAgainstMpmath:
+    """`perpendicular_feet` and `foot_on_geodesic` against 50-digit polars
+    of the same float endpoints.  A leaf's polar is the cross product of two
+    light vectors w rad apart, so its error grows as the leaf shortens: on
+    20000 random pairs, 12000 of them drawn as here, the distances below
+    were off by at most 10700 u / w^2 = 1.2e-12 / w^2, with u = 2^-53 and w
+    the width of the shorter leaf involved (1.2e-6 at w = 1e-3).  The
+    tolerance is that measure rounded up, 2e-12 / w^2."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(leaves=ultraparallel_pairs(), r=st.floats(0.0, 0.9),
+           phi=st.floats(0.0, 2 * math.pi))
+    def test_feet(self, leaves, r, phi):
+        mpmath = pytest.importorskip("mpmath")
+
+        def polar(g):
+            (x1, y1), (x2, y2) = ((mpmath.cos(t), mpmath.sin(t)) for t in g.angles())
+            u = (y1 - y2, x2 - x1, x2 * y1 - x1 * y2)
+            return [c / mpmath.sqrt(abs(dot(u, u))) for c in u]
+
+        def dot(u, v):
+            return u[0] * v[0] + u[1] * v[1] - u[2] * v[2]
+
+        def vec(z):
+            x, y = mpmath.mpf(z.real), mpmath.mpf(z.imag)
+            d = 1 - x * x - y * y
+            return (2 * x / d, 2 * y / d, (2 - d) / d)
+
+        def off_leaf(z, u):
+            return mpmath.asinh(abs(dot(vec(z), u)))
+
+        def dist(z, w):
+            return mpmath.acosh(-dot(vec(z), vec(w)))
+
+        widths = [min(g.b.angle - g.a.angle, 2 * math.pi - (g.b.angle - g.a.angle))
+                  for g in leaves]
+        z = r * cmath.exp(1j * phi)
+        with mpmath.workdps(50):
+            U1, U2 = (polar(g) for g in leaves)
+            tol = 2e-12 / min(widths) ** 2
+            f1, f2 = perpendicular_feet(*(geodesic_polar(g) for g in leaves))
+            assert off_leaf(f1, U1) <= tol and off_leaf(f2, U2) <= tol
+            assert abs(dist(f1, f2) - mpmath.acosh(abs(dot(U1, U2)))) <= tol
+            tol = 2e-12 / widths[0] ** 2
+            f = foot_on_geodesic(z, geodesic_polar(leaves[0]))
+            assert off_leaf(f, U1) <= tol
+            assert abs(dist(z, f) - off_leaf(z, U1)) <= tol
 
 
 class TestPoincareExtension:

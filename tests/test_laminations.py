@@ -410,9 +410,10 @@ def floor_laminations(draw):
 
 class TestNearPairs:
     """`FiniteLamination.near_pairs` lists the pairs that a double loop over
-    `geodesic_distance` finds below distance 1, asymptotic pairs at 0.  Two
-    fan leaves whose hubs lie 1e-13 apart across angle 0 share an end for
-    the nesting, but their polars may cross: such a pair counts as 0 too."""
+    `geodesic_distance` finds below distance 1, asymptotic pairs at 0.  Both
+    call a pair asymptotic when it shares an endpoint rank of the nesting,
+    as do two fan leaves whose hubs lie 1e-13 apart across angle 0, so
+    `geodesic_distance` raises on none of these valid laminations."""
 
     @settings(max_examples=80, derandomize=True, database=None, deadline=None)
     @given(lam=near_pair_laminations())
@@ -420,15 +421,23 @@ class TestNearPairs:
         want = []
         for i in range(len(lam)):
             for j in range(i + 1, len(lam)):
-                try:
-                    d = geodesic_distance(lam.leaves[i], lam.leaves[j])[0]
-                except CrossingLeaves:
-                    d = 0.0
+                d = geodesic_distance(lam.leaves[i], lam.leaves[j])[0]
                 if d < 1.0:
                     want.append((i, j, d))
         got = [(i, j, math.acosh(c) if c >= 1.0 + ASYMPTOTIC_TOL else 0.0)
                for i, j, c in lam.near_pairs]
         assert got == want
+
+    def test_shared_rank_across_angle_zero_is_asymptotic(self):
+        # the hubs 2 pi - 1e-13 and 0.0 share a rank, though the polars give
+        # |<u, v>| = 1 - 1.3e-12 < 1 - ASYMPTOTIC_TOL, a crossing by c alone
+        g1 = GeodesicH2.from_angles(0.4563676969712828, 2 * math.pi - 1e-13)
+        g2 = GeodesicH2.from_angles(0.0, 6.06145210214022)
+        lam = FiniteLamination([g1, g2], [0.8, 1.1])
+        assert lam.nesting.ranks[0, 1] == lam.nesting.ranks[1, 0] == 0
+        assert geodesic_distance(g1, g2) == (0.0, None, None)
+        assert geodesic_distance(g2, g1) == (0.0, None, None)
+        assert lam.near_pairs == ((0, 1, 1.0),)
 
 
 class TestRoundnessMatchesOracle:
@@ -805,7 +814,7 @@ class TestPushforward:
         fault = FiniteLamination([GeodesicH2.from_angles(0.0, math.pi)], [0.9])
         quake = earthquake(fault, base=PointH2(-0.5j))
         lam = FiniteLamination([GeodesicH2.from_angles(1.0, 2.0)], [1.0])
-        out = pushforward(quake.boundary_map(), lam)
+        out = pushforward(quake.boundary_angle, lam)
         side_map = quake.gap_maps[quake.complex_.gap_of(0.5j)]
         want = sorted(
             cmath.phase(side_map(cmath.exp(1j * t))) % (2 * math.pi)

@@ -582,9 +582,9 @@ class TestEarthquake:
             sq = t1.compose(t1)
             assert is_identity(sq.compose(t2.inverse()), tol=1e-9)
 
-    def test_boundary_map_monotone(self, rng):
+    def test_boundary_angle_monotone(self, rng):
         lam = random_lamination(rng, 5)
-        bm = earthquake(lam).boundary_map()
+        bm = earthquake(lam).boundary_angle
         angles = rng.uniform(0, 2 * math.pi, 10**4)
         imgs = np.array([bm(a) for a in angles])
         order_in = np.argsort(angles)
@@ -595,7 +595,7 @@ class TestEarthquake:
 
     def test_boundary_continuity_at_endpoints(self, rng):
         lam = random_lamination(rng, 4)
-        bm = earthquake(lam).boundary_map()
+        bm = earthquake(lam).boundary_angle
         for g in lam.leaves:
             for t in g.angles():
                 lo = bm(t - 1e-12)
@@ -659,7 +659,7 @@ def boundary_trace_digest(lam: FiniteLamination) -> str:
     every boundary arc start and the float below 2 pi."""
     plane = pleat(lam)
     ce = complex_earthquake(lam, 0.4 + 0.3j)
-    quake = earthquake(lam).boundary_map()
+    quake = earthquake(lam).boundary_angle
     starts = [a for gap in lam.gaps.gaps for a, _ in gap.arcs]
     angles = np.linspace(0.0, 2 * math.pi, 256, endpoint=False).tolist()
     angles += starts + [math.nextafter(2 * math.pi, 0.0)]

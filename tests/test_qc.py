@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import beltrami_estimate_oracle, dilatation_stats_oracle, grid_sample_oracle
 from domekit import qc
+from domekit.annulus import annulus_geometry
 from domekit.cli import main
 from domekit.errors import EmptyField, NotInjective, TooFewPoints
 from domekit.mobius import MobiusMap
@@ -23,7 +24,6 @@ from domekit.qc import (
     beltrami_estimate,
     conjugation_sample,
     dilatation_stats,
-    extremal_alpha,
     far_pole_mobius,
     identity_sample,
     mobius_sample,
@@ -151,15 +151,11 @@ class TestAnnulusExtremal:
         chk = annulus_extremal_check(1.0, 3.0, 512)
         assert abs(chk.grid_sup_K - 3.0) < 1e-4
 
-    def test_extremal_alpha_reaches_dome_modulus(self):
+    def test_extremal_exponent_reaches_dome_modulus(self):
         s = 3.0
-        a = extremal_alpha(s)
-        chk = annulus_extremal_check(s, a, 512)
-        from domekit.annulus import annulus_geometry
-
         g = annulus_geometry(s)
+        chk = annulus_extremal_check(s, g.K, 512)
         assert chk.target_modulus == pytest.approx(g.dome_modulus, rel=1e-12)
-        assert a == pytest.approx(g.K, rel=1e-12)
         assert abs(chk.grid_sup_K - g.K) < 1e-3
 
 
@@ -208,7 +204,7 @@ CHECKS = {
     "scaling-anchor": lambda n: verify_scaling_dilatation(2j, math.pi / 2, n,
                                                           t=1j, t0=1j / 3),
     "scaling-oblique": lambda n: verify_scaling_dilatation(1.5 + 0.5j, 0.8, n),
-    "annulus-extremal": lambda n: annulus_extremal_check(3.0, extremal_alpha(3.0), n),
+    "annulus-extremal": lambda n: annulus_extremal_check(3.0, annulus_geometry(3.0).K, n),
 }
 
 #: one band (24, 127, 128, 129), and several with a longer last band (512, 1000)
