@@ -58,6 +58,9 @@ _CHUNK_ARCS = 1 << 14
 # be scored: sinh(1/2), the farthest a crossing unit arc's centre lies, and
 # a 1% margin (see `_reaching`)
 _NEAR = 1.01 * math.sinh(0.5)
+# the scales of the normals that jitter a targeted arc across a near pair's
+# common perpendicular: its centre's real and imaginary parts, its direction
+_JITTER = np.array([[0.02], [0.02], [0.05]])
 _U = 2.0**-53  # unit roundoff of a double
 
 
@@ -462,7 +465,7 @@ class _Scratch:
     ``n_leaves`` leaves, allocated once per sampler call and reused by every
     batch.  Rows 0-4 of ``vec`` belong to `_crossings`; rows 5-7 hold a
     random chunk's x, y and |c|^2, and ``cand`` the x, y, |c|^2 and
-    directions of the random arcs waiting to be scored.  Two of these
+    directions of the random arcs waiting to be scored.  Three of these
     share memory with arrays that hold nothing live meanwhile:
 
     - the directions in ``cand`` are the first ``size`` doubles of
@@ -470,15 +473,18 @@ class _Scratch:
       read them;
     - ``keep``, the mask of a chunk's arcs that can cross a leaf, is a
       bool view of row 1 of ``vec``, free from the mask's making to its
-      reading.
+      reading;
+    - ``crossed``, the (n_leaves, size) mask that `_crossings` returns, is
+      a bool view of the second of its products, which it has read by then.
     """
 
     def __init__(self, n_leaves: int, size: int):
         self.vec = np.empty((8, size))
-        self.rows = np.empty((2, size, 3))
-        self.prod = np.empty((2, size, n_leaves))
+        self.rows = np.empty((2, 3, size))
+        self.prod = np.empty((2, n_leaves, size))
         self.cand = (*np.empty((3, size)), self.rows.reshape(-1)[:size])
         self.keep = self.vec[1].view(bool)
+        self.crossed = self.prod[1].view(bool)[:, :size]
 
 
 def _cos_sin(angle: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,9 +506,10 @@ def _cos_sin(angle: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _crossings(polars_t: np.ndarray, x: np.ndarray, y: np.ndarray,
                r2: np.ndarray, dirs: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """(N, n) mask, 1.0 or 0.0 in ``scratch``, of the leaves that each unit
-    arc crosses.  The arcs have centres c = x + iy, |c|^2 = ``r2``, and
-    directions ``dirs``; ``polars_t`` is the (3, n) transpose of the polars.
+    """(n, N) bool mask, in ``scratch``, of the leaves that each unit arc
+    crosses, a row per leaf.  The arcs have centres c = x + iy, |c|^2 =
+    ``r2``, and directions ``dirs``; ``polars_t`` is the (3, n) transpose of
+    the polars.
 
     Each arc is scored from its centre with real arithmetic only:
 
@@ -522,13 +529,17 @@ def _crossings(polars_t: np.ndarray, x: np.ndarray, y: np.ndarray,
     The arc crosses a leaf when the two values have opposite signs.  Each
     step writes into ``scratch`` with the ufunc and operands that the
     formulas above name, so the mask's bits do not depend on the buffers.
+    A value is (e0 u0 + e1 u1) + e2 u2 for an end's row e = A +- K B, with
+    elementwise ufuncs and no BLAS call, so neither do they depend on the
+    BLAS kernel.  The leaves are taken five at a time, the rows of ``vec``
+    that are free by then holding the products being added.
     """
     m = len(x)
     vec = scratch.vec[:, :m]
     cos_d, sin_d = _cos_sin(dirs, vec[:4])
     a, b, w = vec[2:5]
-    across, ends = scratch.rows[:, :m]
-    # a + ib = c^2, then across = K B column by column
+    across, ends = scratch.rows[:, :, :m]
+    # a + ib = c^2, then across = K B row by row
     np.multiply(2.0, x, out=b)
     b *= y
     np.multiply(x, x, out=a)
@@ -536,28 +547,35 @@ def _crossings(polars_t: np.ndarray, x: np.ndarray, y: np.ndarray,
     a -= w
     np.add(1.0, a, out=w)
     w *= cos_d
-    np.multiply(b, sin_d, out=across[:, 0])
-    across[:, 0] += w
+    np.multiply(b, sin_d, out=across[0])
+    across[0] += w
     np.subtract(1.0, a, out=w)
     w *= sin_d
     b *= cos_d
-    np.add(b, w, out=across[:, 1])
+    np.add(b, w, out=across[1])
     np.multiply(x, cos_d, out=a)
     np.multiply(y, sin_d, out=w)
     a += w
-    np.multiply(-2.0, a, out=across[:, 2])
+    np.multiply(-2.0, a, out=across[2])
     across *= math.tanh(0.5)
-    sp, sq = scratch.prod[:, :m]
-    for plus_minus, out in ((np.add, sp), (np.subtract, sq)):
-        # A, made again for each end: one (N, 3) array fewer
-        np.multiply(2.0, x, out=ends[:, 0])
-        np.multiply(2.0, y, out=ends[:, 1])
-        np.add(1.0, r2, out=ends[:, 2])
-        np.negative(ends[:, 2], out=ends[:, 2])
-        plus_minus(ends, across, out=ends)  # A +- K B
-        np.matmul(ends, polars_t, out=out)
+    # A into vec[:3]; then ends = A + K B, and across becomes A - K B
+    np.multiply(2.0, x, out=vec[0])
+    np.multiply(2.0, y, out=vec[1])
+    np.add(1.0, r2, out=vec[2])
+    np.negative(vec[2], out=vec[2])
+    np.add(vec[:3], across, out=ends)
+    np.subtract(vec[:3], across, out=across)
+    sp, sq = scratch.prod[:, :, :m]
+    tmp = vec[:5]
+    for k in range(0, len(sp), len(tmp)):
+        u0, u1, u2 = polars_t[:, k:k + len(tmp), None]
+        t = tmp[:len(u0)]
+        for e, out in ((ends, sp[k:k + len(t)]), (across, sq[k:k + len(t)])):
+            np.multiply(e[0], u0, out=out)
+            out += np.multiply(e[1], u1, out=t)
+            out += np.multiply(e[2], u2, out=t)
     sp *= sq
-    return np.less(sp, 0.0, out=sq)
+    return np.less(sp, 0.0, out=scratch.crossed[:, :m])
 
 
 def _reaching(polars_a: np.ndarray, tally: np.ndarray, m: int, floor: float,
@@ -625,6 +643,87 @@ def _reaching(polars_a: np.ndarray, tally: np.ndarray, m: int, floor: float,
     return np.flatnonzero(np.greater(weight, floor, out=scratch.keep[:m]))
 
 
+def _fixed_sums(weights, chosen: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[p] = the sum of weights[k] over the k with chosen[k, p], added
+    one at a time in increasing k from 0.0, as `roundness` adds: a ufunc
+    per leaf over all columns, so no BLAS kernel picks the order.
+
+    Such a sum over a set of leaves is at most the sum over any superset,
+    for positive weights: adding a weight never lowers a partial sum, and
+    rounding is monotone, so, leaf by leaf, the subset's partial sum stays
+    at most the superset's.
+    """
+    out.fill(0.0)
+    for w, row in zip(weights, chosen):
+        np.add(out, w, out=out, where=row)
+    return out
+
+
+def _random_arc_bound(polars: np.ndarray, weights: np.ndarray) -> float:
+    """B, a bound on the sampler's measure of every arc centred within 0.999
+    of 0, random arcs among them: the largest `_fixed_sums` over one leaf,
+    or over a set T(i, j) for a near pair i < j.  Leaves are near when
+    their polars' `_mink_dot` is at most 1.5431 in size (cosh 1 =
+    1.54308).  T(i, j) holds i, j and every leaf k that the polars put
+    between them: i and j lie on opposite sides of k, leaf v lying on the
+    side sign(u_k2 - <u_k, u_v> u_v2) of leaf k.  When a near pair has
+    |<u_i, u_j>| <= 1 + 1e-6 (asymptotic leaves among them), T(i, j) holds
+    instead every leaf k, i <= k <= j, near both i and j.
+
+    A unit arc (centre c, |c| < 0.999, ends p and q) measures the
+    `_fixed_sums` of the set S of leaves that `_crossings` says it crosses.
+    S is empty, one leaf or inside some T(i, j), so its sum is at most B,
+    T's sum being at least S's (see `_fixed_sums`):
+
+    - An end's computed side of a leaf is its side unless the end lies
+      within d = 4e-8 of the leaf.  By `_reaching`'s bounds an end value
+      rounds by less than 3e-8 (1 - |c|^2), and an end at distance t off
+      the leaf has the value sinh(t) (1 - |c|^2) / cosh(1/2) in size, more
+      than that for t >= d.  So a crossed leaf meets the arc or passes
+      within d of an end, and lies within 1/2 + d of c, within 8.11 of 0 (c
+      lies within 2 atanh(0.999) < 7.6 of 0).  Its polar has |u2| <=
+      sinh(8.11) < 1700 and the Minkowski norm 1 within 1e-8, and the
+      product of two such polars rounds by under 4 u 9e6 < 1e-8, each of
+      its three terms being under 3e6 in size.
+    - Two crossed leaves u, v lie within 1 + 2d of each other, through the
+      arc.  Exactly, |<u, v>| <= cosh(1 + 8e-8) (1 + 1e-8) < 1.54308075
+      (the cosh of the distance of leaves that meet is at most 1), so the
+      computed product is under the cut: u and v are near.
+    - With a close near pair, S, i its first and j its last leaf in index
+      order, lies in T(i, j).  Otherwise two crossed leaves have |<u, v>| >
+      1 + 1e-6 - 1e-8, the cosh of their distance exceeds 1 + 9.7e-7, and
+      they lie more than 1.3e-3 > 2d apart.  So at most one crossed leaf
+      passes within d of p.  If p's computed side of it is wrong (or p
+      lies on it), move p along its perpendicular to the leaf to just past
+      it, by less than d: the path stays within d of that leaf and meets no
+      other crossed leaf, whose computed sides of p were right.  Likewise
+      at q.  The moved ends lie strictly on the computed sides of every
+      leaf of S, opposite for each, so the segment between them crosses
+      every leaf of S, once.  Name its first and last i and j (swapped if i
+      > j): every other leaf k of S crosses it between them, so i lies on
+      the first end's side of k and j on the other's.  S lies in T(i, j),
+      as the polar sides of i and j for k are right:
+    - Take w = u_k - (<u_k, u_v> / <u_v, u_v>) u_v.  It is orthogonal to
+      u_v, and timelike for disjoint leaves, so +-w is a point of leaf v,
+      and <w, u_k> = <w, w> < 0: leaf v lies where <x, u_k> has the sign of
+      -w2.  Now |w2| >= sqrt(-<w, w>) = sqrt(<u_k, u_v>^2 / <u_v, u_v> -
+      <u_k, u_k>) > 1.3e-3 for two leaves of S, and the computed u_k2 -
+      <u_k, u_v> u_v2 differs from w2 by under 1.7e-5 for the product's
+      rounding, 2.7e-5 for the norm and a few ulps: it has w2's sign.
+    """
+    dots = _mink_dot(polars[:, None], polars[None, :])
+    near = np.abs(dots) <= 1.5431
+    i, j = np.nonzero(np.triu(near, 1))
+    k = np.arange(len(near))[:, None]
+    if (np.abs(dots[i, j]) > 1.0 + 1e-6).all():
+        side = np.less(polars[:, None, 2] - dots * polars[None, :, 2], 0.0)
+        between = (side[:, i] != side[:, j]) | (k == i) | (k == j)
+    else:
+        between = near[:, i] & near[:, j] & (i <= k) & (k <= j)
+    sums = _fixed_sums(weights, between, np.empty(len(i)))
+    return float(max(weights.max(), sums.max(initial=0.0)))
+
+
 def _chunk(i: int, n: int) -> slice:
     """The i-th chunk of n arcs."""
     return slice(i * _CHUNK_ARCS, min((i + 1) * _CHUNK_ARCS, n))
@@ -653,18 +752,25 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     attains it when the sample pool contains a witnessing arc.  Each arc's
     two end signs come from two real linear forms of its centre and
     direction, pulled back from the leaves' side form (see `_crossings`),
-    with no complex arithmetic and no end point computed.
+    with no complex arithmetic and no end point computed.  An arc's measure
+    adds its crossed weights in increasing leaf index (`_fixed_sums`).
+    Neither step calls BLAS, so the result does not depend on the BLAS
+    kernel.
 
     The arcs are taken in fixed-size chunks on up to ``threads`` threads
     (by default the usable CPUs; never more than those or the chunks); the
     result, a maximum over arcs, does not depend on the thread count.  Each
     random chunk draws its own arcs, so memory does not grow with
     ``n_arcs``.  The targeted arcs are scored first, on the calling thread,
-    and their maximum is the floor.  Of the random arcs, only those whose
-    near leaves (see `_reaching`) can outweigh the best measure found so
-    far are scored, in full batches of a chunk's size; the others measure
-    at most that.  When the floor reaches the bound on every arc's measure,
-    as for one leaf, no random arc is drawn.
+    and their maximum is the floor.  `_random_arc_bound` gives a bound B on
+    the measure of every arc centred within 0.999 of 0.  The 120 jittered
+    copies of each perpendicular's arc lie there when its midpoint does,
+    and they are drawn but not scored when the other targeted arcs reach
+    B.  When the floor reaches B, as for one leaf, the floor is the result
+    and no random arc is drawn.  Otherwise, of the random arcs, only those
+    whose near leaves (see `_reaching`) can outweigh the best measure found
+    so far are scored, in full batches of a chunk's size; the others
+    measure at most that.
     """
     if n_arcs < 1:
         raise NonpositiveInput(f"n_arcs must be at least 1, got {n_arcs}")
@@ -676,6 +782,9 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
 
     centers_list = []
     dirs_list = []
+    # the midpoints and directions of the near pairs' common perpendiculars,
+    # and the normals that jitter 120 copies of each
+    mids, heads, noise = [], [], []
 
     if targeted:
         near = [[] for _ in range(n)]
@@ -686,6 +795,7 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
             onleaf = foot_on_geodesic(0j, lam.polars[i])
             centers_list.append(np.full(64, onleaf))
             dirs_list.append(rng.uniform(0, 2 * math.pi, 64))
+            first = len(mids)
             for j, c in near[i]:
                 # leaves sharing a rank, also across angle 0, are asymptotic
                 # whatever c is: probe ever deeper into the shared cusp, at
@@ -701,16 +811,15 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
                 if c < 1.0 + ASYMPTOTIC_TOL:  # crossing or asymptotic by the polars
                     continue
                 f1, f2 = perpendicular_feet(lam.polars[i], lam.polars[j])
-                mid = _geodesic_midpoint(f1, f2)
-                direction = _initial_direction(mid, f2)
-                # exact witness plus jittered copies
-                centers_list.append(np.array([mid]))
-                dirs_list.append(np.array([direction]))
-                jn = 120
-                jz = mid + (rng.normal(0, 0.02, jn) + 1j * rng.normal(0, 0.02, jn))
-                jz = np.where(np.abs(jz) < 0.995, jz, mid)
-                centers_list.append(jz)
-                dirs_list.append(direction + rng.normal(0, 0.05, jn))
+                mids.append(_geodesic_midpoint(f1, f2))
+                heads.append(_initial_direction(mids[-1], f2))
+            if len(mids) > first:
+                # per perpendicular, 120 standard normals each for the real
+                # and imaginary parts of the centre and for the direction
+                noise.append(rng.standard_normal(360 * (len(mids) - first)))
+        # the exact witnesses; their jittered copies are scored below
+        centers_list.append(np.array(mids, dtype=complex))
+        dirs_list.append(np.array(heads))
 
     # a C-ordered copy: at 2-8 leaves the products ran 2-3 times as fast
     # against it as against the view lam.polars.T, with the same bits
@@ -718,30 +827,43 @@ def roundness_brute_force(lam: FiniteLamination, n_arcs: int = 10**6,
     # the rows (-u2, 2 u0, 2 u1) and [weights; ones] that `_reaching` takes
     polars_a = lam.polars[:, [2, 0, 1]] * np.array([-1.0, 2.0, 2.0])
     tally = np.stack([weights, np.ones(n)])
-    n_targeted = sum(len(c) for c in centers_list)
+    n_targeted = sum(len(c) for c in centers_list) + 120 * len(mids)
     n_random = max(n_arcs - n_targeted, 0)
 
     def measure(x, y, r2, dirs, scratch: _Scratch) -> float:
         mask = _crossings(polars_t, x, y, r2, dirs, scratch)
         # the arcs' transverse measures, in vec[0], which is free again
-        return float(np.matmul(mask, weights, out=scratch.vec[0, :len(x)]).max())
+        return float(_fixed_sums(weights, mask, scratch.vec[0, :len(x)]).max())
 
-    # the targeted arcs first, in chunks, in a scratch of their size: their
-    # maximum is the floor that a random arc's near leaves must outweigh
+    def raise_floor(floor: float, centers: np.ndarray, dirs: np.ndarray) -> float:
+        """The floor raised to the largest measure of these targeted arcs,
+        scored in chunks in a scratch of their size, which is freed before
+        the workers make theirs."""
+        x, y = centers.real, centers.imag
+        r2 = x * x + y * y
+        scratch = _Scratch(n, min(_CHUNK_ARCS, len(x)))
+        for i in range(-(-len(x) // _CHUNK_ARCS)):  # ceiling division
+            sl = _chunk(i, len(x))
+            floor = max(floor, measure(x[sl], y[sl], r2[sl], dirs[sl], scratch))
+        return floor
+
+    # the targeted arcs first: their maximum is the floor that a random
+    # arc's near leaves must outweigh
     floor = 0.0
-    if n_targeted:
-        t_centers = np.concatenate(centers_list)
-        t_x, t_y = t_centers.real, t_centers.imag
-        t_r2 = t_x * t_x + t_y * t_y
-        t_dirs = np.concatenate(dirs_list)
-        scratch = _Scratch(n, min(_CHUNK_ARCS, n_targeted))
-        for i in range(-(-n_targeted // _CHUNK_ARCS)):  # ceiling division
-            sl = _chunk(i, n_targeted)
-            floor = max(floor, measure(t_x[sl], t_y[sl], t_r2[sl], t_dirs[sl], scratch))
-        del scratch  # before the workers make theirs
-    # every arc's measure is a float sum of weights, at most fl(sum w) (1 +
-    # 4 (n - 1) u) as in `_reaching`: the weight itself for one leaf
-    if not n_random or floor >= float(weights.sum()) * (1.0 + 4 * _U * (n - 1)):
+    if targeted:
+        floor = raise_floor(floor, np.concatenate(centers_list), np.concatenate(dirs_list))
+    bound = _random_arc_bound(lam.polars, weights) if n_random or mids else math.inf
+    # B bounds the jittered copies too when every midpoint lies within 0.999
+    # of 0: a copy is centred within 0.995 of 0 or at its midpoint
+    if mids and not (floor >= bound and max(map(abs, mids)) < 0.999):
+        # normal(0, s) is 0 + s z for the same stream of standard normals z
+        mid, head = np.array(mids)[:, None], np.array(heads)[:, None]
+        z = np.concatenate(noise).reshape(len(mids), 3, 120)
+        re, im, turn = (0.0 + _JITTER * z).swapaxes(0, 1)
+        jz = mid + (re + 1j * im)
+        floor = raise_floor(floor, np.where(np.abs(jz) < 0.995, jz, mid).ravel(),
+                            (head + turn).ravel())
+    if not n_random or floor >= bound:
         return floor
     # Sample centres within the hyperbolic radius that covers all feet.  The
     # random arcs are the stream of `state` cut into three draws of n_random

@@ -18,8 +18,10 @@ middle.  Their values agree with the library's to rounding.
 `arc_end_sides` finds a sampled arc's ends by the complex Mobius map
 that the sampler's real pulled-back forms replace.
 `roundness_brute_force_oracle` is the sampler before it scored only the
-random arcs that can reach a leaf, which the filtered one must equal bit
-for bit.
+random arcs that can reach a leaf, or none when the targeted arcs reach a
+bound on them, which the pruned one must equal bit for bit; it sums each
+arc's crossed weights in increasing leaf index by a running sum
+(`fixed_order_measures`), as the sampler does by a ufunc per leaf.
 `boundary_gap_oracle` finds the boundary arc holding an angle by interval
 containment, where `GapComplex.boundary_gap` bisects the sorted starts.
 `sphere_hull_brute` and `sphere_hull_qhull` build a hull's merged faces
@@ -409,8 +411,8 @@ def roundness_oracle(lam: FiniteLamination) -> float:
 def roundness_brute_force_oracle(lam: FiniteLamination, n_arcs: int, seed: int,
                                  targeted: bool) -> float:
     """The sampler as it was before it dropped the random arcs that reach no
-    leaf: every arc scored, in chunks, by `laminations._crossings`.  The
-    targeted arcs come pair by pair: cusp probes for leaves that share an
+    leaf: every arc scored, in chunks, by `laminations._crossings`, and
+    measured by `fixed_order_measures`.  The targeted arcs come pair by pair: cusp probes for leaves that share an
     endpoint rank, whatever `geodesic_distance` says, else the common
     perpendicular from `geodesic_distance`.  The random ones come from three
     full-length `uniform` draws after them."""
@@ -459,15 +461,22 @@ def roundness_brute_force_oracle(lam: FiniteLamination, n_arcs: int, seed: int,
                                 np.empty((4, n_random)))
         rho = np.sqrt(r2)
         arcs.append((rho * cos_t, rho * sin_t, r2, rng.uniform(0, 2 * math.pi, n_random)))
-    polars_t, weights = np.ascontiguousarray(lam.polars.T), np.asarray(lam.weights)
+    polars_t = np.ascontiguousarray(lam.polars.T)
     scratch = _Scratch(n, _CHUNK_ARCS)
     best = 0.0
     for x, y, r2, dirs in arcs:
         for i in range(0, len(x), _CHUNK_ARCS):
             chunk = slice(i, i + _CHUNK_ARCS)
             mask = _crossings(polars_t, x[chunk], y[chunk], r2[chunk], dirs[chunk], scratch)
-            best = max(best, float((mask @ weights).max()))
+            best = max(best, float(fixed_order_measures(mask, lam.weights).max()))
     return best
+
+
+def fixed_order_measures(mask: np.ndarray, weights) -> np.ndarray:
+    """The crossed weights of each column of an (n, N) mask, added in
+    increasing leaf index: the last row of their running sums, an uncrossed
+    leaf adding 0.0."""
+    return np.add.accumulate(mask * np.asarray(weights)[:, None], axis=0)[-1]
 
 
 def embedding_check_oracle(plane, samples: int = 10**4, seed: int = 0,

@@ -3,6 +3,8 @@ import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -24,6 +26,7 @@ from domekit.hyperbolic import (
     ASYMPTOTIC_TOL,
     GeodesicH2,
     PointH2,
+    _mink_dot,
     geodesic_distance,
     point_along,
     side_of,
@@ -50,10 +53,14 @@ from _oracles import (
     angles_interleave,
     arc_end_sides,
     arc_walk_crossing_count,
+    fixed_order_measures,
     roundness_brute_force_oracle,
     roundness_oracle,
 )
 from test_hyperbolic import leaf_from_uhp
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 def two_leaves_at_distance(d: float, w1: float, w2: float) -> FiniteLamination:
@@ -342,7 +349,7 @@ def scored_arcs(module, run) -> tuple[float, dict]:
     def recording(polars_t, x, y, r2, dirs, scratch):
         rows = np.stack([x, y, r2, dirs], axis=1)
         mask = crossings(polars_t, x, y, r2, dirs, scratch)
-        arcs.update(zip((row.tobytes() for row in rows), (m.tobytes() for m in mask)))
+        arcs.update(zip((row.tobytes() for row in rows), (m.tobytes() for m in mask.T)))
         return mask
 
     with pytest.MonkeyPatch.context() as mp:
@@ -452,10 +459,12 @@ class TestRoundnessMatchesOracle:
 class TestSampler:
     # cusp_lamination(n, width, seed), arc seed, then roundness_brute_force
     # (n_arcs=300000) with and without targeted arcs, as returned before the
-    # sampler was chunked; the chunked kernel must reproduce them bit for bit
+    # sampler was chunked; the chunked kernel must reproduce them bit for bit.
+    # [8-0.01-4-6] moved in its last bit when the side values and measures
+    # took a fixed order instead of BLAS products
     PINNED = [
         (6, 0.01, 3, 8, "0x1.c102b09f91eebp+1", "0x1.163b4bc92d9dep+0"),
-        (8, 0.01, 4, 6, "0x1.26176bc18dc0ep+3", "0x1.d46f65b653f2fp+1"),
+        (8, 0.01, 4, 6, "0x1.26176bc18dc0fp+3", "0x1.d46f65b653f2fp+1"),
         (8, 0.005, 5, 8, "0x1.2941f26fa7094p+3", "0x1.150fb2bda8a53p+2"),
     ]
 
@@ -497,12 +506,14 @@ class TestSampler:
     # the benchmark's scale, 10**6 arcs, on matching_lamination(default_rng(n),
     # n) and on cusp_lamination(12, 0.01, 7), whose untargeted maximum
     # depends on the exact sample (arc seeds 1, 2 and 3 give three values);
-    # as returned when the random arcs were drawn as three full-length arrays
+    # as returned when the random arcs were drawn as three full-length
+    # arrays; cusp-12's untargeted value moved in its last bit when the side
+    # values and measures took a fixed order instead of BLAS products
     PINNED_MILLION = [
         ("matching", 1, 91, "0x1.ec89a3c854180p-2", "0x1.ec89a3c854180p-2"),
         ("matching", 4, 94, "0x1.9586ef84bbd9cp+0", "0x1.9586ef84bbd9cp+0"),
         ("matching", 8, 98, "0x1.fcca3af3fb0a4p+0", "0x1.fcca3af3fb0a4p+0"),
-        ("cusp", 12, 3, "0x1.8d5760f1629a2p+3", "0x1.5b50fadc83a8bp+3"),
+        ("cusp", 12, 3, "0x1.8d5760f1629a2p+3", "0x1.5b50fadc83a8ap+3"),
     ]
 
     @pytest.mark.parametrize("kind, n, arc_seed, targeted, untargeted", PINNED_MILLION)
@@ -515,14 +526,53 @@ class TestSampler:
                                             targeted=with_targets, threads=threads)
                 assert got.hex() == expected, (with_targets, threads)
 
+    # 64 leaves make the widest products; the fourth chunk holds 5 arcs
+    PINNED_WIDE = "0x1.57b544f703e17p+1"
+
     def test_pinned_wide_with_a_short_last_chunk(self):
-        # 64 leaves make the widest products; the fourth chunk holds 5 arcs
         lam = matching_lamination(np.random.default_rng(64), 64)
         n_arcs = 3 * laminations._CHUNK_ARCS + 5
         for threads in (1, 2):
             got = roundness_brute_force(lam, n_arcs=n_arcs, seed=64, targeted=False,
                                         threads=threads)
-            assert got.hex() == "0x1.57b544f703e17p+1", threads
+            assert got.hex() == self.PINNED_WIDE, threads
+
+    @classmethod
+    def pinned_runs(cls):
+        """(lamination, n_arcs, arc seed, targeted, pinned hex) of every pin
+        above."""
+        for n, width, lam_seed, arc_seed, *hexes in cls.PINNED:
+            for targeted, want in zip((True, False), hexes):
+                yield cusp_lamination(n, width, lam_seed), 300_000, arc_seed, targeted, want
+        for seed, spokes, rims, zero, arc_seed, *hexes in cls.PINNED_SHARED:
+            lam = fan_lamination(np.random.default_rng(seed), spokes, rims)
+            for targeted, want in zip((True, False), hexes):
+                yield (turned_to_zero(lam) if zero else lam), 300_000, arc_seed, targeted, want
+        for kind, n, arc_seed, *hexes in cls.PINNED_MILLION:
+            lam = (matching_lamination(np.random.default_rng(n), n) if kind == "matching"
+                   else cusp_lamination(n, 0.01, 7))
+            for targeted, want in zip((True, False), hexes):
+                yield lam, 10**6, arc_seed, targeted, want
+        yield (matching_lamination(np.random.default_rng(64), 64),
+               3 * laminations._CHUNK_ARCS + 5, 64, False, cls.PINNED_WIDE)
+
+    def test_pins_independent_of_blas_kernel(self):
+        # OpenBLAS picks its kernel by CPU unless OPENBLAS_CORETYPE names one;
+        # the sampler's side values and measures use no BLAS call
+        script = ("from domekit.laminations import roundness_brute_force as f\n"
+                  "from test_laminations import TestSampler\n"
+                  "for lam, n_arcs, seed, targeted, _ in TestSampler.pinned_runs():\n"
+                  "    print(f(lam, n_arcs, seed, targeted, threads=1).hex())\n")
+        want = "".join(run[-1] + "\n" for run in self.pinned_runs())
+        for coretype in (None, "Haswell", "Prescott", "SkylakeX"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS, env.get("PYTHONPATH", "")])
+            env["OPENBLAS_NUM_THREADS"] = "1"
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300).stdout
+            assert out == want, coretype
 
     def test_cos_sin_from_half_angle(self):
         angles = np.concatenate([np.linspace(-4.0, 8.0, 120_001),
@@ -556,7 +606,7 @@ class TestSampler:
         for dirs in (sampled, 0.0, math.pi, -math.pi, math.pi / 2):
             dirs = np.broadcast_to(dirs, x.shape)
             got = laminations._crossings(np.ascontiguousarray(lam.polars.T),
-                                         x, y, r2, dirs, scratch)
+                                         x, y, r2, dirs, scratch).T
             sp, sq = arc_end_sides(lam, x + 1j * y, dirs)
             sure = (np.abs(sp) >= ON_LEAF_TOL) & (np.abs(sq) >= ON_LEAF_TOL)
             assert sure.mean() > 0.9
@@ -570,6 +620,9 @@ class TestSampler:
     @example(lam=cusp_lamination(12, 0.01, 7), seed=3, extra=777, targeted=False)
     @example(lam=short_leaves(np.random.default_rng(2), 8, 1e-3), seed=2, extra=1,
              targeted=True)
+    # perpendiculars with midpoints past 0.999, whose jittered copies B does
+    # not bound
+    @example(lam=cusp_lamination(8, 0.001, 5), seed=5, extra=9, targeted=True)
     def test_equals_unfiltered_oracle(self, lam, seed, extra, targeted):
         """Scoring only the random arcs whose near leaves can outweigh the
         best measure so far, in full batches, returns the unfiltered
@@ -579,15 +632,17 @@ class TestSampler:
         n_arcs = 4 * laminations._CHUNK_ARCS + extra
         want, oracle_arcs = scored_arcs(
             _oracles, lambda: roundness_brute_force_oracle(lam, n_arcs, seed, targeted))
-        none = bytes(8 * len(lam))
+        none = bytes(len(lam))
         crossing = {arc: m for arc, m in oracle_arcs.items() if m != none}
-        weights = np.asarray(lam.weights)
         for threads in (1, 2):
             got, arcs = scored_arcs(laminations, lambda: roundness_brute_force(
                 lam, n_arcs=n_arcs, seed=seed, targeted=targeted, threads=threads))
             assert got.hex() == want.hex(), threads
-            unscored = [np.frombuffer(m) for arc, m in crossing.items() if arc not in arcs]
-            assert all(mask @ weights <= got for mask in unscored), threads
+            unscored = [np.frombuffer(m, dtype=bool) for arc, m in crossing.items()
+                        if arc not in arcs]
+            if unscored:
+                measures = fixed_order_measures(np.array(unscored).T, lam.weights)
+                assert (measures <= got).all(), threads
             assert arcs.keys() <= oracle_arcs.keys(), threads
             assert arcs.items() <= oracle_arcs.items(), threads
 
@@ -598,14 +653,101 @@ class TestSampler:
         # every arc's measure, so no random arc is drawn or filtered
         lam = FiniteLamination([GeodesicH2.from_angles(*leaf)], [weight])
         want = roundness_brute_force_oracle(lam, 10**5, 3, True)
-
-        def reaching(*args):
-            raise AssertionError("_reaching called")
-
-        monkeypatch.setattr(laminations, "_reaching", reaching)
+        monkeypatch.setattr(laminations, "_reaching", self.not_called)
         for threads in (1, 2):
             got = roundness_brute_force(lam, n_arcs=10**5, seed=3, threads=threads)
             assert got == weight == want, threads
+
+    @staticmethod
+    def not_called(*args):
+        raise AssertionError("_reaching called")
+
+    @staticmethod
+    def bound(lam):
+        return laminations._random_arc_bound(lam.polars, np.asarray(lam.weights))
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(lam=oracle_laminations(), seed=st.integers(0, 2**32 - 1),
+           targeted=st.booleans())
+    @example(lam=short_leaves(np.random.default_rng(4), 12, 1e-3), seed=4, targeted=True)
+    @example(lam=fan_lamination(np.random.default_rng(6), 12, 5), seed=6, targeted=True)
+    @example(lam=cusp_lamination(12, 0.01, 7), seed=3, targeted=False)
+    def test_every_scored_arc_measures_at_most_the_bound(self, lam, seed, targeted):
+        """Every arc that the unfiltered oracle scores, targeted ones too,
+        measures at most `_random_arc_bound`."""
+        bound = self.bound(lam)
+        _, arcs = scored_arcs(_oracles, lambda: roundness_brute_force_oracle(
+            lam, 2 * laminations._CHUNK_ARCS + 7, seed, targeted))
+        masks = np.array([np.frombuffer(m, dtype=bool) for m in arcs.values()])
+        assert (fixed_order_measures(masks.T, lam.weights) <= bound).all()
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(lam=oracle_laminations(), seed=st.integers(0, 2**32 - 1))
+    @example(lam=short_leaves(np.random.default_rng(5), 8, 1e-3), seed=5)
+    @example(lam=fan_lamination(np.random.default_rng(5), 6, 3), seed=5)
+    @example(lam=turned_to_zero(cusp_lamination(5, 0.01, 2)), seed=2)
+    def test_floor_at_the_bound_skips_the_random_arcs(self, lam, seed):
+        """When the targeted arcs' maximum reaches the bound, no random arc
+        is drawn or filtered, and the result is still the unfiltered
+        oracle's, bit for bit."""
+        n_arcs = 2 * laminations._CHUNK_ARCS + 5
+        want = roundness_brute_force_oracle(lam, n_arcs, seed, True)
+        floor = roundness_brute_force_oracle(lam, 1, seed, True)  # targeted arcs only
+        with pytest.MonkeyPatch.context() as mp:
+            if floor >= self.bound(lam):
+                mp.setattr(laminations, "_reaching", self.not_called)
+            for threads in (1, 2):
+                got = roundness_brute_force(lam, n_arcs=n_arcs, seed=seed, threads=threads)
+                assert got.hex() == want.hex(), threads
+
+    @pytest.mark.parametrize("kind", ["matching", "random"])
+    def test_bound_takes_the_chains_of_the_nesting(self, kind):
+        # with no two near leaves within 1 + 1e-6 of asymptotic, the leaves
+        # between a near pair are those with exactly one of the pair inside
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            lam = (matching_lamination(rng, 1 + seed % 32) if kind == "matching"
+                   else random_lamination(rng, 1 + seed % 12))
+            weights, inside = np.asarray(lam.weights), validate(lam).inside
+            dots = np.abs(_mink_dot(lam.polars[:, None], lam.polars[None, :]))
+            i, j = np.nonzero(np.triu(dots <= 1.5431, 1))
+            assert (dots[i, j] > 1.0 + 1e-6).all()
+            k = np.arange(len(lam))[:, None]
+            between = inside[:, i] ^ inside[:, j] | (k == i) | (k == j)
+            sums = laminations._fixed_sums(weights, between, np.empty(len(i)))
+            want = max(weights.max(), sums.max(initial=0.0))
+            assert self.bound(lam) == want, seed
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_floor_reaches_the_bound_on_stratified_leaves(self, n):
+        # the benchmark's laminations: the targeted arcs cross the best
+        # chain, so the random arcs never run
+        for seed in range(12):
+            lam = matching_lamination(np.random.default_rng(seed), n)
+            floor = roundness_brute_force_oracle(lam, 1, seed, True)  # targeted only
+            assert floor == self.bound(lam), seed
+
+    def test_bound_above_the_floor_runs_the_random_arcs(self, monkeypatch):
+        # leaves 1 + 1e-6 apart are near by the bound's cut, which leaves
+        # room for rounding, but no unit arc crosses both: the roundness,
+        # which the targeted arcs attain, is the heavier weight
+        lam = two_leaves_at_distance(1.0 + 1e-6, 2.0, 3.0)
+        floor = roundness_brute_force_oracle(lam, 1, 4, True)
+        assert floor == roundness(lam) == 3.0
+        assert self.bound(lam) == 5.0
+        calls = []
+        reaching = laminations._reaching
+
+        def counting(*args):
+            calls.append(args[3])
+            return reaching(*args)
+
+        monkeypatch.setattr(laminations, "_reaching", counting)
+        n_arcs = 2 * laminations._CHUNK_ARCS + 5
+        got = roundness_brute_force(lam, n_arcs=n_arcs, seed=4, threads=1)
+        assert got.hex() == roundness_brute_force_oracle(lam, n_arcs, 4, True).hex()
+        # the floor is the roundness already, so no batch raises it
+        assert calls and set(calls) == {floor}
 
     def test_cusp_probes_across_angle_zero(self):
         # the leaves share the ideal point at angle 0, written as 2 pi - 1e-13
@@ -662,7 +804,7 @@ class TestSampler:
         dropped[kept] = False
         mask = laminations._crossings(np.ascontiguousarray(lam.polars.T), x, y, r2,
                                       rng.uniform(0, 2 * math.pi, m), scratch)
-        return x, y, dropped, mask
+        return x, y, dropped, mask.T
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(lam=oracle_laminations(), seed=st.integers(0, 2**32 - 1))
@@ -697,7 +839,7 @@ class TestSampler:
     def test_dropped_arcs_cannot_beat_the_floor(self, lam, seed, floor, pick, share):
         """At a floor above 0, every arc that `_reaching` drops crosses
         leaves of exact weight sum at most the floor, and its measure by
-        `mask @ weights` is at most the floor too; ties at the floor count
+        `fixed_order_measures` is at most the floor too; ties at the floor count
         as dropped."""
         n, weights = len(lam), np.asarray(lam.weights)
         i, j = pick % n, (pick + 1 + pick // n) % n
@@ -707,7 +849,7 @@ class TestSampler:
         rng = np.random.default_rng(seed)
         _, _, dropped, mask = self.dropped(lam, rng, float(floor))
         assert dropped.any()
-        assert (mask[dropped] @ weights <= floor).all()
+        assert (fixed_order_measures(mask[dropped].T, weights) <= floor).all()
         for row in np.unique(mask[dropped], axis=0):
             assert sum(Fraction(w) for w, hit in zip(lam.weights, row) if hit) <= floor
 
@@ -783,7 +925,9 @@ class TestSampler:
                                             targeted=False, threads=1)
         assert started == [5]
         # the targeted arcs are scored first on the calling thread: the pool
-        # gets a worker per random chunk, four here, at most
+        # gets a worker per random chunk, four here, at most; on these
+        # leaves they stay below the bound on the random arcs
+        lam = two_leaves_at_distance(1.0 + 1e-6, 2.0, 3.0)
         for threads, workers in ((10**6, 4), (3, 3)):
             started.clear()
             got = roundness_brute_force(lam, n_arcs=n_arcs, seed=4, threads=threads)
