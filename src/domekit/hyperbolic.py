@@ -109,16 +109,32 @@ def _mink_dot(u, v):
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
 
 
-def _lorentz_cross(u, v) -> np.ndarray:
-    """Minkowski cross product: orthogonal to u and v in the form of `_mink_dot`."""
-    w = np.cross(u, v)
-    w[..., 2] = -w[..., 2]
-    return w
+def _lorentz_cross(u, v) -> tuple:
+    """Minkowski cross product: orthogonal to u and v in the form of `_mink_dot`.
+
+    u and v are sequences of three components, Python floats or numpy
+    arrays of one shape, and so is the result; each component is the
+    difference of two products, in numpy's cross product's order, with the
+    last negated.
+    """
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            -(u[0] * v[1] - u[1] * v[0]))
 
 
-def _meet(u: np.ndarray, v: np.ndarray) -> complex:
-    """Disk point where the geodesics with polars u and v meet at right angles."""
-    return _vec_to_disk(_lorentz_cross(u, v))
+def _mink_norm(x) -> float:
+    """sqrt |<x, x>| of three Python floats, in `_mink_dot`'s order."""
+    return math.sqrt(abs(x[0] * x[0] + x[1] * x[1] - x[2] * x[2]))
+
+
+def _meet(u, v) -> complex:
+    """Disk point where the geodesics with polars u and v, each three Python
+    floats, meet at right angles."""
+    x = _lorentz_cross(u, v)
+    norm = _mink_norm(x)
+    x0, x1, x2 = (c / norm for c in x)
+    if x2 < 0:
+        x0, x1, x2 = -x0, -x1, -x2
+    return complex(x0, x1) / (1.0 + x2)
 
 
 def point_vec(z) -> np.ndarray:
@@ -145,7 +161,8 @@ def geodesic_polars(angles) -> np.ndarray:
     The sign is fixed by the order of the two angles.
     """
     angles = np.asarray(angles, dtype=float).reshape(-1, 2)
-    u = _lorentz_cross(light_vec(angles[:, 0]), light_vec(angles[:, 1]))
+    u = np.stack(_lorentz_cross(light_vec(angles[:, 0]).T, light_vec(angles[:, 1]).T),
+                 axis=-1)
     return u / np.sqrt(np.abs(_mink_dot(u, u)))[:, None]
 
 
@@ -190,20 +207,15 @@ def boundary_side(angle, polar: np.ndarray):
 def foot_on_geodesic(z: complex, polar: np.ndarray) -> complex:
     """Foot of the perpendicular from a disk point to the geodesic with this polar.
 
-    A point on the geodesic (to ~1e-14) is its own foot.
+    A point on the geodesic (to ~1e-14) is its own foot.  z's vector is
+    `point_vec`'s, whose ``np.abs`` can differ from ``abs(z)`` in the last bit.
     """
-    v = _lorentz_cross(polar, point_vec(z))
-    nv = math.sqrt(abs(_mink_dot(v, v)))
+    u = np.asarray(polar, dtype=float).tolist()
+    v = _lorentz_cross(u, point_vec(z).tolist())
+    nv = _mink_norm(v)
     if nv < 1e-14:
         return z
-    return _meet(polar, v / nv)
-
-
-def _vec_to_disk(X: np.ndarray) -> complex:
-    X = X / math.sqrt(abs(-_mink_dot(X, X)))
-    if X[2] < 0:
-        X = -X
-    return complex(X[0], X[1]) / (1.0 + X[2])
+    return _meet(u, [c / nv for c in v])
 
 
 # ---------------------------------------------------------------------------
@@ -276,35 +288,13 @@ def geodesic_distance(g1: GeodesicH2, g2: GeodesicH2):
 
 def perpendicular_feet(u1: np.ndarray, u2: np.ndarray) -> tuple[complex, complex]:
     """Disk points where the common perpendicular of two ultraparallel
-    geodesics, given by their polars, meets each of them.
-
-    The steps are those of `_lorentz_cross`, `_mink_dot` and `_meet`, in
-    their order, on Python floats, so the feet have the same bits: on
-    3-vectors, numpy's call overhead made them cost 37 us a pair, and on
-    floats they cost 2.
-    """
+    geodesics, given by their polars, meets each of them."""
     u1, u2 = (np.asarray(u, dtype=float).tolist() for u in (u1, u2))
     # polar of the common perpendicular
-    v = _float_cross(u1, u2)
-    norm = math.sqrt(abs(v[0] * v[0] + v[1] * v[1] - v[2] * v[2]))
+    v = _lorentz_cross(u1, u2)
+    norm = _mink_norm(v)
     v = [x / norm for x in v]
-    return _float_meet(u1, v), _float_meet(u2, v)
-
-
-def _float_cross(u: list, v: list) -> list:
-    """`_lorentz_cross` of two vectors of Python floats."""
-    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-            -(u[0] * v[1] - u[1] * v[0])]
-
-
-def _float_meet(u: list, v: list) -> complex:
-    """`_meet` of two vectors of Python floats."""
-    x = _float_cross(u, v)
-    norm = math.sqrt(abs(x[0] * x[0] + x[1] * x[1] - x[2] * x[2]))
-    x0, x1, x2 = (c / norm for c in x)
-    if x2 < 0:
-        x0, x1, x2 = -x0, -x1, -x2
-    return complex(x0, x1) / (1.0 + x2)
+    return _meet(u1, v), _meet(u2, v)
 
 
 def point_along(z: complex, direction: float, dist: float) -> complex:
@@ -420,24 +410,3 @@ def geodesic_ray_point(xi, start: PointH3, s: float) -> PointH3:
     # ray toward infinity in the normalized frame climbs vertically
     q2 = PointH3(q.x, q.y, q.t * math.exp(s))
     return poincare_extension(m.inverse(), q2)
-
-
-# ---------------------------------------------------------------------------
-# planes and dihedral data in H^3
-# ---------------------------------------------------------------------------
-
-def point_to_hyperboloid(p: PointH3) -> np.ndarray:
-    """Upper half-space point to the hyperboloid model of H^3 (4-vector)."""
-    b = halfspace_to_ball(p)
-    d = 1.0 - float(b @ b)
-    return np.array([2 * b[0] / d, 2 * b[1] / d, 2 * b[2] / d, (1 + b @ b) / d])
-
-
-def ideal_to_lightcone(z) -> np.ndarray:
-    """Ideal boundary point to a lightlike 4-vector (last coord 1)."""
-    v = boundary_to_sphere(z)
-    return np.array([v[0], v[1], v[2], 1.0])
-
-
-def mink4_dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] - u[3] * v[3]

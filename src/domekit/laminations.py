@@ -217,6 +217,25 @@ def validate(lam: FiniteLamination) -> Nesting:
     return lam.nesting
 
 
+def _fixed_sums(weights, chosen: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[p] = the sum of weights[k] over the k with chosen[k, p], added
+    one at a time in increasing k from 0.0: a ufunc per leaf over all
+    columns, so no BLAS kernel picks the order.  Every measure in this
+    module, exact or sampled, is such a sum.
+
+    Such a sum over a set of leaves is at most the sum over any superset,
+    for positive weights: adding a weight never lowers a partial sum, and
+    rounding is monotone, so, leaf by leaf, the subset's partial sum stays
+    at most the superset's.  So an arc whose crossed leaves lie in one of
+    `roundness`'s chains measures at most `roundness`, not even a rounding
+    more.
+    """
+    out.fill(0.0)
+    for w, row in zip(weights, chosen):
+        np.add(out, w, out=out, where=row)
+    return out
+
+
 def transverse_measure(lam: FiniteLamination, arc: GeodesicArc) -> float:
     """Sum of weights of leaves crossed by the open arc.
 
@@ -230,7 +249,7 @@ def transverse_measure(lam: FiniteLamination, arc: GeodesicArc) -> float:
     if np.any(np.abs(sp) < ON_LEAF_TOL) or np.any(np.abs(sq) < ON_LEAF_TOL):
         raise NotTransverse("arc endpoint lies on a leaf")
     crossed = (sp * sq) < 0
-    return float(np.dot(crossed, lam.weights))
+    return float(_fixed_sums(lam.weights, crossed[:, None], np.empty(1))[0])
 
 
 def roundness(lam: FiniteLamination) -> float:
@@ -241,12 +260,13 @@ def roundness(lam: FiniteLamination) -> float:
     extreme leaves are one of `FiniteLamination.near_pairs`.  Single leaves
     are always crossable.  The leaves strictly between i and j are those
     with exactly one of i, j inside: the symmetric difference of their
-    ancestor sets.  Their weights are added in increasing index, one
-    vectorised pass over all pairs per leaf.
+    ancestor sets.  The weights of a chain, i and j among them, are added
+    by `_fixed_sums`, in increasing index, one vectorised pass over all
+    pairs per leaf: the order in which the sampler and `transverse_measure`
+    add an arc's crossed weights.
     """
     nest = validate(lam)
-    n = len(lam)
-    if n == 0:
+    if not lam.leaves:
         return 0.0
     weights = np.asarray(lam.weights)
     best = float(weights.max())
@@ -255,11 +275,9 @@ def roundness(lam: FiniteLamination) -> float:
     i, j = np.array([p[:2] for p in lam.near_pairs]).T
     between = nest.inside[:, i] ^ nest.inside[:, j]
     pairs = np.arange(len(i))
-    between[i, pairs] = False
-    between[j, pairs] = False
-    total = weights[i] + weights[j]
-    for m in range(n):
-        np.add(total, weights[m], out=total, where=between[m])
+    between[i, pairs] = True
+    between[j, pairs] = True
+    total = _fixed_sums(weights, between, np.empty(len(i)))
     return max(best, float(total.max()))
 
 
@@ -641,22 +659,6 @@ def _reaching(polars_a: np.ndarray, tally: np.ndarray, m: int, floor: float,
     count += 1.0 - 4 * _U
     weight *= count
     return np.flatnonzero(np.greater(weight, floor, out=scratch.keep[:m]))
-
-
-def _fixed_sums(weights, chosen: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[p] = the sum of weights[k] over the k with chosen[k, p], added
-    one at a time in increasing k from 0.0, as `roundness` adds: a ufunc
-    per leaf over all columns, so no BLAS kernel picks the order.
-
-    Such a sum over a set of leaves is at most the sum over any superset,
-    for positive weights: adding a weight never lowers a partial sum, and
-    rounding is monotone, so, leaf by leaf, the subset's partial sum stays
-    at most the superset's.
-    """
-    out.fill(0.0)
-    for w, row in zip(weights, chosen):
-        np.add(out, w, out=out, where=row)
-    return out
 
 
 def _random_arc_bound(polars: np.ndarray, weights: np.ndarray) -> float:

@@ -71,15 +71,14 @@ from domekit.hyperbolic import (
     PointH3,
     _mink_dot,
     boundary_side,
+    boundary_to_sphere,
     dist_h2,
     dist_h3,
     foot_on_geodesic,
     geodesic_distance,
-    ideal_to_lightcone,
-    mink4_dot,
+    halfspace_to_ball,
     poincare_extension,
     point_along,
-    point_to_hyperboloid,
 )
 from domekit.laminations import (
     _CHUNK_ARCS,
@@ -146,6 +145,23 @@ def circles_close(c1, c2, tol: float = 1e-8) -> bool:
     """The canonical forms (A, B, C) of two circles agree to within tol."""
     return (abs(c1.A - c2.A) < tol and abs(c1.B - c2.B) < tol
             and abs(c1.C - c2.C) < tol)
+
+
+def point_to_hyperboloid(p: PointH3) -> np.ndarray:
+    """Upper half-space point to the hyperboloid model of H^3 (4-vector)."""
+    b = halfspace_to_ball(p)
+    d = 1.0 - float(b @ b)
+    return np.array([2 * b[0] / d, 2 * b[1] / d, 2 * b[2] / d, (1 + b @ b) / d])
+
+
+def ideal_to_lightcone(z) -> np.ndarray:
+    """Ideal boundary point to a lightlike 4-vector (last coord 1)."""
+    v = boundary_to_sphere(z)
+    return np.array([v[0], v[1], v[2], 1.0])
+
+
+def mink4_dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] - u[3] * v[3]
 
 
 def unit_tangent_toward_ideal(Xf: np.ndarray, xi) -> np.ndarray:
@@ -385,7 +401,8 @@ def _separates(polars: np.ndarray, lam: FiniteLamination, m: int, i: int, j: int
 
 def roundness_oracle(lam: FiniteLamination) -> float:
     """Exact roundness by the O(n^3) loop: for each crossable pair (i, j),
-    the weights of i, j and every leaf m whose side signs separate them."""
+    the weights of i, j and every leaf m whose side signs separate them,
+    added one at a time in increasing leaf index from 0.0."""
     validate(lam)
     n = len(lam)
     if n == 0:
@@ -400,9 +417,9 @@ def roundness_oracle(lam: FiniteLamination) -> float:
                 d = math.acosh(c)
                 if d >= 1.0:
                     continue
-            total = weights[i] + weights[j]
+            total = 0.0
             for m in range(n):
-                if m != i and m != j and _separates(polars, lam, m, i, j):
+                if m == i or m == j or _separates(polars, lam, m, i, j):
                     total += weights[m]
             best = max(best, float(total))
     return best

@@ -171,7 +171,7 @@ def test_acceptance_5_roundness_oracle_equivalence():
         lam = random_lamination(rng, int(rng.integers(1, 7)))
         exact = roundness(lam)
         brute = roundness_brute_force(lam, n_arcs=10**6, seed=1000 + k)
-        ok &= brute <= exact + 1e-12
+        ok &= brute <= exact
         gap = exact - brute
         worst = max(worst, gap)
         ok &= gap <= 1e-6

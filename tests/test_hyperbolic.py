@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from domekit.hyperbolic import (
     foot_on_geodesic,
     geodesic_distance,
     geodesic_polar,
+    geodesic_polars,
     geodesic_ray_point,
     halfspace_to_ball,
     perpendicular_feet,
@@ -215,6 +217,57 @@ class TestPerpendicularFeetAgainstMpmath:
             f = foot_on_geodesic(z, geodesic_polar(leaves[0]))
             assert off_leaf(f, U1) <= tol
             assert abs(dist(z, f) - off_leaf(z, U1)) <= tol
+
+
+def cross_outputs() -> list[float]:
+    """Every output bit of the Lorentz cross's callers on fixed inputs: the
+    polars of 96 leaves 1e-6 to 3 rad wide at random angles and of an
+    ultraparallel partner of each, beside it or around it; each polar's
+    feet from 0 and from 12 points with |z| < 0.7; and the feet of each
+    pair's common perpendicular."""
+    rng = np.random.default_rng(31)
+    angles = []
+    for w in np.geomspace(1e-6, 3.0, 48):
+        for around in (False, True):
+            a = rng.uniform(0.0, 2 * math.pi)
+            if around:
+                g = rng.uniform(1e-3, (2 * math.pi - w) / 2 - 1e-3)
+                partner = (a - g, a + w + g)
+            else:
+                g = rng.uniform(1e-3, 2 * math.pi - 2 * w - 1e-3)
+                partner = (a + w + g, a + 2 * w + g)
+            angles += [GeodesicH2.from_angles(a, a + w).angles(),
+                       GeodesicH2.from_angles(*partner).angles()]
+    polars = geodesic_polars(angles)
+    zs = [0j] + (0.7 * np.sqrt(rng.uniform(size=12))
+                 * np.exp(2j * math.pi * rng.uniform(size=12))).tolist()
+    feet = [foot_on_geodesic(z, u) for u in polars for z in zs]
+    feet += [f for k in range(0, len(polars), 2)
+             for f in perpendicular_feet(polars[k], polars[k + 1])]
+    return polars.ravel().tolist() + [x for f in feet for x in (f.real, f.imag)]
+
+
+class TestLorentzCrossPinned:
+    """`geodesic_polars`, `foot_on_geodesic` and `perpendicular_feet` keep
+    the bits they had when the polars came from `np.cross` on (n, 3) arrays
+    and the feet from numpy 3-vectors: 5952 floats, pinned by the sha256 of
+    their hex forms, and a few of them spelled out.  Feet from z through
+    ``abs(z)`` instead of `point_vec` move the digest."""
+
+    DIGEST = "7ff20449f83a5b8efded419d2e99fdd519565c4c3971c7d0db8a54f763a55644"
+    # the 1e-6 rad leaf's polar, its foot from 0, and the feet of the
+    # perpendicular to its partner beside it
+    NARROWEST = ("-0x1.5d22a236c082ep+17 0x1.e65ca4e01ac9cp+16 -0x1.a97aa2f7f1100p+17 "
+                 "0x1.a4213d7b1e9c7p-1 -0x1.24a15cfca14e9p-1 "
+                 "0x1.a4213d7bd83afp-1 -0x1.24a15cfc1d909p-1 "
+                 "0x1.f7840c616c9c0p-1 -0x1.7342fea901571p-3")
+
+    def test_outputs_pinned(self):
+        out = cross_outputs()
+        assert len(out) == 5952
+        hexes = [x.hex() for x in out]
+        assert " ".join(hexes[:3] + hexes[576:578] + hexes[5568:5572]) == self.NARROWEST
+        assert hashlib.sha256(" ".join(hexes).encode()).hexdigest() == self.DIGEST
 
 
 class TestPoincareExtension:

@@ -203,6 +203,15 @@ class TestTransverseMeasure:
             want = arc_walk_crossing_count(lam, p, q)
             assert got == pytest.approx(want, abs=1e-12)
 
+    def test_adds_in_increasing_leaf_index(self):
+        # summed by BLAS's dot product, 783 of these had another last bit
+        for lam, arcs in fan_arcs():
+            polars = lam.polars
+            for arc in arcs:
+                sp, sq = side_of(arc.p.z, polars), side_of(arc.q.z, polars)
+                want = fixed_order_measures((sp * sq < 0)[:, None], lam.weights)[0]
+                assert transverse_measure(lam, arc).hex() == want.hex()
+
 
 class TestRoundness:
     def test_single_leaf(self):
@@ -240,7 +249,7 @@ class TestRoundness:
             lam = random_lamination(rng, 5)
             exact = roundness(lam)
             brute = roundness_brute_force(lam, n_arcs=120000, seed=11)
-            assert brute <= exact + 1e-12
+            assert brute <= exact
             assert exact - brute <= 1e-6
 
     def test_scale_linearity(self, rng):
@@ -270,7 +279,7 @@ class TestRoundness:
         lam = random_lamination(rng, 6)
         r = roundness(lam)
         brute = roundness_brute_force(lam, n_arcs=10**5, seed=3, targeted=False)
-        assert brute <= r + 1e-9
+        assert brute <= r
 
 
 def cusp_lamination(n: int, width: float, seed: int) -> FiniteLamination:
@@ -337,6 +346,28 @@ def short_leaves(rng: np.random.Generator, n: int, width: float) -> FiniteLamina
     starts = 2.0 * math.pi * (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n
     return FiniteLamination([GeodesicH2.from_angles(t, t + width) for t in starts],
                             rng.uniform(0.1, 2.0, n).tolist())
+
+
+def fan_arcs():
+    """(lamination, arcs) for `fan_lamination(default_rng(k), 40, 20)`, k =
+    0..39, each with 50 random arcs whose ends lie in |z| < 0.95: 2000
+    arcs."""
+    for k in range(40):
+        rng = np.random.default_rng(k)
+        lam = fan_lamination(rng, 40, 20)
+        ends = 0.95 * np.sqrt(rng.uniform(size=(50, 2))) * np.exp(
+            2j * math.pi * rng.uniform(size=(50, 2)))
+        yield lam, [GeodesicArc(PointH2(p), PointH2(q)) for p, q in ends.tolist()]
+
+
+def exact_measures() -> list[str]:
+    """The hex of `roundness` on every lamination that `TestSampler` pins
+    and that `fan_arcs` makes, and of `transverse_measure` on each fan's
+    arcs."""
+    out = [roundness(lam).hex() for lam, *_ in TestSampler.pinned_runs()]
+    for lam, arcs in fan_arcs():
+        out += [roundness(lam).hex()] + [transverse_measure(lam, a).hex() for a in arcs]
+    return out
 
 
 def scored_arcs(module, run) -> tuple[float, dict]:
@@ -558,12 +589,15 @@ class TestSampler:
 
     def test_pins_independent_of_blas_kernel(self):
         # OpenBLAS picks its kernel by CPU unless OPENBLAS_CORETYPE names one;
-        # the sampler's side values and measures use no BLAS call
+        # the sampler's side values and measures, and the exact measures, use
+        # no BLAS call
         script = ("from domekit.laminations import roundness_brute_force as f\n"
-                  "from test_laminations import TestSampler\n"
+                  "from test_laminations import TestSampler, exact_measures\n"
                   "for lam, n_arcs, seed, targeted, _ in TestSampler.pinned_runs():\n"
-                  "    print(f(lam, n_arcs, seed, targeted, threads=1).hex())\n")
+                  "    print(f(lam, n_arcs, seed, targeted, threads=1).hex())\n"
+                  "print(*exact_measures())\n")
         want = "".join(run[-1] + "\n" for run in self.pinned_runs())
+        want += " ".join(exact_measures()) + "\n"
         for coretype in (None, "Haswell", "Prescott", "SkylakeX"):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
             env["PYTHONPATH"] = os.pathsep.join([SRC, TESTS, env.get("PYTHONPATH", "")])
@@ -645,6 +679,33 @@ class TestSampler:
                 assert (measures <= got).all(), threads
             assert arcs.keys() <= oracle_arcs.keys(), threads
             assert arcs.items() <= oracle_arcs.items(), threads
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(lam=floor_laminations(), seed=st.integers(0, 2**32 - 1))
+    # the sampler exceeded roundness on the fans and fell below it on the
+    # matching when roundness added w_i + w_j first
+    @example(lam=fan_lamination(np.random.default_rng(1), 12, 5), seed=1)
+    @example(lam=fan_lamination(np.random.default_rng(5), 40, 20), seed=5)
+    @example(lam=matching_lamination(np.random.default_rng(3), 64), seed=3)
+    def test_equals_roundness_when_the_random_arcs_are_skipped(self, lam, seed):
+        """The sampler never exceeds `roundness`, which adds a chain's weights
+        in its order.  When the targeted arcs reach the bound on the random
+        ones, so that no random arc is filtered, it returns `roundness`
+        bit for bit."""
+        calls = []
+        reaching = laminations._reaching
+
+        def counting(*args):
+            calls.append(args[3])
+            return reaching(*args)
+
+        exact = roundness(lam)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laminations, "_reaching", counting)
+            got = roundness_brute_force(lam, n_arcs=10**5, seed=seed, threads=1)
+        assert got <= exact
+        if not calls:
+            assert got.hex() == exact.hex()
 
     @pytest.mark.parametrize("leaf, weight", [((0.4, 2.9), 1.7), ((5.0, 5.001), 0.3),
                                               ((6.0, 2 * math.pi - 1e-13), 2.5)])
